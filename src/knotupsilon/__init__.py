@@ -9,22 +9,19 @@ throughout, GF(2) linear algebra on bitmasks, no floating point anywhere.
 """
 
 from .complexes import (BifilteredComplex, DiffEntry, Generator,
-                        HomologyReport, LatticePoint, ValidationReport,
-                        chain_boundary, complex_from_json,
-                        complex_from_json_dict, complex_to_json,
-                        complex_to_json_dict, direct_sum, dual, grading_slice,
-                        require_admissible, require_valid, tensor, validate,
-                        verify_homology, vertical_complex)
-from .engine import (JumpCheck, NuCertificate, brute_force_nu,
-                     chain_filtration_value, check_symmetry, filtration_value,
-                     jump_report, nu_at, nu_at_halfplane, tau, upsilon)
+                        LatticePoint, ValidationReport, chain_boundary,
+                        complex_from_json, complex_from_json_dict,
+                        complex_to_json, complex_to_json_dict, direct_sum,
+                        dual, grading_slice, require_admissible,
+                        require_valid, tensor, validate)
+from .engine import (JumpCheck, NuCertificate, check_symmetry,
+                     filtration_value, jump_report, nu_at, tau, upsilon)
 from .errors import (FormatError, InvalidComplexError, KnotLibError,
                      MissingDataError, NonAdmissibleError)
-from .knots import (KnotRecord, LaurentPolyZ, box_complex, builtin_names,
-                    builtin_record, cable_alexander, chen_cable_upsilon,
-                    fibered_genus, figure_eight_complex, slice_cable_record,
-                    staircase, torus_knot_alexander, torus_knot_complex,
-                    unknot_complex)
+from .knots import (KnotRecord, LaurentPolyZ, box_complex, builtin_record,
+                    cable_alexander, chen_cable_upsilon, fibered_genus,
+                    figure_eight_complex, slice_cable_record, staircase,
+                    torus_knot_alexander, torus_knot_complex, unknot_complex)
 from .certificates import (ConcordanceVerdict, RVCertificate,
                            RibbonMinimalityReport, certify_right_veering,
                            classify_tightness, obstruct_concordance,
@@ -34,19 +31,17 @@ from .plfunction import PLFunction, format_rational, parse_rational
 __version__ = "0.1.0"
 
 __all__ = [
-    "BifilteredComplex", "DiffEntry", "Generator", "HomologyReport",
-    "LatticePoint", "ValidationReport", "chain_boundary", "complex_from_json",
+    "BifilteredComplex", "DiffEntry", "Generator", "LatticePoint",
+    "ValidationReport", "chain_boundary", "complex_from_json",
     "complex_from_json_dict", "complex_to_json", "complex_to_json_dict",
     "direct_sum", "dual", "grading_slice", "require_admissible",
-    "require_valid", "tensor", "validate", "verify_homology",
-    "vertical_complex",
-    "JumpCheck", "NuCertificate", "brute_force_nu", "chain_filtration_value",
-    "check_symmetry", "filtration_value", "jump_report", "nu_at",
-    "nu_at_halfplane", "tau", "upsilon",
+    "require_valid", "tensor", "validate",
+    "JumpCheck", "NuCertificate", "check_symmetry", "filtration_value",
+    "jump_report", "nu_at", "tau", "upsilon",
     "FormatError", "InvalidComplexError", "KnotLibError", "MissingDataError",
     "NonAdmissibleError",
-    "KnotRecord", "LaurentPolyZ", "box_complex", "builtin_names",
-    "builtin_record", "cable_alexander", "chen_cable_upsilon",
+    "KnotRecord", "LaurentPolyZ", "box_complex", "builtin_record",
+    "cable_alexander", "chen_cable_upsilon",
     "fibered_genus", "figure_eight_complex", "slice_cable_record",
     "staircase", "torus_knot_alexander", "torus_knot_complex",
     "unknot_complex",

@@ -16,8 +16,8 @@ import argparse
 import dataclasses
 import json
 import sys
+from fractions import Fraction
 
-from . import engine
 from .certificates import (certify_right_veering, classify_tightness,
                            obstruct_concordance, ribbon_minimality_report)
 from .complexes import complex_to_json, dual, tensor, validate
@@ -109,11 +109,11 @@ def _require_complex(record: KnotRecord):
     return record.complex
 
 
-def _record_tau(record: KnotRecord) -> int:
-    if record.complex is not None:
-        return engine.tau(record.complex)
-    # closed-form records: tau is minus the initial slope of upsilon
-    return -record.upsilon_function().initial_slope
+def _sampling_step(text: str) -> Fraction:
+    step = parse_rational(text)
+    if step <= 0:
+        raise FormatError("sampling step must be positive, got %s" % text)
+    return step
 
 
 def _record_genus(record: KnotRecord, override) -> int:
@@ -155,15 +155,15 @@ def _dispatch(args) -> tuple[str, int]:
         return text, 0 if report.ok else 1
 
     if cmd == "upsilon":
-        f = record.upsilon_function()
-        if args.csv is not None:
-            if not args.csv.startswith("step="):
-                raise FormatError("--csv expects step=p/q")
-            return f.sample_csv(parse_rational(args.csv[len("step="):])), 0
-        return f.to_json(), 0
+        if args.csv is None:
+            return record.upsilon_function().to_json(), 0
+        if not args.csv.startswith("step="):
+            raise FormatError("--csv expects step=p/q")
+        step = _sampling_step(args.csv[len("step="):])
+        return record.upsilon_function().sample_csv(step), 0
 
     if cmd == "tau":
-        return _dumps({"tau": _record_tau(record)}), 0
+        return _dumps({"tau": record.tau()}), 0
 
     if cmd == "dual":
         return complex_to_json(dual(_require_complex(record))), 0
@@ -175,7 +175,7 @@ def _dispatch(args) -> tuple[str, int]:
 
     if cmd == "classify-tight":
         genus = _record_genus(record, args.genus)
-        t = _record_tau(record)
+        t = record.tau()
         return _dumps({"tau": t, "genus": genus,
                        "classification": classify_tightness(t, genus)}), 0
 
@@ -185,8 +185,8 @@ def _dispatch(args) -> tuple[str, int]:
         return _dumps(ribbon_minimality_report(record).to_json_dict()), 0
 
     if cmd == "sample":
-        f = record.upsilon_function()
-        return f.sample_csv(parse_rational(args.step)), 0
+        step = _sampling_step(args.step)
+        return record.upsilon_function().sample_csv(step), 0
 
     raise AssertionError("unhandled command %r" % cmd)
 

@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import FormatError, InvalidComplexError, NonAdmissibleError
-from .gf2 import kernel_basis, rank
+from .gf2 import BitEchelon, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,11 @@ class LatticePoint:
     i: int
     j: int
 
-    @property
-    def upow(self) -> int:
-        return self.i
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     violations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class HomologyReport:
-    """Homology dimensions on the distinguished grading and the one above."""
-
-    grading: int
-    dim_at_grading: int
-    dim_above: int
-    admissible: bool
 
 
 class BifilteredComplex:
@@ -169,19 +155,9 @@ class BifilteredComplex:
         key = ("hdim", p)
         if key not in self._cache:
             dim_z = len(self._cycle_masks(p))
-            dim_b = rank(self._boundary_masks(p))
+            dim_b = BitEchelon(self._boundary_masks(p)).rank
             self._cache[key] = dim_z - dim_b
         return self._cache[key]
-
-    def grading_slice(self, d: int) -> list[LatticePoint]:
-        """One lattice point per generator of Maslov parity d: the unique
-        U-translate with total Maslov grading d."""
-        pts = []
-        for name in self._parity_names(d % 2):
-            g = self._index[name]
-            m = (d - g.maslov) // 2
-            pts.append(LatticePoint(name, m, g.alexander + m))
-        return pts
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +252,15 @@ def require_admissible(c: BifilteredComplex) -> None:
             % (dim, c.ambient_d))
 
 
-def verify_homology(c: BifilteredComplex) -> HomologyReport:
-    """Homology dimensions on the grading-ambient_d slice and the one above."""
-    require_valid(c)
-    d = c.ambient_d
-    dim_d = c.homology_dimension(d)
-    dim_d1 = c.homology_dimension(d + 1)
-    return HomologyReport(grading=d, dim_at_grading=dim_d, dim_above=dim_d1,
-                          admissible=dim_d == 1)
-
-
 def grading_slice(c: BifilteredComplex, d: int) -> list[LatticePoint]:
-    """Lattice points of total Maslov grading d, one per eligible generator."""
-    return c.grading_slice(d)
+    """Lattice points of total Maslov grading d: one per generator of Maslov
+    parity d, its unique U-translate with that grading."""
+    pts = []
+    for name in c._parity_names(d % 2):
+        g = c.generator(name)
+        m = (d - g.maslov) // 2
+        pts.append(LatticePoint(name, m, g.alexander + m))
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +276,17 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
     """
     require_valid(c1)
     require_valid(c2)
-    gens = []
-    for g1 in c1.generators:
-        for g2 in c2.generators:
-            gens.append(Generator(g1.name + "*" + g2.name,
-                                  g1.alexander + g2.alexander,
-                                  g1.maslov + g2.maslov))
-    diff = []
+    out1, out2 = c1._out_entries(), c2._out_entries()
+    gens, diff = [], []
     for g1 in c1.generators:
         for g2 in c2.generators:
             src = g1.name + "*" + g2.name
-            for e in c1.differential:
-                if e.source == g1.name:
-                    diff.append(DiffEntry(src, e.target + "*" + g2.name,
-                                          e.upower))
-            for e in c2.differential:
-                if e.source == g2.name:
-                    diff.append(DiffEntry(src, g1.name + "*" + e.target,
-                                          e.upower))
+            gens.append(Generator(src, g1.alexander + g2.alexander,
+                                  g1.maslov + g2.maslov))
+            diff.extend(DiffEntry(src, tgt + "*" + g2.name, k)
+                        for tgt, k in out1[g1.name])
+            diff.extend(DiffEntry(src, g1.name + "*" + tgt, k)
+                        for tgt, k in out2[g2.name])
     label = None
     if c1.label and c2.label:
         label = "%s # %s" % (c1.label, c2.label)
@@ -335,18 +300,6 @@ def dual(c: BifilteredComplex) -> BifilteredComplex:
     diff = [DiffEntry(e.target, e.source, e.upower) for e in c.differential]
     label = "-%s" % c.label if c.label else None
     return BifilteredComplex(gens, diff, -c.ambient_d, label)
-
-
-def vertical_complex(c: BifilteredComplex) -> BifilteredComplex:
-    """Keep only the U-power-zero part of the differential.
-
-    The result is the hat-flavor complex at algebraic level zero, filtered
-    by the Alexander grading of its generators.
-    """
-    require_valid(c)
-    diff = [e for e in c.differential if e.upower == 0]
-    label = "%s (vertical)" % c.label if c.label else None
-    return BifilteredComplex(c.generators, diff, c.ambient_d, label)
 
 
 def direct_sum(c1: BifilteredComplex, c2: BifilteredComplex,

@@ -8,13 +8,10 @@ of a summand, and upsilon(t) = -2 nu(t).
 Everything happens on the finite grading-d slice: each generator of the
 right Maslov parity contributes exactly one lattice point per homological
 grading, so cycles, boundaries, and the filtered minimum are all finite
-exact linear algebra over GF(2) with rational weights.  Three independent
-routes to nu are provided:
-
-* nu_at: one filtered reduction sweep, pivoting in weight order;
-* nu_at_halfplane: grow the subcomplex of points with weight <= s and test
-  when its cycles first hit the nonzero homology class;
-* brute_force_nu: enumerate every cycle on slices small enough to allow it.
+exact linear algebra over GF(2) with rational weights.  nu is computed one
+way, by nu_at: one filtered reduction sweep, pivoting in weight order.  The
+tests check it against two independent oracles, a growing-subcomplex test
+and exhaustive cycle enumeration on small slices.
 """
 
 from __future__ import annotations
@@ -40,11 +37,6 @@ def filtration_value(t, point: LatticePoint) -> Fraction:
     """The weight (1 - t/2) i + (t/2) j of a lattice point, exactly."""
     t = _check_t(t)
     return (1 - t / 2) * point.i + (t / 2) * point.j
-
-
-def chain_filtration_value(t, points) -> Fraction:
-    """Maximal weight over the summands of a nonempty chain."""
-    return max(filtration_value(t, p) for p in points)
 
 
 @dataclass(frozen=True)
@@ -126,75 +118,6 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     return NuCertificate(t=t, nu=level, realizing_points=realizing, cycle=cycle)
 
 
-def nu_at_halfplane(c: BifilteredComplex, t) -> Fraction:
-    """nu via the subcomplex formulation.
-
-    Grow the subcomplex spanned by lattice points of weight at most s and
-    return the least s at which its inclusion already carries a cycle
-    hitting the nonzero class of the ambient grading.  Computed from
-    scratch per level, independently of nu_at.
-    """
-    t = _check_t(t)
-    require_admissible(c)
-    d = c.ambient_d
-    pts = grading_slice(c, d)
-    keys = [filtration_value(t, p) for p in pts]
-    cols = c._boundary_columns(d % 2)
-    full_boundaries = BitEchelon(c._boundary_masks(d % 2))
-    base_rank = full_boundaries.rank
-
-    for level in sorted(set(keys)):
-        inside = [k for k in range(len(pts)) if keys[k] <= level]
-        sub_kernel = kernel_basis([cols[k] for k in inside])
-        for combo in sub_kernel:
-            full = 0
-            for b in bits(combo):
-                full |= 1 << inside[b]
-            if full_boundaries.reduce(full):
-                return level
-    raise NonAdmissibleError("no essential cycle in the distinguished grading")
-
-
-def _essential_cycles(c: BifilteredComplex) -> list[int]:
-    """Every cycle mask on the ambient-grading slice that is not a boundary.
-
-    Exhaustive enumeration; cached on the complex since it only depends on
-    the slice, not on the parameter.
-    """
-    key = "essential_cycles"
-    if key not in c._cache:
-        d = c.ambient_d
-        p = d % 2
-        cols = c._boundary_columns(p)
-        bound = BitEchelon(c._boundary_masks(p))
-        n = len(cols)
-        survivors = []
-        for mask in range(1, 1 << n):
-            img = 0
-            for b in bits(mask):
-                img ^= cols[b]
-            if img == 0 and bound.reduce(mask):
-                survivors.append(mask)
-        c._cache[key] = survivors
-    return c._cache[key]
-
-
-def brute_force_nu(c: BifilteredComplex, t) -> Fraction:
-    """Oracle for nu: minimize the maximal weight over every essential cycle.
-
-    Only available when the ambient-grading slice has at most 20 points.
-    """
-    t = _check_t(t)
-    require_admissible(c)
-    d = c.ambient_d
-    pts = grading_slice(c, d)
-    if len(pts) > 20:
-        raise ValueError("slice too large for brute force (%d points)" % len(pts))
-    keys = [filtration_value(t, p) for p in pts]
-    return min(max(keys[b] for b in bits(mask))
-               for mask in _essential_cycles(c))
-
-
 def upsilon(c: BifilteredComplex) -> PLFunction:
     """The full invariant as an exact piecewise-linear function on [0, 2].
 
@@ -203,10 +126,11 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     consecutive candidates nu is linear and three exact evaluations pin
     each segment.
     """
-    require_admissible(c)
+    # the cache is filled only after require_admissible passed
     cached = c._cache.get("upsilon")
     if cached is not None:
         return cached
+    require_admissible(c)
     pts = grading_slice(c, c.ambient_d)
     cands = {Fraction(0), Fraction(2)}
     for a in range(len(pts)):
@@ -269,10 +193,16 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
     checks = []
     bps = f.breakpoints
     pts = grading_slice(c, c.ambient_d)
+    diagonals = [p.j - p.i for p in pts]
+    span = max(max(diagonals) - min(diagonals), 1)
+    # Tie parameters are 2m/da with |da| <= span, so two distinct ones differ
+    # by at least 2/span**2: t0 -+ delta lies inside the segments next to t0
+    # and is never a tie, which leaves one realizing coordinate there.
+    delta = Fraction(1, 2 * span * span)
     for k in range(1, len(bps) - 1):
         t0 = bps[k]
-        left = nu_at(c, (bps[k - 1] + t0) / 2)
-        right = nu_at(c, (t0 + bps[k + 1]) / 2)
+        left = nu_at(c, t0 - delta)
+        right = nu_at(c, t0 + delta)
         (i, j) = _realizer(left)
         (i2, j2) = _realizer(right)
         s_before, s_after = f.slopes[k - 1], f.slopes[k]

@@ -11,11 +11,6 @@ touches.  Everything is exact and deterministic.
 from __future__ import annotations
 
 
-def highest_bit(v: int) -> int:
-    """Index of the highest set bit.  v must be nonzero."""
-    return v.bit_length() - 1
-
-
 class BitEchelon:
     """Growing echelon basis with pivots on highest set bits."""
 
@@ -46,11 +41,6 @@ class BitEchelon:
 
     def pivot_positions(self) -> list[int]:
         return sorted(self.pivots)
-
-
-def rank(vectors) -> int:
-    """GF(2) rank of a family of bitmask vectors."""
-    return BitEchelon(vectors).rank
 
 
 def kernel_basis(columns) -> list[int]:

@@ -11,7 +11,7 @@ the left-handed trefoil, through Chen's closed-form upsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -29,10 +29,6 @@ class LaurentPolyZ:
     def __init__(self, coeffs=()):
         data = dict(coeffs)
         self.coeffs = {e: c for e, c in data.items() if c != 0}
-
-    @classmethod
-    def term(cls, coeff: int, exponent: int) -> "LaurentPolyZ":
-        return cls({exponent: coeff})
 
     @classmethod
     def one(cls) -> "LaurentPolyZ":
@@ -301,8 +297,6 @@ class KnotRecord:
     fibered: bool | None = None
     monodromy_right_veering: bool | None = None
     upsilon_override: PLFunction | None = None
-    _upsilon: PLFunction | None = field(default=None, init=False, repr=False,
-                                        compare=False)
 
     def __post_init__(self):
         if self.complex is not None and self.genus is not None:
@@ -319,10 +313,15 @@ class KnotRecord:
         if self.upsilon_override is not None:
             return self.upsilon_override
         if self.complex is not None:
-            if self._upsilon is None:
-                self._upsilon = engine.upsilon(self.complex)
-            return self._upsilon
+            return engine.upsilon(self.complex)
         raise MissingDataError("record %r carries no upsilon data" % self.name)
+
+    def tau(self) -> int:
+        """tau of the complex; a closed-form record's tau is minus the
+        initial slope of its upsilon."""
+        if self.complex is not None:
+            return engine.tau(self.complex)
+        return -self.upsilon_function().initial_slope
 
 
 def slice_cable_record(p: int) -> KnotRecord:
@@ -364,11 +363,6 @@ def _figure8_record() -> KnotRecord:
 def _unknot_record() -> KnotRecord:
     return KnotRecord("unknot", complex=unknot_complex(), genus=0,
                       fibered=True, monodromy_right_veering=True)
-
-
-def builtin_names() -> list[str]:
-    return ["unknot", "trefoil", "trefoil-left", "figure8",
-            "torus:p,q", "staircase:a,b,...", "chen-cable:n"]
 
 
 def builtin_record(name: str) -> KnotRecord:

@@ -1,8 +1,12 @@
 """Shared corpus and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's linear algebra: the
-differential-squared check counts two-step paths straight off the entry
-list, and the homology dimensions come from exhaustive subset enumeration.
+The d^2 and homology oracles deliberately avoid the library's linear
+algebra: the differential-squared check counts two-step paths straight off
+the entry list, and the homology dimensions come from exhaustive subset
+enumeration.  The two nu oracles share only the slice, its boundary
+columns and the GF(2) primitives with the engine's filtered sweep (nu_at):
+one grows the subcomplex below each weight level, the other enumerates
+every essential cycle.
 """
 
 from collections import Counter
@@ -10,6 +14,7 @@ from functools import lru_cache
 from math import log2
 
 import knotupsilon as ku
+from knotupsilon.gf2 import BitEchelon, bits, kernel_basis
 
 
 @lru_cache(maxsize=1)
@@ -33,7 +38,71 @@ def corpus():
         ("trefoil#figure8", ku.tensor(trefoil, fig8)),
         ("trefoil#trefoil#-figure8",
          ku.tensor(ku.tensor(trefoil, trefoil), ku.dual(fig8))),
+        # a tie parameter at the midpoint of the upsilon segment [2/3, 4/3]
+        ("T(3,5)#T(2,-3)", ku.tensor(ku.torus_knot_complex(3, 5),
+                                     ku.torus_knot_complex(2, -3))),
     )
+
+
+def nu_at_halfplane(c, t):
+    """nu via the subcomplex formulation.
+
+    Grow the subcomplex spanned by lattice points of weight at most s and
+    return the least s at which its inclusion already carries a cycle
+    hitting the nonzero class of the ambient grading.  Computed from
+    scratch per level, independently of nu_at.
+    """
+    ku.require_admissible(c)
+    pts = ku.grading_slice(c, c.ambient_d)
+    keys = [ku.filtration_value(t, p) for p in pts]
+    p = c.ambient_d % 2
+    cols = c._boundary_columns(p)
+    full_boundaries = BitEchelon(c._boundary_masks(p))
+    for level in sorted(set(keys)):
+        inside = [k for k in range(len(pts)) if keys[k] <= level]
+        for combo in kernel_basis([cols[k] for k in inside]):
+            full = 0
+            for b in bits(combo):
+                full |= 1 << inside[b]
+            if full_boundaries.reduce(full):
+                return level
+    raise ku.NonAdmissibleError("no essential cycle in the distinguished "
+                                "grading")
+
+
+@lru_cache(maxsize=128)
+def _essential_cycles(c):
+    """Every cycle mask on the ambient-grading slice that is not a boundary.
+
+    Exhaustive enumeration; memoised per complex since it only depends on
+    the slice, not on the parameter.
+    """
+    p = c.ambient_d % 2
+    cols = c._boundary_columns(p)
+    bound = BitEchelon(c._boundary_masks(p))
+    survivors = []
+    for mask in range(1, 1 << len(cols)):
+        img = 0
+        for b in bits(mask):
+            img ^= cols[b]
+        if img == 0 and bound.reduce(mask):
+            survivors.append(mask)
+    return tuple(survivors)
+
+
+def brute_force_nu(c, t):
+    """Oracle for nu: minimize the maximal weight over every essential cycle.
+
+    Only available when the ambient-grading slice has at most 20 points.
+    """
+    ku.require_admissible(c)
+    pts = ku.grading_slice(c, c.ambient_d)
+    if len(pts) > 20:
+        raise ValueError("slice too large for brute force (%d points)"
+                         % len(pts))
+    keys = [ku.filtration_value(t, p) for p in pts]
+    return min(max(keys[b] for b in bits(mask))
+               for mask in _essential_cycles(c))
 
 
 def brute_d_squared_even(c):

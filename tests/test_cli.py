@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 import knotupsilon as ku
 from knotupsilon.cli import main
 
@@ -86,6 +88,21 @@ def test_sample_subcommand(capsys):
     rc, out, _ = run(capsys, ["sample", "trefoil", "1"])
     assert rc == 0
     assert out == "0,0\n1,-1\n2,0\n"
+
+
+def test_sample_rejects_non_positive_step(capsys):
+    rc, out, err = run(capsys, ["sample", "trefoil", "0"])
+    assert rc == 2
+    assert out == ""
+    assert "positive" in err
+
+
+@pytest.mark.parametrize("step", ["0", "-1/2"])
+def test_upsilon_csv_rejects_non_positive_step(capsys, step):
+    rc, out, err = run(capsys, ["upsilon", "trefoil", "--csv", "step=" + step])
+    assert rc == 2
+    assert out == ""
+    assert "positive" in err
 
 
 def test_tau_subcommand(capsys):

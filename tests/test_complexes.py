@@ -1,4 +1,4 @@
-"""Data model: validation, slices, tensor, dual, vertical, homology, JSON."""
+"""Data model: validation, slices, tensor, dual, homology, JSON."""
 
 import pytest
 
@@ -124,29 +124,27 @@ def test_slice_cardinality_and_point_identity():
                 g = c.generator(p.generator)
                 assert p.j - p.i == g.alexander
                 assert g.maslov + 2 * p.i == d
-                assert p.upow == p.i
 
 
 # -- homology
 
 
 def test_verify_homology_unknot():
-    rep = ku.verify_homology(ku.unknot_complex())
-    assert rep.dim_at_grading == 1 and rep.admissible
+    u = ku.unknot_complex()
+    assert u.homology_dimension(0) == 1
+    assert ku.validate(u).ok
 
 
 def test_verify_homology_trefoil():
-    rep = ku.verify_homology(trefoil_by_hand())
-    assert rep.grading == 0
-    assert rep.dim_at_grading == 1
-    assert rep.dim_above == 0
+    c = trefoil_by_hand()
+    assert c.homology_dimension(0) == 1
+    assert c.homology_dimension(1) == 0
 
 
 def test_verify_homology_rank_two():
     c = BifilteredComplex([Generator("x", 0, 0), Generator("y", 0, 0)], [], 0)
-    rep = ku.verify_homology(c)
-    assert rep.dim_at_grading == 2
-    assert not rep.admissible
+    assert c.homology_dimension(0) == 2
+    assert not ku.validate(c).ok
     with pytest.raises(ku.NonAdmissibleError):
         ku.require_admissible(c)
 
@@ -233,25 +231,6 @@ def test_dual_swaps_slices():
         for d in (0, 1):
             assert (len(ku.grading_slice(ku.dual(c), -d))
                     == len(ku.grading_slice(c, d)))
-
-
-# -- vertical complex
-
-
-def test_vertical_trefoil():
-    v = ku.vertical_complex(trefoil_by_hand())
-    assert [(e.source, e.target, e.upower) for e in v.differential] == [
-        ("b", "c", 0)]
-
-
-def test_vertical_unknot_unchanged():
-    v = ku.vertical_complex(ku.unknot_complex())
-    assert positionally_equal(v, ku.unknot_complex(), names=True)
-
-
-def test_vertical_figure_eight_two_entries():
-    v = ku.vertical_complex(ku.figure_eight_complex())
-    assert len(v.differential) == 2
 
 
 # -- direct sum
