@@ -25,6 +25,14 @@ from .knots import KnotRecord
 from .plfunction import PLFunction, format_rational
 
 
+def _witness_below_one(f: PLFunction, slope: int):
+    """The first segment of this slope starting in [0, 1), cut off at 1."""
+    for a, b in f.slope_intervals(slope):
+        if a < 1:
+            return a, min(b, Fraction(1))
+    return None
+
+
 def _interval_json(iv):
     if iv is None:
         return None
@@ -67,13 +75,10 @@ def certify_right_veering(upsilon_fn: PLFunction, genus: int) -> RVCertificate:
     """
     if genus < 0:
         raise ValueError("genus must be non-negative")
-    for a, b, s in upsilon_fn.segments():
-        if a >= 1:
-            break
-        if s == -genus:
-            return RVCertificate("right_veering_certified",
-                                 (a, min(b, Fraction(1))), genus)
-    return RVCertificate("inconclusive", None, genus)
+    witness = _witness_below_one(upsilon_fn, -genus)
+    if witness is None:
+        return RVCertificate("inconclusive", None, genus)
+    return RVCertificate("right_veering_certified", witness, genus)
 
 
 def classify_tightness(tau: int, genus: int) -> str:
@@ -98,10 +103,6 @@ class ConcordanceVerdict:
     def to_json_dict(self) -> dict:
         return {"verdict": self.verdict, "reason": self.reason,
                 "detail": self.detail}
-
-
-def _attains_slope_below_one(f: PLFunction, slope: int) -> bool:
-    return any(a < 1 for a, _ in f.slope_intervals(slope))
 
 
 def obstruct_concordance(k0: KnotRecord, k1: KnotRecord) -> ConcordanceVerdict:
@@ -131,14 +132,14 @@ def obstruct_concordance(k0: KnotRecord, k1: KnotRecord) -> ConcordanceVerdict:
     if (k0.fibered and k1.fibered
             and k0.genus is not None and k1.genus is not None
             and k0.genus != k1.genus
-            and _attains_slope_below_one(f0, -k0.genus)
-            and _attains_slope_below_one(f1, -k1.genus)):
+            and _witness_below_one(f0, -k0.genus)
+            and _witness_below_one(f1, -k1.genus)):
         return ConcordanceVerdict(
             "obstructed", "genus_mismatch_lemma72",
             "slope hypothesis holds on both sides with genus %d vs %d"
             % (k0.genus, k1.genus))
 
-    if (k0.genus is not None and _attains_slope_below_one(f0, -k0.genus)
+    if (k0.genus is not None and _witness_below_one(f0, -k0.genus)
             and k1.fibered and k1.genus == k0.genus
             and k1.monodromy_right_veering is False):
         return ConcordanceVerdict(
@@ -213,7 +214,7 @@ def ribbon_minimality_report(k: KnotRecord) -> RibbonMinimalityReport:
     f = k.upsilon_function()
     g = k.genus
     anywhere = f.slope_intervals(-g)
-    below_one = [(a, b) for a, b in anywhere if a < 1]
+    below_one = _witness_below_one(f, -g)
     holds = bool(anywhere)
     return RibbonMinimalityReport(
         knot=k.name,
@@ -224,8 +225,7 @@ def ribbon_minimality_report(k: KnotRecord) -> RibbonMinimalityReport:
         hypothesis_interval="[0,2]",
         minimal_among_fibered=holds,
         mirror_minimal_among_fibered=holds,
-        uniqueness_hypothesis_holds=bool(below_one),
-        uniqueness_witness=(below_one[0][0], min(below_one[0][1], Fraction(1)))
-        if below_one else None,
+        uniqueness_hypothesis_holds=below_one is not None,
+        uniqueness_witness=below_one,
         uniqueness_interval="[0,1]",
     )

@@ -9,13 +9,14 @@ Everything happens on the finite grading-d slice: each generator of the
 right Maslov parity contributes exactly one lattice point per homological
 grading, so cycles, boundaries, and the filtered minimum are all finite
 exact linear algebra over GF(2) with rational weights.  nu is computed one
-way, by nu_at: one filtered reduction sweep, pivoting in weight order.  The
-tests check it against two independent oracles, a growing-subcomplex test
-and exhaustive cycle enumeration on small slices.
+way, by nu_at, a filtered reduction sweep in weight order that the tests
+check against two independent oracles.  upsilon alone walks along t; it
+records the point realizing nu on each segment, and jump_report reads it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,37 +119,44 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     return NuCertificate(t=t, nu=level, realizing_points=realizing, cycle=cycle)
 
 
+def _realizer(cert: NuCertificate) -> LatticePoint:
+    if len({(p.i, p.j) for p in cert.realizing_points}) != 1:
+        raise AssertionError("distinct realizing coordinates off a breakpoint")
+    return cert.realizing_points[0]
+
+
 def upsilon(c: BifilteredComplex) -> PLFunction:
     """The full invariant as an exact piecewise-linear function on [0, 2].
 
-    Weights of two slice points can only swap order where they agree, so
-    candidate breakpoints are the pairwise tie parameters; between
-    consecutive candidates nu is linear and three exact evaluations pin
-    each segment.
+    Weights of two distinct (i, j) coordinates can only swap order where
+    they agree, so candidate breakpoints are their pairwise tie parameters.
+    Between two consecutive ones, the point realizing nu at the midpoint
+    must weigh exactly nu at both ends.
     """
     # the cache is filled only after require_admissible passed
     cached = c._cache.get("upsilon")
     if cached is not None:
-        return cached
+        return cached[0]
     require_admissible(c)
-    pts = grading_slice(c, c.ambient_d)
+    coords = sorted({(p.i, p.j) for p in grading_slice(c, c.ambient_d)})
     cands = {Fraction(0), Fraction(2)}
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            p, q = pts[a], pts[b]
-            da = p.j - p.i - (q.j - q.i)
+    for a, (i, j) in enumerate(coords):
+        for i2, j2 in coords[a + 1:]:
+            da = j - i - (j2 - i2)
             if da:
-                t = Fraction(2 * (q.i - p.i), da)
+                t = Fraction(2 * (i2 - i), da)
                 if 0 < t < 2:
                     cands.add(t)
     grid = sorted(cands)
-    nu_vals = {t: nu_at(c, t).nu for t in grid}
-    for a, b in zip(grid, grid[1:]):
-        mid = (a + b) / 2
-        if nu_at(c, mid).nu * 2 != nu_vals[a] + nu_vals[b]:
+    nu_vals = [nu_at(c, t).nu for t in grid]
+    realizers = []
+    for k in range(len(grid) - 1):
+        p = _realizer(nu_at(c, (grid[k] + grid[k + 1]) / 2))
+        if any(filtration_value(grid[e], p) != nu_vals[e] for e in (k, k + 1)):
             raise AssertionError("nu not linear between candidate breakpoints")
-    f = PLFunction(grid, [-2 * nu_vals[t] for t in grid])
-    c._cache["upsilon"] = f
+        realizers.append(p)
+    f = PLFunction(grid, [-2 * v for v in nu_vals])
+    c._cache["upsilon"] = (f, grid, realizers, coords)
     return f
 
 
@@ -176,51 +184,37 @@ class JumpCheck:
     degenerate: bool
 
 
-def _realizer(cert: NuCertificate) -> tuple[int, int]:
-    coords = {(p.i, p.j) for p in cert.realizing_points}
-    if len(coords) != 1:
-        raise AssertionError("distinct realizing coordinates off a breakpoint")
-    return coords.pop()
-
-
 def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
     """Check the slope-jump identity at every interior breakpoint of f.
 
     f must be upsilon(c); a failed check indicates an engine bug, not a
-    property of the knot.
+    property of the knot.  It reads the realizers upsilon(c) recorded.
     """
-    require_admissible(c)
+    upsilon(c)
+    own, grid, realizers, coords = c._cache["upsilon"]
     checks = []
     bps = f.breakpoints
-    pts = grading_slice(c, c.ambient_d)
-    diagonals = [p.j - p.i for p in pts]
-    span = max(max(diagonals) - min(diagonals), 1)
-    # Tie parameters are 2m/da with |da| <= span, so two distinct ones differ
-    # by at least 2/span**2: t0 -+ delta lies inside the segments next to t0
-    # and is never a tie, which leaves one realizing coordinate there.
-    delta = Fraction(1, 2 * span * span)
     for k in range(1, len(bps) - 1):
         t0 = bps[k]
-        left = nu_at(c, t0 - delta)
-        right = nu_at(c, t0 + delta)
-        (i, j) = _realizer(left)
-        (i2, j2) = _realizer(right)
+        # off c's grid, t0 lies inside one interval: both sides agree
+        left = realizers[bisect_left(grid, t0) - 1]
+        right = realizers[bisect_right(grid, t0) - 1]
         s_before, s_after = f.slopes[k - 1], f.slopes[k]
-        expected = Fraction(2, 1) / t0 * (i2 - i)
-        same_line = (filtration_value(t0, LatticePoint("", i, j))
-                     == filtration_value(t0, LatticePoint("", i2, j2)))
+        expected = Fraction(2, 1) / t0 * (right.i - left.i)
+        same_line = filtration_value(t0, left) == filtration_value(t0, right)
         passed = (s_after - s_before == expected
                   and same_line
-                  and s_before == i - j
-                  and s_after == i2 - j2)
+                  and s_before == left.i - left.j
+                  and s_after == right.i - right.j)
         # three or more lattice positions tying at the singular level
-        nu0 = nu_at(c, t0).nu
-        tying = {(p.i, p.j) for p in pts if filtration_value(t0, p) == nu0}
-        degenerate = len(tying) > 2
-        checks.append(JumpCheck(t0=t0, left_point=(i, j), right_point=(i2, j2),
+        nu0 = -own(t0) / 2
+        tying = [q for q in coords
+                 if filtration_value(t0, LatticePoint("", *q)) == nu0]
+        checks.append(JumpCheck(t0=t0, left_point=(left.i, left.j),
+                                right_point=(right.i, right.j),
                                 slope_before=s_before, slope_after=s_after,
                                 expected_jump=expected, same_line=same_line,
-                                passed=passed, degenerate=degenerate))
+                                passed=passed, degenerate=len(tying) > 2))
     return checks
 
 

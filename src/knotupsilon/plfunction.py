@@ -175,14 +175,6 @@ class PLFunction:
                 raise FormatError("declared slopes disagree with values")
         return f
 
-    @classmethod
-    def from_json(cls, text: str) -> "PLFunction":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError("invalid JSON: %s" % exc) from exc
-        return cls.from_json_dict(obj)
-
     def sample_rows(self, step) -> list[tuple[Fraction, Fraction]]:
         """(t, value) pairs at multiples of step across [0, 2]."""
         step = Fraction(step)

@@ -6,10 +6,12 @@ the entry list, and the homology dimensions come from exhaustive subset
 enumeration.  The two nu oracles share only the slice, its boundary
 columns and the GF(2) primitives with the engine's filtered sweep (nu_at):
 one grows the subcomplex below each weight level, the other enumerates
-every essential cycle.
+every essential cycle.  sampled_realizers samples nu_at beside a breakpoint,
+apart from upsilon's sweep.
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from math import log2
 
@@ -103,6 +105,16 @@ def brute_force_nu(c, t):
     keys = [ku.filtration_value(t, p) for p in pts]
     return min(max(keys[b] for b in bits(mask))
                for mask in _essential_cycles(c))
+
+
+def sampled_realizers(c, t0):
+    """Realizing (i, j) sets at t0 -+ 1/(2 span**2), span the spread of
+    j - i: ties 2m/da with |da| <= span are at least 2/span**2 apart."""
+    diagonals = [p.j - p.i for p in ku.grading_slice(c, c.ambient_d)]
+    span = max(max(diagonals) - min(diagonals), 1)
+    delta = Fraction(1, 2 * span * span)
+    return [{(p.i, p.j) for p in ku.nu_at(c, t).realizing_points}
+            for t in (t0 - delta, t0 + delta)]
 
 
 def brute_d_squared_even(c):

@@ -1,15 +1,17 @@
 """Upsilon engine: weights, nu, the piecewise-linear assembly, tau, jumps."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import knotupsilon as ku
+import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 
 from helpers import (brute_force_nu, corpus, nu_at_halfplane,
-                     random_admissible_complex)
+                     random_admissible_complex, sampled_realizers)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
 
@@ -226,9 +228,52 @@ def test_jump_report_t37_degenerate_but_passing():
 
 
 def test_jump_report_corpus():
-    for _, c in corpus():
+    rng = random.Random(7)
+    randoms = [random_admissible_complex(rng, "j%d" % k) for k in range(20)]
+    for c in [c for _, c in corpus()] + randoms:
         f = ku.upsilon(c)
-        assert all(ch.passed for ch in ku.jump_report(c, f))
+        checks = ku.jump_report(c, f)
+        assert all(ch.passed for ch in checks)
+        for ch in checks:
+            assert sampled_realizers(c, ch.t0) == [{ch.left_point},
+                                                   {ch.right_point}]
+
+
+def test_jump_report_evaluates_nothing(monkeypatch):
+    def refuse(c, t):
+        raise AssertionError("jump_report evaluated nu at %s" % t)
+
+    for c in (ku.torus_knot_complex(3, 7),
+              ku.tensor(ku.torus_knot_complex(3, 5),
+                        ku.torus_knot_complex(2, -3))):
+        f = ku.upsilon(c)
+        with monkeypatch.context() as m:
+            m.setattr(knotupsilon.engine, "nu_at", refuse)
+            checks = ku.jump_report(c, f)
+        assert checks and all(ch.passed for ch in checks)
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (3, 4)])
+def test_jump_report_flags_upsilon_of_another_knot(p, q):
+    # T(3,4) breaks at 2/3 and 4/3, off the trefoil's candidate grid
+    trefoil = ku.torus_knot_complex(2, 3)
+    checks = ku.jump_report(trefoil, ku.upsilon(ku.torus_knot_complex(p, q)))
+    assert any(not ch.passed for ch in checks)
+
+
+def test_upsilon_self_check_reads_both_ends(monkeypatch):
+    # trefoil's grid is 0, 1, 2; shifting nu there by +1, -1, +1 keeps each
+    # midpoint the average of its ends, which only the realizer rule catches
+    shift = {F(0): 1, F(1): -1, F(2): 1}
+    real = knotupsilon.engine.nu_at
+
+    def skewed(c, t):
+        cert = real(c, t)
+        return dataclasses.replace(cert, nu=cert.nu + shift.get(F(t), 0))
+
+    monkeypatch.setattr(knotupsilon.engine, "nu_at", skewed)
+    with pytest.raises(AssertionError, match="nu not linear"):
+        ku.upsilon(ku.torus_knot_complex(2, 3))
 
 
 # -- tau
