@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -69,6 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
         genus_flag=True)
     sample = add("sample", "sample upsilon as CSV rows t,value")
     sample.add_argument("step", help="rational sampling step, e.g. 1/8")
+    # argparse would take "-1/2" for an option; _sampling_step names it
+    sample._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     return parser
 
 

@@ -145,6 +145,15 @@ class BifilteredComplex:
             self._cache[key] = kernel_basis(self._boundary_columns(p))
         return self._cache[key]
 
+    def _distinguished_cycle(self) -> int:
+        """Cycle mask representing the one class in grading ambient_d."""
+        if "distinguished" not in self._cache:
+            p = self.ambient_d % 2
+            self._cache["distinguished"] = _essential_cycle(
+                self._cycle_masks(p), self._boundary_masks(p), "homology",
+                self.ambient_d)
+        return self._cache["distinguished"]
+
     def _boundary_masks(self, p: int) -> list[int]:
         """Spanning set of boundaries landing in parity p."""
         return self._boundary_columns(1 - p)
@@ -158,6 +167,16 @@ class BifilteredComplex:
             dim_b = BitEchelon(self._boundary_masks(p)).rank
             self._cache[key] = dim_z - dim_b
         return self._cache[key]
+
+
+def _essential_cycle(cycles, boundaries, what: str, d: int) -> int:
+    """The first of cycles outside the boundary span, which represents the
+    class; raises NonAdmissibleError unless there is exactly one class."""
+    ech = BitEchelon(boundaries)
+    if len(cycles) - ech.rank != 1:
+        raise NonAdmissibleError("%s is not one-dimensional in grading %d"
+                                 % (what, d))
+    return next(z for z in cycles if ech.reduce(z))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ of a summand, and upsilon(t) = -2 nu(t).
 Everything happens on the finite grading-d slice: each generator of the
 right Maslov parity contributes exactly one lattice point per homological
 grading, so cycles, boundaries, and the filtered minimum are all finite
-exact linear algebra over GF(2) with rational weights.  nu is computed one
-way, by nu_at, a filtered reduction sweep in weight order that the tests
-check against two independent oracles.  upsilon alone walks along t; it
-records the point realizing nu on each segment, and jump_report reads it.
+exact linear algebra over GF(2) with rational weights.  nu_at, the one
+route to nu, reduces a fixed cycle representing the class against the
+boundaries in weight order; it tops out at weight nu.  Two test oracles
+check it.  upsilon alone walks along t; it records the point realizing nu
+on each segment, and jump_report reads it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (BifilteredComplex, LatticePoint, grading_slice,
-                        require_admissible)
+from .complexes import (BifilteredComplex, LatticePoint, _essential_cycle,
+                        grading_slice, require_admissible)
 from .errors import NonAdmissibleError
 from .gf2 import BitEchelon, bits, kernel_basis
 from .plfunction import PLFunction
@@ -55,18 +56,18 @@ class NuCertificate:
     cycle: tuple[LatticePoint, ...]
 
 
-def _filtered_scan(cycles, boundaries, keys):
-    """Least key level at which cycles outnumber boundaries.
+def _filtered_scan(z, boundaries, keys):
+    """The least key level carrying the class of the cycle z, with a witness.
 
-    cycles and boundaries are bitmask vectors over positions 0..n-1 and
-    keys[k] is the weight of position k.  Returns (level, witness) where
-    witness is a cycle mask supported on positions of weight <= level and
-    independent of the boundary span.  Raises if no level works (homology
-    vanishes in this grading).
+    z and boundaries are bitmask vectors over positions 0..n-1, z outside
+    the boundary span, and keys[k] is the weight of position k.  Once the
+    positions are reindexed so weight grows with the bit index, z reduced
+    against the boundaries tops out where no boundary has its pivot, so
+    adding any boundary can only raise that top.  Returns (level, witness)
+    with the witness mask over the original positions.
     """
-    n = len(keys)
-    order = sorted(range(n), key=lambda k: (keys[k], k))
-    newpos = [0] * n
+    order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties by k
+    newpos = [0] * len(keys)
     for new, old in enumerate(order):
         newpos[old] = new
 
@@ -76,46 +77,22 @@ def _filtered_scan(cycles, boundaries, keys):
             r |= 1 << table[b]
         return r
 
-    oldpos = order
     b_ech = BitEchelon(remap(v, newpos) for v in boundaries)
-    z_ech = BitEchelon()
-    for v in cycles:
-        z_ech.add(remap(v, newpos))
-    b_leads = b_ech.pivot_positions()
-    z_leads = z_ech.pivot_positions()
-
-    zi = bi = 0
-    start = 0
-    while start < n:
-        level = keys[order[start]]
-        end = start
-        while end < n and keys[order[end]] == level:
-            end += 1
-        while zi < len(z_leads) and z_leads[zi] < end:
-            zi += 1
-        while bi < len(b_leads) and b_leads[bi] < end:
-            bi += 1
-        if zi > bi:
-            for lead in z_leads[:zi]:
-                rem = b_ech.reduce(z_ech.pivots[lead])
-                if rem:
-                    return level, remap(rem, oldpos)
-            raise AssertionError("rank bookkeeping out of sync")
-        start = end
-    raise NonAdmissibleError("no essential cycle in the distinguished grading")
+    r = b_ech.reduce(remap(z, newpos))
+    return keys[order[r.bit_length() - 1]], remap(r, order)
 
 
 def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     """nu at one parameter, with a minimizing cycle as certificate."""
     t = _check_t(t)
     require_admissible(c)
-    d = c.ambient_d
-    pts = grading_slice(c, d)
+    pts = grading_slice(c, c.ambient_d)
     keys = [filtration_value(t, p) for p in pts]
-    level, witness = _filtered_scan(c._cycle_masks(d % 2),
-                                    c._boundary_masks(d % 2), keys)
-    cycle = tuple(pts[k] for k in bits(witness))
-    realizing = tuple(p for p in cycle if filtration_value(t, p) == level)
+    level, witness = _filtered_scan(c._distinguished_cycle(),
+                                    c._boundary_masks(c.ambient_d % 2), keys)
+    support = bits(witness)
+    cycle = tuple(pts[k] for k in support)
+    realizing = tuple(pts[k] for k in support if keys[k] == level)
     return NuCertificate(t=t, nu=level, realizing_points=realizing, cycle=cycle)
 
 
@@ -169,8 +146,9 @@ def check_symmetry(f: PLFunction) -> bool:
 class JumpCheck:
     """Consistency record for one interior breakpoint of upsilon.
 
-    The realizing points on the two adjacent segments must lie on one line
-    of slope 1 - 2/t0, and the slope jump must equal (2/t0)(i' - i).
+    The realizing points on the two adjacent segments lie on one line of
+    slope 1 - 2/t0: upsilon's self-check makes both weigh nu(t0).  The
+    slope jump must equal (2/t0)(i' - i), and each slope i - j of its side.
     """
 
     t0: Fraction
@@ -179,7 +157,6 @@ class JumpCheck:
     slope_before: int
     slope_after: int
     expected_jump: Fraction
-    same_line: bool
     passed: bool
     degenerate: bool
 
@@ -201,9 +178,7 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
         right = realizers[bisect_right(grid, t0) - 1]
         s_before, s_after = f.slopes[k - 1], f.slopes[k]
         expected = Fraction(2, 1) / t0 * (right.i - left.i)
-        same_line = filtration_value(t0, left) == filtration_value(t0, right)
         passed = (s_after - s_before == expected
-                  and same_line
                   and s_before == left.i - left.j
                   and s_after == right.i - right.j)
         # three or more lattice positions tying at the singular level
@@ -213,8 +188,8 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
         checks.append(JumpCheck(t0=t0, left_point=(left.i, left.j),
                                 right_point=(right.i, right.j),
                                 slope_before=s_before, slope_after=s_after,
-                                expected_jump=expected, same_line=same_line,
-                                passed=passed, degenerate=len(tying) > 2))
+                                expected_jump=expected, passed=passed,
+                                degenerate=len(tying) > 2))
     return checks
 
 
@@ -245,11 +220,8 @@ def tau(c: BifilteredComplex) -> int:
         return v
 
     cols = [vertical_image(g.name, pos_drop) for g in grade0]
-    cycles = kernel_basis(cols)
     boundaries = [vertical_image(g.name, pos0) for g in grade1]
-    if len(cycles) - BitEchelon(boundaries).rank != 1:
-        raise NonAdmissibleError(
-            "vertical homology is not one-dimensional in grading 0")
-    keys = [g.alexander for g in grade0]
-    level, _ = _filtered_scan(cycles, boundaries, keys)
+    z = _essential_cycle(kernel_basis(cols), boundaries,
+                         "vertical homology", 0)
+    level, _ = _filtered_scan(z, boundaries, [g.alexander for g in grade0])
     return level

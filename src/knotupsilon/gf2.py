@@ -39,9 +39,6 @@ class BitEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def pivot_positions(self) -> list[int]:
-        return sorted(self.pivots)
-
 
 def kernel_basis(columns) -> list[int]:
     """Kernel of the linear map sending basis vector j to columns[j].

@@ -4,10 +4,11 @@ The d^2 and homology oracles deliberately avoid the library's linear
 algebra: the differential-squared check counts two-step paths straight off
 the entry list, and the homology dimensions come from exhaustive subset
 enumeration.  The two nu oracles share only the slice, its boundary
-columns and the GF(2) primitives with the engine's filtered sweep (nu_at):
-one grows the subcomplex below each weight level, the other enumerates
-every essential cycle.  sampled_realizers samples nu_at beside a breakpoint,
-apart from upsilon's sweep.
+columns and the GF(2) primitives with the engine's filtered reduction
+(nu_at): one grows the subcomplex below each weight level, the other
+enumerates every essential cycle.  sampled_realizers samples nu_at beside
+a breakpoint, apart from upsilon's sweep.  torus_upsilon is a closed form
+that needs no complex at all, so it reaches slices far past brute force.
 """
 
 from collections import Counter
@@ -115,6 +116,19 @@ def sampled_realizers(c, t0):
     delta = Fraction(1, 2 * span * span)
     return [{(p.i, p.j) for p in ku.nu_at(c, t).realizing_points}
             for t in (t0 - delta, t0 + delta)]
+
+
+def torus_upsilon(p, q, t):
+    """Upsilon of T(p, q) at t from the semigroup S generated by |p| and |q|
+    (Ozsvath-Stipsicz-Szabo 2017): with g the genus, the maximum over m in
+    0..2g of -2 #(S n [0, m)) - t (g - m).  T(p, -q) is the mirror."""
+    a, b = abs(p), abs(q)
+    g = (a - 1) * (b - 1) // 2
+    values, below = [], 0
+    for m in range(2 * g + 1):
+        values.append(-2 * below - t * (g - m))
+        below += any((m - k * b) % a == 0 for k in range(m // b + 1))
+    return max(values) if q > 0 else -max(values)
 
 
 def brute_d_squared_even(c):

@@ -91,10 +91,11 @@ def test_sample_subcommand(capsys):
 
 
 def test_sample_rejects_non_positive_step(capsys):
-    rc, out, err = run(capsys, ["sample", "trefoil", "0"])
-    assert rc == 2
-    assert out == ""
-    assert "positive" in err
+    for step in ("0", "-1/2"):
+        rc, out, err = run(capsys, ["sample", "trefoil", step])
+        assert rc == 2
+        assert out == ""
+        assert err == "error: sampling step must be positive, got %s\n" % step
 
 
 @pytest.mark.parametrize("step", ["0", "-1/2"])

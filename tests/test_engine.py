@@ -11,7 +11,8 @@ import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 
 from helpers import (brute_force_nu, corpus, nu_at_halfplane,
-                     random_admissible_complex, sampled_realizers)
+                     random_admissible_complex, sampled_realizers,
+                     torus_upsilon)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
 
@@ -161,6 +162,22 @@ def test_upsilon_slope_bound_on_corpus():
     for _, c in corpus():
         bound = max(abs(g.alexander) for g in c.generators)
         assert all(abs(s) <= bound for s in ku.upsilon(c).slopes)
+
+
+@pytest.mark.parametrize("knots", [
+    [(8, 23)], [(11, 23)], [(10, 21)], [(6, 23)], [(4, 21)],
+    [(3, 7), (3, -5)], [(4, 9), (3, -4)], [(3, 7), (3, -5), (2, 3)],
+], ids=lambda ks: "#".join("T(%d,%d)" % k for k in ks))
+def test_upsilon_torus_semigroup_formula(knots):
+    # the oracle is convex, so agreeing with it at every breakpoint and
+    # segment midpoint of a piecewise-linear f determines f
+    c = ku.torus_knot_complex(*knots[0])
+    for pq in knots[1:]:
+        c = ku.tensor(c, ku.torus_knot_complex(*pq))
+    f = ku.upsilon(c)
+    bps = f.breakpoints
+    for t in bps + tuple((a + b) / 2 for a, b in zip(bps, bps[1:])):
+        assert f(t) == sum(torus_upsilon(p, q, t) for p, q in knots), t
 
 
 def test_upsilon_asymmetric_staircase():
