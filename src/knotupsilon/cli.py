@@ -27,6 +27,9 @@ from .errors import (FormatError, InvalidComplexError, KnotLibError,
 from .knots import KnotRecord, builtin_record
 from .plfunction import PLFunction, parse_rational
 
+# sample and upsilon --csv refuse a step that would print more rows
+_MAX_SAMPLE_ROWS = 10**6
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -116,6 +119,10 @@ def _sampling_step(text: str) -> Fraction:
     step = parse_rational(text)
     if step <= 0:
         raise FormatError("sampling step must be positive, got %s" % text)
+    rows = 2 // step + 1
+    if rows > _MAX_SAMPLE_ROWS:
+        raise FormatError("sampling step %s gives %d rows, more than %d"
+                          % (text, rows, _MAX_SAMPLE_ROWS))
     return step
 
 

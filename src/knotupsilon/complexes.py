@@ -150,7 +150,7 @@ class BifilteredComplex:
         if "distinguished" not in self._cache:
             p = self.ambient_d % 2
             self._cache["distinguished"] = _essential_cycle(
-                self._cycle_masks(p), self._boundary_masks(p), "homology",
+                self._cycle_masks(p), self._boundary_echelon(p), "homology",
                 self.ambient_d)
         return self._cache["distinguished"]
 
@@ -158,21 +158,23 @@ class BifilteredComplex:
         """Spanning set of boundaries landing in parity p."""
         return self._boundary_columns(1 - p)
 
+    def _boundary_echelon(self, p: int) -> BitEchelon:
+        """Echelon of the boundaries landing in parity p; never added to."""
+        key = ("bech", p)
+        if key not in self._cache:
+            self._cache[key] = BitEchelon(self._boundary_masks(p))
+        return self._cache[key]
+
     def homology_dimension(self, d: int) -> int:
         """F2-dimension of homology computed on the grading-d lattice slice."""
         p = d % 2
-        key = ("hdim", p)
-        if key not in self._cache:
-            dim_z = len(self._cycle_masks(p))
-            dim_b = BitEchelon(self._boundary_masks(p)).rank
-            self._cache[key] = dim_z - dim_b
-        return self._cache[key]
+        return len(self._cycle_masks(p)) - self._boundary_echelon(p).rank
 
 
-def _essential_cycle(cycles, boundaries, what: str, d: int) -> int:
-    """The first of cycles outside the boundary span, which represents the
-    class; raises NonAdmissibleError unless there is exactly one class."""
-    ech = BitEchelon(boundaries)
+def _essential_cycle(cycles, ech: BitEchelon, what: str, d: int) -> int:
+    """The first of cycles outside the span of the boundary echelon ech,
+    which represents the class; raises NonAdmissibleError unless there is
+    exactly one class."""
     if len(cycles) - ech.rank != 1:
         raise NonAdmissibleError("%s is not one-dimensional in grading %d"
                                  % (what, d))
@@ -246,10 +248,10 @@ def validate(c: BifilteredComplex) -> ValidationReport:
     """
     v = list(_structural_violations(c))
     if not v:
-        dim = c.homology_dimension(c.ambient_d)
-        if dim != 1:
-            v.append("non-admissible: homology has dimension %d != 1 in "
-                     "grading %d" % (dim, c.ambient_d))
+        try:
+            require_admissible(c)
+        except NonAdmissibleError as exc:
+            v.append(str(exc))
     return ValidationReport(ok=not v, violations=tuple(v))
 
 
@@ -273,13 +275,17 @@ def require_admissible(c: BifilteredComplex) -> None:
 
 def grading_slice(c: BifilteredComplex, d: int) -> list[LatticePoint]:
     """Lattice points of total Maslov grading d: one per generator of Maslov
-    parity d, its unique U-translate with that grading."""
-    pts = []
-    for name in c._parity_names(d % 2):
-        g = c.generator(name)
-        m = (d - g.maslov) // 2
-        pts.append(LatticePoint(name, m, g.alexander + m))
-    return pts
+    parity d, its unique U-translate with that grading.  Built once per
+    complex and grading; each call returns a fresh list."""
+    key = ("slice", d)
+    if key not in c._cache:
+        pts = []
+        for name in c._parity_names(d % 2):
+            g = c.generator(name)
+            m = (d - g.maslov) // 2
+            pts.append(LatticePoint(name, m, g.alexander + m))
+        c._cache[key] = tuple(pts)
+    return list(c._cache[key])
 
 
 # ---------------------------------------------------------------------------

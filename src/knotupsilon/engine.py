@@ -8,11 +8,13 @@ of a summand, and upsilon(t) = -2 nu(t).
 Everything happens on the finite grading-d slice: each generator of the
 right Maslov parity contributes exactly one lattice point per homological
 grading, so cycles, boundaries, and the filtered minimum are all finite
-exact linear algebra over GF(2) with rational weights.  nu_at, the one
-route to nu, reduces a fixed cycle representing the class against the
-boundaries in weight order; it tops out at weight nu.  Two test oracles
-check it.  upsilon alone walks along t; it records the point realizing nu
-on each segment, and jump_report reads it.
+exact linear algebra over GF(2).  At t = a/b every weight times 2b is the
+integer (2b - a) i + a j, which orders the points exactly as the weights
+do, so nu_at, the one route to nu, scans on those integers and divides
+by 2b once at the end.  It reduces a fixed cycle representing the class
+against the boundaries in weight order; it tops out at weight nu.  Two
+test oracles check it.  upsilon alone walks along t; it records the
+point realizing nu on each segment, and jump_report reads it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ def filtration_value(t, point: LatticePoint) -> Fraction:
     return (1 - t / 2) * point.i + (t / 2) * point.j
 
 
+def _scaled_weights(t: Fraction) -> tuple[int, int, int]:
+    """(u, v, s) with s * weight = u i + v j at t = a/b: u = 2b - a, v = a
+    and s = 2b, all integers."""
+    a, b = t.numerator, t.denominator
+    return 2 * b - a, a, 2 * b
+
+
 @dataclass(frozen=True)
 class NuCertificate:
     """A witness for the value of nu at one parameter.
@@ -60,8 +69,9 @@ def _filtered_scan(z, boundaries, keys):
     """The least key level carrying the class of the cycle z, with a witness.
 
     z and boundaries are bitmask vectors over positions 0..n-1, z outside
-    the boundary span, and keys[k] is the weight of position k.  Once the
-    positions are reindexed so weight grows with the bit index, z reduced
+    the boundary span, and keys[k] is the integer key of position k: the
+    weight scaled by 2b for nu_at, the Alexander grading for tau.  Once the
+    positions are reindexed so keys grow with the bit index, z reduced
     against the boundaries tops out where no boundary has its pivot, so
     adding any boundary can only raise that top.  Returns (level, witness)
     with the witness mask over the original positions.
@@ -87,13 +97,15 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     t = _check_t(t)
     require_admissible(c)
     pts = grading_slice(c, c.ambient_d)
-    keys = [filtration_value(t, p) for p in pts]
+    u, v, s = _scaled_weights(t)
+    keys = [u * p.i + v * p.j for p in pts]
     level, witness = _filtered_scan(c._distinguished_cycle(),
                                     c._boundary_masks(c.ambient_d % 2), keys)
     support = bits(witness)
     cycle = tuple(pts[k] for k in support)
     realizing = tuple(pts[k] for k in support if keys[k] == level)
-    return NuCertificate(t=t, nu=level, realizing_points=realizing, cycle=cycle)
+    return NuCertificate(t=t, nu=Fraction(level, s),
+                         realizing_points=realizing, cycle=cycle)
 
 
 def _realizer(cert: NuCertificate) -> LatticePoint:
@@ -129,8 +141,11 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     realizers = []
     for k in range(len(grid) - 1):
         p = _realizer(nu_at(c, (grid[k] + grid[k + 1]) / 2))
-        if any(filtration_value(grid[e], p) != nu_vals[e] for e in (k, k + 1)):
-            raise AssertionError("nu not linear between candidate breakpoints")
+        for e in (k, k + 1):
+            u, v, s = _scaled_weights(grid[e])
+            if u * p.i + v * p.j != s * nu_vals[e]:
+                raise AssertionError("nu not linear between candidate "
+                                     "breakpoints")
         realizers.append(p)
     f = PLFunction(grid, [-2 * v for v in nu_vals])
     c._cache["upsilon"] = (f, grid, realizers, coords)
@@ -182,9 +197,9 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
                   and s_before == left.i - left.j
                   and s_after == right.i - right.j)
         # three or more lattice positions tying at the singular level
-        nu0 = -own(t0) / 2
-        tying = [q for q in coords
-                 if filtration_value(t0, LatticePoint("", *q)) == nu0]
+        u, v, s = _scaled_weights(t0)
+        level = -own(t0) * s / 2
+        tying = [(i, j) for i, j in coords if u * i + v * j == level]
         checks.append(JumpCheck(t0=t0, left_point=(left.i, left.j),
                                 right_point=(right.i, right.j),
                                 slope_before=s_before, slope_after=s_after,
@@ -221,7 +236,7 @@ def tau(c: BifilteredComplex) -> int:
 
     cols = [vertical_image(g.name, pos_drop) for g in grade0]
     boundaries = [vertical_image(g.name, pos0) for g in grade1]
-    z = _essential_cycle(kernel_basis(cols), boundaries,
+    z = _essential_cycle(kernel_basis(cols), BitEchelon(boundaries),
                          "vertical homology", 0)
     level, _ = _filtered_scan(z, boundaries, [g.alexander for g in grade0])
     return level

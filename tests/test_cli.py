@@ -106,6 +106,25 @@ def test_upsilon_csv_rejects_non_positive_step(capsys, step):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "trefoil", "1/1000000000"],
+    ["upsilon", "trefoil", "--csv", "step=1/1000000000"],
+    ["sample", "trefoil", "1/500000"],
+])
+def test_sampling_step_row_limit(capsys, monkeypatch, argv):
+    def refuse(record):
+        raise AssertionError("upsilon computed before the step was checked")
+
+    monkeypatch.setattr(ku.KnotRecord, "upsilon_function", refuse)
+    rc, out, err = run(capsys, argv)
+    step = argv[-1].removeprefix("step=")
+    rows = 2 * int(step.split("/")[1]) + 1
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: sampling step %s gives %d rows, more than 1000000\n"
+                   % (step, rows))
+
+
 def test_tau_subcommand(capsys):
     rc, out, _ = run(capsys, ["tau", "torus:2,7"])
     assert rc == 0

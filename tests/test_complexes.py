@@ -145,8 +145,11 @@ def test_verify_homology_rank_two():
     c = BifilteredComplex([Generator("x", 0, 0), Generator("y", 0, 0)], [], 0)
     assert c.homology_dimension(0) == 2
     assert not ku.validate(c).ok
-    with pytest.raises(ku.NonAdmissibleError):
+    msg = "non-admissible: homology has dimension 2 != 1 in grading 0"
+    assert ku.validate(c).violations == (msg,)
+    with pytest.raises(ku.NonAdmissibleError) as exc:
         ku.require_admissible(c)
+    assert str(exc.value) == msg
 
 
 def test_homology_against_enumeration_oracle():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import knotupsilon as ku
 import knotupsilon.engine
@@ -80,6 +81,28 @@ def test_nu_three_routes_agree_spot_check():
             nu = ku.nu_at(c, t).nu
             assert nu_at_halfplane(c, t) == nu, (name, t)
             assert brute_force_nu(c, t) == nu, (name, t)
+
+
+# t = a/b with any denominator b in 1..10**12, reduced: large, odd and even
+PARAMETERS = st.integers(1, 10**12).flatmap(
+    lambda b: st.integers(0, 2 * b).map(lambda a: F(a, b)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=PARAMETERS)
+@example(seed=0, t=F(1, 3))
+@example(seed=1, t=F(1999999873, 999999937))
+def test_nu_integer_keys_match_fraction_weights(seed, t):
+    # nu_at scans on 2b-scaled integer keys; the oracle and the checks
+    # here weigh with the Fraction form
+    c = random_admissible_complex(random.Random(seed), "h")
+    cert = ku.nu_at(c, t)
+    assert cert.nu == nu_at_halfplane(c, t)
+    assert cert.realizing_points
+    for p in cert.realizing_points:
+        assert ku.filtration_value(t, p) == cert.nu
+    for p in cert.cycle:
+        assert ku.filtration_value(t, p) <= cert.nu
 
 
 def test_nu_rejects_non_admissible():
@@ -165,7 +188,7 @@ def test_upsilon_slope_bound_on_corpus():
 
 
 @pytest.mark.parametrize("knots", [
-    [(8, 23)], [(11, 23)], [(10, 21)], [(6, 23)], [(4, 21)],
+    [(8, 23)], [(11, 23)], [(10, 21)], [(6, 23)], [(4, 21)], [(13, 29)],
     [(3, 7), (3, -5)], [(4, 9), (3, -4)], [(3, 7), (3, -5), (2, 3)],
 ], ids=lambda ks: "#".join("T(%d,%d)" % k for k in ks))
 def test_upsilon_torus_semigroup_formula(knots):
