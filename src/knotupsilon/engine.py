@@ -10,11 +10,15 @@ right Maslov parity contributes exactly one lattice point per homological
 grading, so cycles, boundaries, and the filtered minimum are all finite
 exact linear algebra over GF(2).  At t = a/b every weight times 2b is the
 integer (2b - a) i + a j, which orders the points exactly as the weights
-do, so nu_at, the one route to nu, scans on those integers and divides
-by 2b once at the end.  It reduces a fixed cycle representing the class
-against the boundaries in weight order; it tops out at weight nu.  Two
-test oracles check it.  upsilon alone walks along t; it records the
-point realizing nu on each segment, and jump_report reads it.
+do.  One scan, _filtered_scan, reduces a fixed cycle representing the
+class against the boundaries in that order: the result tops out at weight
+nu, and a cocycle read off the same echelon shows that no cycle of the
+class tops out lower.  nu_at, the public route to nu at one t, is one
+scan; two test oracles check it.  upsilon sweeps t with one scan per
+segment: the cycle and the cocycle hold nu to the realizing point's line
+up to the next tie parameter where a point of either crosses it.  Each
+segment is checked from that certificate before it is kept, and
+jump_report reads the realizers.
 """
 
 from __future__ import annotations
@@ -66,15 +70,21 @@ class NuCertificate:
 
 
 def _filtered_scan(z, boundaries, keys):
-    """The least key level carrying the class of the cycle z, with a witness.
+    """Reduce the cycle z against the boundaries in key order, with a dual
+    witness.
 
     z and boundaries are bitmask vectors over positions 0..n-1, z outside
-    the boundary span, and keys[k] is the integer key of position k: the
-    weight scaled by 2b for nu_at, the Alexander grading for tau.  Once the
-    positions are reindexed so keys grow with the bit index, z reduced
-    against the boundaries tops out where no boundary has its pivot, so
-    adding any boundary can only raise that top.  Returns (level, witness)
-    with the witness mask over the original positions.
+    the boundary span, and keys[k] is the sort key of position k: the
+    weight scaled by 2b for nu_at, that paired with j - i for upsilon, the
+    Alexander grading for tau; ties go by position.  Once the positions
+    are reindexed so keys grow with the bit index, z reduced against the
+    boundaries tops out at a position p where no boundary has its pivot,
+    so adding any boundary can only raise that top.  The cocycle phi
+    starts at p and, walking up the echelon rows pivoting above p, takes
+    the pivot of each row it meets an odd number of times: it then
+    vanishes on every boundary, meets z once and lies at or above p, so
+    every cycle in the class reaches p's level.  Returns (p, r, phi) with
+    r the reduced z; positions and masks are the original ones.
     """
     order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties by k
     newpos = [0] * len(keys)
@@ -89,7 +99,12 @@ def _filtered_scan(z, boundaries, keys):
 
     b_ech = BitEchelon(remap(v, newpos) for v in boundaries)
     r = b_ech.reduce(remap(z, newpos))
-    return keys[order[r.bit_length() - 1]], remap(r, order)
+    top = r.bit_length() - 1
+    phi = 1 << top
+    for q in sorted(b_ech.pivots):
+        if q > top and (b_ech.pivots[q] & phi).bit_count() & 1:
+            phi |= 1 << q
+    return order[top], remap(r, order), remap(phi, order)
 
 
 def nu_at(c: BifilteredComplex, t) -> NuCertificate:
@@ -99,8 +114,9 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     pts = grading_slice(c, c.ambient_d)
     u, v, s = _scaled_weights(t)
     keys = [u * p.i + v * p.j for p in pts]
-    level, witness = _filtered_scan(c._distinguished_cycle(),
-                                    c._boundary_masks(c.ambient_d % 2), keys)
+    top, witness, _ = _filtered_scan(c._distinguished_cycle(),
+                                     c._boundary_masks(c.ambient_d % 2), keys)
+    level = keys[top]
     support = bits(witness)
     cycle = tuple(pts[k] for k in support)
     realizing = tuple(pts[k] for k in support if keys[k] == level)
@@ -108,47 +124,76 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
                          realizing_points=realizing, cycle=cycle)
 
 
-def _realizer(cert: NuCertificate) -> LatticePoint:
-    if len({(p.i, p.j) for p in cert.realizing_points}) != 1:
-        raise AssertionError("distinct realizing coordinates off a breakpoint")
-    return cert.realizing_points[0]
+def _check_segment(c, r, phi, p, cycle, cocycle, ends):
+    """Prove that nu follows p's line between the two ends: r is the
+    distinguished cycle z plus boundaries, phi vanishes on every boundary
+    and meets z once, and at both ends the top of r (its points cycle) and
+    the bottom of phi (cocycle) weigh as much as p."""
+    par, z = c.ambient_d % 2, c._distinguished_cycle()
+    ok = (not c._boundary_echelon(par).reduce(r ^ z)
+          and (phi & z).bit_count() & 1
+          and not any((phi & b).bit_count() & 1
+                      for b in c._boundary_masks(par)))
+    for t in ends:
+        u, v, _ = _scaled_weights(t)
+        level = u * p.i + v * p.j
+        ok = (ok and max(u * q.i + v * q.j for q in cycle) == level
+              and min(u * q.i + v * q.j for q in cocycle) == level)
+    if not ok:
+        raise AssertionError("nu not linear on [%s, %s]: its certificate "
+                             "fails" % ends)
 
 
 def upsilon(c: BifilteredComplex) -> PLFunction:
     """The full invariant as an exact piecewise-linear function on [0, 2].
 
-    Weights of two distinct (i, j) coordinates can only swap order where
-    they agree, so candidate breakpoints are their pairwise tie parameters.
-    Between two consecutive ones, the point realizing nu at the midpoint
-    must weigh exactly nu at both ends.
+    A sweep from t = 0 with one scan per segment.  Ordered by weight and
+    then by j - i, the order just right of t, the scan gives the point p
+    realizing nu, a cycle r in the class topping out at p and a cocycle
+    phi bottoming out at p.  For t' >= t the class keeps
+    min_phi w_t' <= nu(t') <= max_r w_t', so nu follows p's line up to the
+    first tie parameter t1 where a point of r overtakes p or a point of
+    phi drops below it (or t1 = 2), and the next scan starts at t1.  Each
+    segment is checked from its certificate before it is kept.
     """
     # the cache is filled only after require_admissible passed
     cached = c._cache.get("upsilon")
     if cached is not None:
         return cached[0]
     require_admissible(c)
-    coords = sorted({(p.i, p.j) for p in grading_slice(c, c.ambient_d)})
-    cands = {Fraction(0), Fraction(2)}
-    for a, (i, j) in enumerate(coords):
-        for i2, j2 in coords[a + 1:]:
-            da = j - i - (j2 - i2)
-            if da:
-                t = Fraction(2 * (i2 - i), da)
-                if 0 < t < 2:
-                    cands.add(t)
-    grid = sorted(cands)
-    nu_vals = [nu_at(c, t).nu for t in grid]
-    realizers = []
-    for k in range(len(grid) - 1):
-        p = _realizer(nu_at(c, (grid[k] + grid[k + 1]) / 2))
-        for e in (k, k + 1):
-            u, v, s = _scaled_weights(grid[e])
-            if u * p.i + v * p.j != s * nu_vals[e]:
-                raise AssertionError("nu not linear between candidate "
-                                     "breakpoints")
+    pts = grading_slice(c, c.ambient_d)
+    z = c._distinguished_cycle()
+    boundaries = c._boundary_masks(c.ambient_d % 2)
+    grid, nu_vals, realizers, witnesses = [Fraction(0)], [], [], []
+    while grid[-1] < 2:
+        t = grid[-1]
+        u, v, s = _scaled_weights(t)
+        top, r, phi = _filtered_scan(
+            z, boundaries, [(u * q.i + v * q.j, q.j - q.i) for q in pts])
+        p = pts[top]
+        cycle = tuple(pts[k] for k in bits(r))
+        cocycle = tuple(pts[k] for k in bits(phi))
+        # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with d = j - i;
+        # t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
+        d = p.j - p.i
+        ties = [(2 * (p.i - q.i), q.j - q.i - d)
+                for q in cycle if q.j - q.i > d]
+        ties += [(2 * (q.i - p.i), d - q.j + q.i)
+                 for q in cocycle if q.j - q.i < d]
+        n1, m1 = 2, 1
+        for n, m in ties:
+            if t.numerator * m < n * t.denominator and n * m1 < n1 * m:
+                n1, m1 = n, m
+        t1 = Fraction(n1, m1)
+        _check_segment(c, r, phi, p, cycle, cocycle, (t, t1))
+        nu_vals.append(Fraction(u * p.i + v * p.j, s))
+        grid.append(t1)
         realizers.append(p)
+        witnesses.append((cycle, cocycle))
+    nu_vals.append(Fraction(realizers[-1].j))  # the weight at t = 2 is j
     f = PLFunction(grid, [-2 * v for v in nu_vals])
-    c._cache["upsilon"] = (f, grid, realizers, coords)
+    coords = sorted({(p.i, p.j) for p in pts})
+    c._cache["upsilon"] = (f, grid, realizers, coords, witnesses)
     return f
 
 
@@ -183,7 +228,7 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
     property of the knot.  It reads the realizers upsilon(c) recorded.
     """
     upsilon(c)
-    own, grid, realizers, coords = c._cache["upsilon"]
+    own, grid, realizers, coords = c._cache["upsilon"][:4]
     checks = []
     bps = f.breakpoints
     for k in range(1, len(bps) - 1):
@@ -238,5 +283,6 @@ def tau(c: BifilteredComplex) -> int:
     boundaries = [vertical_image(g.name, pos0) for g in grade1]
     z = _essential_cycle(kernel_basis(cols), BitEchelon(boundaries),
                          "vertical homology", 0)
-    level, _ = _filtered_scan(z, boundaries, [g.alexander for g in grade0])
-    return level
+    alexander = [g.alexander for g in grade0]
+    top, _, _ = _filtered_scan(z, boundaries, alexander)
+    return alexander[top]

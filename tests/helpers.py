@@ -9,6 +9,9 @@ columns and the GF(2) primitives with the engine's filtered reduction
 enumerates every essential cycle.  sampled_realizers samples nu_at beside
 a breakpoint, apart from upsilon's sweep.  torus_upsilon is a closed form
 that needs no complex at all, so it reaches slices far past brute force.
+check_segment_certificate proves one segment of upsilon from the cycle and
+cocycle the sweep kept, using only the boundary routines here, so it
+reaches any slice size too.
 """
 
 from collections import Counter
@@ -156,6 +159,38 @@ def _chain_boundary_set(c, points):
     for p in points:
         acc ^= _point_boundary(c, p)
     return frozenset(acc)
+
+
+@lru_cache(maxsize=128)
+def _upper_boundaries(c):
+    """Boundaries of the points one grading above the ambient slice."""
+    return [_point_boundary(c, (x.generator, x.i))
+            for x in ku.grading_slice(c, c.ambient_d + 1)]
+
+
+def check_segment_certificate(c, ends, p, cycle, cocycle):
+    """Whether cycle and cocycle prove nu(t) = w_t(p) for t in ends = (t0, t1).
+
+    Read straight off the differential list: cycle has no boundary,
+    cocycle meets the boundary of every point one grading up an even
+    number of times and meets cycle an odd number of times, and at t0 and
+    t1 the top of cycle and the bottom of cocycle both weigh w_t(p).  The
+    class in the ambient grading is the one nonzero class, so cycle
+    represents it and every cycle representing it meets cocycle; weights
+    are linear in t, so both bounds hold between the ends too.
+    """
+    r = {(q.generator, q.i) for q in cycle}
+    phi = {(q.generator, q.i) for q in cocycle}
+    if (not r or not phi or _chain_boundary_set(c, r)
+            or any(len(b & phi) % 2 for b in _upper_boundaries(c))
+            or len(r & phi) % 2 == 0):
+        return False
+    for t in ends:
+        level = ku.filtration_value(t, p)
+        if (max(ku.filtration_value(t, q) for q in cycle) != level
+                or min(ku.filtration_value(t, q) for q in cocycle) != level):
+            return False
+    return True
 
 
 def enumerated_homology_dim(c, d):

@@ -1,6 +1,5 @@
 """Upsilon engine: weights, nu, the piecewise-linear assembly, tau, jumps."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -11,9 +10,9 @@ import knotupsilon as ku
 import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 
-from helpers import (brute_force_nu, corpus, nu_at_halfplane,
-                     random_admissible_complex, sampled_realizers,
-                     torus_upsilon)
+from helpers import (brute_force_nu, check_segment_certificate, corpus,
+                     nu_at_halfplane, random_admissible_complex,
+                     sampled_realizers, torus_upsilon)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
 
@@ -189,6 +188,7 @@ def test_upsilon_slope_bound_on_corpus():
 
 @pytest.mark.parametrize("knots", [
     [(8, 23)], [(11, 23)], [(10, 21)], [(6, 23)], [(4, 21)], [(13, 29)],
+    [(17, 31)],
     [(3, 7), (3, -5)], [(4, 9), (3, -4)], [(3, 7), (3, -5), (2, 3)],
 ], ids=lambda ks: "#".join("T(%d,%d)" % k for k in ks))
 def test_upsilon_torus_semigroup_formula(knots):
@@ -302,18 +302,77 @@ def test_jump_report_flags_upsilon_of_another_knot(p, q):
 
 
 def test_upsilon_self_check_reads_both_ends(monkeypatch):
-    # trefoil's grid is 0, 1, 2; shifting nu there by +1, -1, +1 keeps each
-    # midpoint the average of its ends, which only the realizer rule catches
-    shift = {F(0): 1, F(1): -1, F(2): 1}
-    real = knotupsilon.engine.nu_at
+    # upsilon proves each segment from the scan's cycle r and cocycle phi;
+    # a scan that drops a point from either, or names another point of r
+    # as the realizer, must not get past that check at one end or the other.
+    # On T(3,-4) every r holds three coordinates, so the realizer can move.
+    def drop_from_cycle(top, r, phi):
+        return top, r ^ 1 << top, phi
 
-    def skewed(c, t):
-        cert = real(c, t)
-        return dataclasses.replace(cert, nu=cert.nu + shift.get(F(t), 0))
+    def drop_from_cocycle(top, r, phi):
+        return top, r, phi ^ 1 << top
 
-    monkeypatch.setattr(knotupsilon.engine, "nu_at", skewed)
-    with pytest.raises(AssertionError, match="nu not linear"):
-        ku.upsilon(ku.torus_knot_complex(2, 3))
+    def move_realizer(top, r, phi):
+        return (r & -r).bit_length() - 1, r, phi
+
+    real = knotupsilon.engine._filtered_scan
+    for corrupt in (drop_from_cycle, drop_from_cocycle, move_realizer):
+        with monkeypatch.context() as m:
+            m.setattr(knotupsilon.engine, "_filtered_scan",
+                      lambda *args, corrupt=corrupt: corrupt(*real(*args)))
+            with pytest.raises(AssertionError, match="^nu not linear"):
+                ku.upsilon(ku.torus_knot_complex(3, -4))
+
+
+def test_upsilon_one_scan_per_segment(monkeypatch):
+    # a machine-independent guard on the sweep's cost: T(13,29) has 15
+    # certified segments, each proved by one scan, and nu_at is not used
+    def refuse(c, t):
+        raise AssertionError("upsilon evaluated nu_at at %s" % t)
+
+    real = knotupsilon.engine._filtered_scan
+    scans = 0
+
+    def counted(*args):
+        nonlocal scans
+        scans += 1
+        return real(*args)
+
+    monkeypatch.setattr(knotupsilon.engine, "nu_at", refuse)
+    monkeypatch.setattr(knotupsilon.engine, "_filtered_scan", counted)
+    c = ku.torus_knot_complex(13, 29)
+    ku.upsilon(c)
+    grid = c._cache["upsilon"][1]
+    assert scans <= len(grid) - 1 <= 15
+
+
+def test_segment_certificates_check_out():
+    rng = random.Random(11)
+    complexes = ([c for _, c in corpus()]
+                 + [random_admissible_complex(rng, "s%d" % k)
+                    for k in range(20)]
+                 + [ku.torus_knot_complex(17, 31)])
+    for c in complexes:
+        f = ku.upsilon(c)
+        _, grid, realizers, _, witnesses = c._cache["upsilon"]
+        for k, (p, (cycle, cocycle)) in enumerate(zip(realizers, witnesses)):
+            ends = (grid[k], grid[k + 1])
+            assert check_segment_certificate(c, ends, p, cycle, cocycle)
+            for t in ends:
+                assert f(t) == -2 * ku.filtration_value(t, p)
+
+
+def test_segment_certificate_oracle_rejects_broken_witness():
+    c = ku.torus_knot_complex(3, 4)
+    ku.upsilon(c)
+    _, grid, realizers, _, witnesses = c._cache["upsilon"]
+    ends, p, (cycle, cocycle) = (grid[0], grid[1]), realizers[0], witnesses[0]
+    assert check_segment_certificate(c, ends, p, cycle, cocycle)
+    assert not check_segment_certificate(c, ends, p, cycle, ())
+    assert not check_segment_certificate(c, ends, p, cycle[1:], cocycle)
+    assert not check_segment_certificate(c, ends, p, cycle, cocycle[1:])
+    later = (grid[0], grid[2])  # past the first certified segment
+    assert not check_segment_certificate(c, later, p, cycle, cocycle)
 
 
 # -- tau
@@ -336,6 +395,17 @@ def test_tau_matches_initial_slope():
     for _, c in corpus():
         if c.ambient_d == 0:
             assert ku.tau(c) == -ku.upsilon(c).initial_slope
+
+
+def test_knot_sum_mirror_is_slice():
+    # K # -K is slice: upsilon vanishes and tau is 0, at sizes far past
+    # brute force (T(5,7) # -T(5,7) has 289 generators)
+    knots = ([c for _, c in corpus()]
+             + [ku.torus_knot_complex(4, 9), ku.torus_knot_complex(5, 7)])
+    for c in knots:
+        s = ku.tensor(c, ku.dual(c))
+        assert ku.upsilon(s).is_zero()
+        assert ku.tau(s) == 0
 
 
 def test_tau_rejects_nonzero_ambient():
