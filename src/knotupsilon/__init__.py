@@ -9,11 +9,11 @@ throughout, GF(2) linear algebra on bitmasks, no floating point anywhere.
 """
 
 from .complexes import (BifilteredComplex, DiffEntry, Generator,
-                        LatticePoint, ValidationReport, chain_boundary,
-                        complex_from_json, complex_from_json_dict,
-                        complex_to_json, complex_to_json_dict, direct_sum,
-                        dual, grading_slice, require_admissible,
-                        require_valid, tensor, validate)
+                        LatticePoint, ValidationReport, complex_from_json,
+                        complex_from_json_dict, complex_to_json,
+                        complex_to_json_dict, direct_sum, dual,
+                        grading_slice, require_admissible, require_valid,
+                        tensor, validate)
 from .engine import (JumpCheck, NuCertificate, check_symmetry,
                      filtration_value, jump_report, nu_at, tau, upsilon)
 from .errors import (FormatError, InvalidComplexError, KnotLibError,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BifilteredComplex", "DiffEntry", "Generator", "LatticePoint",
-    "ValidationReport", "chain_boundary", "complex_from_json",
+    "ValidationReport", "complex_from_json",
     "complex_from_json_dict", "complex_to_json", "complex_to_json_dict",
     "direct_sum", "dual", "grading_slice", "require_admissible",
     "require_valid", "tensor", "validate",

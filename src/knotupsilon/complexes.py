@@ -21,19 +21,22 @@ grading ambient_d is not one-dimensional is flagged non-admissible and
 refused by the upsilon machinery.
 
 Complexes are immutable once built; all operations here are pure.
+Generator, DiffEntry and LatticePoint are named tuples: immutable,
+hashable and equal by value, and so also equal to a plain tuple (or a
+record of another type) holding the same fields.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormatError, InvalidComplexError, NonAdmissibleError
 from .gf2 import BitEchelon, kernel_basis
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A basis element with its Alexander and Maslov gradings."""
 
     name: str
@@ -41,8 +44,7 @@ class Generator:
     maslov: int
 
 
-@dataclass(frozen=True)
-class DiffEntry:
+class DiffEntry(NamedTuple):
     """One differential term: d(source) contains U^upower * target."""
 
     source: str
@@ -50,8 +52,7 @@ class DiffEntry:
     upower: int
 
 
-@dataclass(frozen=True)
-class LatticePoint:
+class LatticePoint(NamedTuple):
     """The element U^{-i} x rendered as the plane point (i, j), j - i = A(x)."""
 
     generator: str
@@ -189,53 +190,64 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
     if "structural" in c._cache:
         return c._cache["structural"]
     v = []
-    seen = set()
-    for g in c.generators:
-        if g.name in seen:
-            v.append("duplicate generator name %r" % g.name)
-        seen.add(g.name)
+    index = c._index
+    if len(index) < len(c.generators):
+        seen = set()
+        for g in c.generators:
+            if g.name in seen:
+                v.append("duplicate generator name %r" % g.name)
+            seen.add(g.name)
 
     entries_seen = set()
-    refs_ok = True
     for e in c.differential:
-        missing = [n for n in (e.source, e.target) if n not in c._index]
-        if missing:
+        s, t, k = e
+        src, tgt = index.get(s), index.get(t)
+        if src is None or tgt is None:
             v.append("entry (%s -> %s) references unknown generator %r"
-                     % (e.source, e.target, missing[0]))
-            refs_ok = False
+                     % (s, t, s if src is None else t))
             continue
-        if e.upower < 0:
-            v.append("entry (%s -> %s) has negative U-power %d"
-                     % (e.source, e.target, e.upower))
-        key = (e.source, e.target, e.upower)
-        if key in entries_seen:
-            v.append("duplicate differential entry (%s -> %s, U^%d)"
-                     % key)
-        entries_seen.add(key)
-        src, tgt = c._index[e.source], c._index[e.target]
-        if tgt.maslov != src.maslov - 1 + 2 * e.upower:
+        if k < 0:
+            v.append("entry (%s -> %s) has negative U-power %d" % e)
+        if e in entries_seen:
+            v.append("duplicate differential entry (%s -> %s, U^%d)" % e)
+        entries_seen.add(e)
+        if tgt.maslov != src.maslov - 1 + 2 * k:
             v.append("Maslov constraint violated by (%s -> %s, U^%d): "
                      "M(%s)=%d, expected %d"
-                     % (e.source, e.target, e.upower, e.target,
-                        tgt.maslov, src.maslov - 1 + 2 * e.upower))
-        if src.alexander - tgt.alexander + e.upower < 0:
+                     % (s, t, k, t, tgt.maslov, src.maslov - 1 + 2 * k))
+        if src.alexander - tgt.alexander + k < 0:
             v.append("Alexander constraint violated by (%s -> %s, U^%d): "
-                     "arrow points up or right" % (e.source, e.target, e.upower))
+                     "arrow points up or right" % e)
 
-    if not v and refs_ok:
+    if not v:
         # d^2 = 0 over F2[U]: two-step path counts must be even for every
-        # (source, target, total U-power) triple.
+        # (source, target, total U-power) triple.  Every entry obeys the
+        # Maslov rule here, so a path x -> y -> z has total U-power
+        # (M(z) - M(x))/2 + 1 whatever y is: the parity per (x, z, k) is
+        # the parity per (x, z), the bit of z in the XOR over x's targets y
+        # of reach[y], the mask of y's targets.  Where that XOR is nonzero,
+        # x's paths are walked in y-then-z order to report each odd z once.
         out = c._out_entries()
-        parity = {}
-        for x in c.generators:
-            for y, k1 in out[x.name]:
+        bit = {g.name: 1 << n for n, g in enumerate(c.generators)}
+        reach = {}
+        for y, targets in out.items():
+            mask = 0
+            for z, _ in targets:
+                mask ^= bit[z]
+            reach[y] = mask
+        for x, targets in out.items():
+            odd = 0
+            for y, _ in targets:
+                odd ^= reach[y]
+            if not odd:
+                continue
+            for y, k1 in targets:
                 for z, k2 in out[y]:
-                    key = (x.name, z, k1 + k2)
-                    parity[key] = parity.get(key, 0) ^ 1
-        for (x, z, k), odd in parity.items():
-            if odd:
-                v.append("d^2 != 0: odd number of two-step paths %s -> %s "
-                         "with total U-power %d" % (x, z, k))
+                    if odd & bit[z]:
+                        odd ^= bit[z]
+                        v.append("d^2 != 0: odd number of two-step paths "
+                                 "%s -> %s with total U-power %d"
+                                 % (x, z, k1 + k2))
 
     c._cache["structural"] = tuple(v)
     return c._cache["structural"]
@@ -302,16 +314,18 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
     require_valid(c1)
     require_valid(c2)
     out1, out2 = c1._out_entries(), c2._out_entries()
+    right = [("*" + name, a2, m2, [("*" + tgt, k) for tgt, k in out2[name]])
+             for name, a2, m2 in c2.generators]
     gens, diff = [], []
-    for g1 in c1.generators:
-        for g2 in c2.generators:
-            src = g1.name + "*" + g2.name
-            gens.append(Generator(src, g1.alexander + g2.alexander,
-                                  g1.maslov + g2.maslov))
-            diff.extend(DiffEntry(src, tgt + "*" + g2.name, k)
-                        for tgt, k in out1[g1.name])
-            diff.extend(DiffEntry(src, g1.name + "*" + tgt, k)
-                        for tgt, k in out2[g2.name])
+    for name1, a1, m1 in c1.generators:
+        targets1 = out1[name1]
+        for tail, a2, m2, targets2 in right:
+            src = name1 + tail
+            gens.append(Generator(src, a1 + a2, m1 + m2))
+            for tgt, k in targets1:
+                diff.append(DiffEntry(src, tgt + tail, k))
+            for tgt_tail, k in targets2:
+                diff.append(DiffEntry(src, name1 + tgt_tail, k))
     label = None
     if c1.label and c2.label:
         label = "%s # %s" % (c1.label, c2.label)
@@ -340,27 +354,6 @@ def direct_sum(c1: BifilteredComplex, c2: BifilteredComplex,
     return BifilteredComplex(c1.generators + c2.generators,
                              c1.differential + c2.differential,
                              c1.ambient_d, label)
-
-
-# ---------------------------------------------------------------------------
-# chain helpers
-
-
-def chain_boundary(c: BifilteredComplex, points) -> list[LatticePoint]:
-    """Boundary of an F2 chain of lattice points, as a reduced point list."""
-    require_valid(c)
-    out = c._out_entries()
-    acc: dict[tuple[str, int], int] = {}
-    for p in points:
-        for tgt, k in out[p.generator]:
-            key = (tgt, p.i - k)
-            acc[key] = acc.get(key, 0) ^ 1
-    result = []
-    for (name, i), odd in acc.items():
-        if odd:
-            result.append(LatticePoint(name, i, c.generator(name).alexander + i))
-    result.sort(key=lambda p: (p.generator, p.i))
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 Staircase complexes model L-space knots: the step lengths are the gaps
 between the exponents of the (alternating-coefficient) Alexander
-polynomial, so positive torus knot complexes come straight out of the
-classical torus knot polynomial.  The figure-eight gets the standard
-five-generator model (a unit plus one box).  Cables enter either through
-the Alexander polynomial product formula or, for the (2, 2n+1)-cables of
-the left-handed trefoil, through Chen's closed-form upsilon.
+polynomial.  For a positive torus knot these are the runs of members and
+gaps of its semigroup, so its complex needs no polynomial at all.  The
+figure-eight gets the standard five-generator model (a unit plus one
+box).  Cables enter either through the Alexander polynomial product
+formula or, for the (2, 2n+1)-cables of the left-handed trefoil, through
+Chen's closed-form upsilon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from . import engine
@@ -226,18 +228,22 @@ def staircase(steps) -> BifilteredComplex:
 
 
 def torus_knot_complex(p: int, q: int) -> BifilteredComplex:
-    """Staircase model of the (p, q) torus knot, read off the gaps in its
-    Alexander polynomial; negative q gives the mirror."""
-    delta = torus_knot_alexander(p, q)
-    exps = sorted(delta.coeffs, reverse=True)
-    coeffs = [delta.coefficient(e) for e in exps]
-    expect = 1
-    for c in coeffs:
-        if c != expect:
-            raise AssertionError("torus knot polynomial not alternating")
-        expect = -expect
-    steps = [exps[k - 1] - exps[k] for k in range(1, len(exps))]
-    c = staircase(steps)
+    """Staircase model of the (p, q) torus knot; negative q gives the mirror.
+
+    The steps are the run lengths of the semigroup <p, |q|> on [0, 2g),
+    members and gaps alternating from the member 0: the gaps between the
+    exponents of the Alexander polynomial, read off without division.
+    """
+    b = abs(q)
+    if p < 2 or b < 2:
+        raise ValueError("need p, |q| >= 2")
+    if gcd(p, b) != 1:
+        raise ValueError("(%d, %d) are not coprime" % (p, b))
+    member = []
+    for n in range((p - 1) * (b - 1)):
+        member.append(n == 0 or (n >= p and member[n - p])
+                      or (n >= b and member[n - b]))
+    c = staircase([len(list(run)) for _, run in groupby(member)])
     if q < 0:
         c = dual(c)
     return c.relabeled("T(%d,%d)" % (p, q))

@@ -1,9 +1,10 @@
 """Shared corpus and independent oracles for the test suite.
 
 The d^2 and homology oracles deliberately avoid the library's linear
-algebra: the differential-squared check counts two-step paths straight off
+algebra: the differential-squared checks count two-step paths straight off
 the entry list, and the homology dimensions come from exhaustive subset
-enumeration.  The two nu oracles share only the slice, its boundary
+enumeration.  naive_tensor builds the tensor product entry by entry from
+the Leibniz rule.  The two nu oracles share only the slice, its boundary
 columns and the GF(2) primitives with the engine's filtered reduction
 (nu_at): one grows the subcomplex below each weight level, the other
 enumerates every essential cycle.  sampled_realizers samples nu_at beside
@@ -144,6 +145,41 @@ def brute_d_squared_even(c):
     return all(n % 2 == 0 for n in counts.values())
 
 
+def d_squared_lines(c):
+    """The d^2 lines validate must report on c when nothing else is wrong:
+    one per (source, target, total U-power) with an odd two-step path
+    count, in the order the paths are first met taking sources in
+    generator order and entries in list order."""
+    by_source = {}
+    for e in c.differential:
+        by_source.setdefault(e.source, []).append(e)
+    counts = Counter()
+    for x in c.generators:
+        for e1 in by_source.get(x.name, ()):
+            for e2 in by_source.get(e1.target, ()):
+                counts[(x.name, e2.target, e1.upower + e2.upower)] += 1
+    return ["d^2 != 0: odd number of two-step paths %s -> %s with total "
+            "U-power %d" % key for key, n in counts.items() if n % 2]
+
+
+def naive_tensor(c1, c2):
+    """Tensor product straight from the Leibniz rule: generators "a*b" in
+    lexicographic order of positions, each followed by its entries d(a)*b
+    then a*d(b), in entry-list order."""
+    gens, diff = [], []
+    for a in c1.generators:
+        for b in c2.generators:
+            src = "%s*%s" % (a.name, b.name)
+            gens.append(ku.Generator(src, a.alexander + b.alexander,
+                                     a.maslov + b.maslov))
+            diff += [ku.DiffEntry(src, "%s*%s" % (e.target, b.name), e.upower)
+                     for e in c1.differential if e.source == a.name]
+            diff += [ku.DiffEntry(src, "%s*%s" % (a.name, e.target), e.upower)
+                     for e in c2.differential if e.source == b.name]
+    label = "%s # %s" % (c1.label, c2.label) if c1.label and c2.label else None
+    return ku.BifilteredComplex(gens, diff, c1.ambient_d + c2.ambient_d, label)
+
+
 def _point_boundary(c, point):
     """Boundary of one lattice point as a frozenset of (name, i) pairs,
     computed straight off the differential list."""
@@ -159,6 +195,12 @@ def _chain_boundary_set(c, points):
     for p in points:
         acc ^= _point_boundary(c, p)
     return frozenset(acc)
+
+
+def chain_boundary(c, points):
+    """Boundary of an F2 chain of lattice points, as a sorted point list."""
+    return sorted(ku.LatticePoint(name, i, c.generator(name).alexander + i)
+                  for name, i in _chain_boundary_set(c, points))
 
 
 @lru_cache(maxsize=128)

@@ -1,18 +1,49 @@
 """Data model: validation, slices, tensor, dual, homology, JSON."""
 
+import random
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import knotupsilon as ku
-from knotupsilon import BifilteredComplex, DiffEntry, Generator
+from knotupsilon import BifilteredComplex, DiffEntry, Generator, LatticePoint
 
-from helpers import (brute_d_squared_even, corpus, enumerated_homology_dim,
-                     positionally_equal)
+from helpers import (brute_d_squared_even, corpus, d_squared_lines,
+                     enumerated_homology_dim, naive_tensor, positionally_equal)
 
 
 def trefoil_by_hand():
     gens = [Generator("a", 1, 0), Generator("b", 0, -1), Generator("c", -1, -2)]
     diff = [DiffEntry("b", "a", 1), DiffEntry("b", "c", 0)]
     return BifilteredComplex(gens, diff, 0, "trefoil")
+
+
+# -- records
+
+
+@pytest.mark.parametrize("record", [
+    Generator("a", 1, 2), DiffEntry("a", "b", 1), LatticePoint("a", 1, 2)])
+def test_records_are_immutable_values(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, "b")
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    same = type(record)(*record)
+    assert same == record and hash(same) == hash(record)
+    assert len({record, same}) == 1
+    assert record != record._replace(**{field: "b"})
+    assert record == tuple(record)
+
+
+def test_record_repr():
+    assert (repr(Generator("a", 1, 2))
+            == "Generator(name='a', alexander=1, maslov=2)")
+    assert (repr(DiffEntry("a", "b", 0))
+            == "DiffEntry(source='a', target='b', upower=0)")
+    assert (repr(LatticePoint("a", 1, 2))
+            == "LatticePoint(generator='a', i=1, j=2)")
 
 
 # -- validation
@@ -77,6 +108,43 @@ def test_d_squared_violation_reported():
         [Generator("a", 1, 0), Generator("b", 0, -1), Generator("c", -1, -2)],
         [DiffEntry("a", "b", 0), DiffEntry("b", "c", 0)], 0)
     assert any("d^2" in v for v in ku.validate(c).violations)
+
+
+# corpus knots small enough that a tensor of three stays a quick oracle run
+SMALL_KNOTS = [name for name, c in corpus() if len(c.generators) <= 5]
+
+
+def _mutated(c, rng, drops, adds):
+    """c with entries dropped and entries added that obey the Maslov and
+    Alexander rules, so that d^2 is the only check left to fail."""
+    diff = list(c.differential)
+    for _ in range(min(drops, len(diff))):
+        diff.pop(rng.randrange(len(diff)))
+    present = set(diff)
+    for _ in range(adds):
+        for _ in range(20):
+            x, z = rng.choice(c.generators), rng.choice(c.generators)
+            k, odd = divmod(z.maslov - x.maslov + 1, 2)
+            e = DiffEntry(x.name, z.name, k)
+            if (not odd and k >= 0 and x.alexander - z.alexander + k >= 0
+                    and e not in present):
+                diff.insert(rng.randrange(len(diff) + 1), e)
+                present.add(e)
+                break
+    return BifilteredComplex(c.generators, diff, c.ambient_d, c.label)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1),
+       names=st.lists(st.sampled_from(SMALL_KNOTS), min_size=1, max_size=3),
+       drops=st.integers(0, 3), adds=st.integers(0, 3))
+def test_d_squared_report_matches_path_count_oracle(seed, names, drops, adds):
+    knots = dict(corpus())
+    c = _mutated(reduce(ku.tensor, [knots[n] for n in names]),
+                 random.Random(seed), drops, adds)
+    lines = [v for v in ku.validate(c).violations if v.startswith("d^2")]
+    assert lines == d_squared_lines(c)
+    assert bool(lines) != brute_d_squared_even(c)
 
 
 def test_non_admissible_reported():
@@ -183,6 +251,18 @@ def test_tensor_trefoil_trefoil():
     assert len(tt.generators) == 9
     assert max(g.alexander for g in tt.generators) == 2
     assert ku.validate(tt).ok
+
+
+def test_tensor_matches_reference():
+    knots = [c for _, c in corpus()]
+    t = ku.torus_knot_complex(2, 3)
+    pairs = [(a, b, naive_tensor(a, b)) for a in knots for b in knots]
+    pairs.append((ku.tensor(t, t), t, naive_tensor(naive_tensor(t, t), t)))
+    for a, b, ref in pairs:
+        c = ku.tensor(a, b)
+        assert c.generators == ref.generators
+        assert c.differential == ref.differential
+        assert (c.ambient_d, c.label) == (ref.ambient_d, ref.label)
 
 
 def test_tensor_associative_up_to_renaming():

@@ -10,8 +10,8 @@ import knotupsilon as ku
 import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 
-from helpers import (brute_force_nu, check_segment_certificate, corpus,
-                     nu_at_halfplane, random_admissible_complex,
+from helpers import (brute_force_nu, chain_boundary, check_segment_certificate,
+                     corpus, nu_at_halfplane, random_admissible_complex,
                      sampled_realizers, torus_upsilon)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
@@ -66,7 +66,7 @@ def test_nu_certificate_invariants():
             for p in cert.realizing_points:
                 assert ku.filtration_value(t, p) == cert.nu
             # the witness is a boundaryless cycle of the ambient grading
-            assert ku.chain_boundary(c, cert.cycle) == []
+            assert chain_boundary(c, cert.cycle) == []
             for p in cert.cycle:
                 g = c.generator(p.generator)
                 assert g.maslov + 2 * p.i == c.ambient_d
@@ -237,7 +237,7 @@ def test_boundary_never_raises_weight():
             chain = [p for p in pts if rng.random() < 0.5]
             if not chain:
                 continue
-            bd = ku.chain_boundary(c, chain)
+            bd = chain_boundary(c, chain)
             if not bd:
                 continue
             for t in ts:

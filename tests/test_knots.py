@@ -1,5 +1,7 @@
 """Constructors: staircases, torus knots, figure-eight, polynomials, records."""
 
+from math import gcd
+
 import pytest
 
 import knotupsilon as ku
@@ -60,6 +62,21 @@ def test_torus_37_genus_six():
     c = ku.torus_knot_complex(3, 7)
     assert max(g.alexander for g in c.generators) == 6
     assert c.homology_dimension(0) == 1
+
+
+def test_torus_steps_are_alexander_exponent_gaps():
+    # the semigroup staircase against the polynomial, computed by division
+    pairs = [(p, q) for q in range(3, 24) for p in range(2, q)
+             if gcd(p, q) == 1]
+    for p, q in pairs + [(13, 29), (17, 31)]:
+        delta = ku.torus_knot_alexander(p, q)
+        exps = sorted(delta.coeffs, reverse=True)
+        assert [delta.coefficient(e) for e in exps] == [
+            (-1) ** k for k in range(len(exps))]
+        ref = ku.staircase([a - b for a, b in zip(exps, exps[1:])])
+        c = ku.torus_knot_complex(p, q)
+        assert c.generators == ref.generators
+        assert c.differential == ref.differential
 
 
 def test_torus_rejects_non_coprime():
