@@ -18,10 +18,10 @@ from .engine import (JumpCheck, NuCertificate, check_symmetry,
                      filtration_value, jump_report, nu_at, tau, upsilon)
 from .errors import (FormatError, InvalidComplexError, KnotLibError,
                      MissingDataError, NonAdmissibleError)
-from .knots import (KnotRecord, LaurentPolyZ, box_complex, builtin_record,
-                    cable_alexander, chen_cable_upsilon, fibered_genus,
-                    figure_eight_complex, slice_cable_record, staircase,
-                    torus_knot_alexander, torus_knot_complex, unknot_complex)
+from .knots import (KnotRecord, box_complex, builtin_record,
+                    chen_cable_upsilon, figure_eight_complex,
+                    slice_cable_record, staircase, torus_knot_complex,
+                    unknot_complex)
 from .certificates import (ConcordanceVerdict, RVCertificate,
                            RibbonMinimalityReport, certify_right_veering,
                            classify_tightness, obstruct_concordance,
@@ -40,11 +40,9 @@ __all__ = [
     "jump_report", "nu_at", "tau", "upsilon",
     "FormatError", "InvalidComplexError", "KnotLibError", "MissingDataError",
     "NonAdmissibleError",
-    "KnotRecord", "LaurentPolyZ", "box_complex", "builtin_record",
-    "cable_alexander", "chen_cable_upsilon",
-    "fibered_genus", "figure_eight_complex", "slice_cable_record",
-    "staircase", "torus_knot_alexander", "torus_knot_complex",
-    "unknot_complex",
+    "KnotRecord", "box_complex", "builtin_record", "chen_cable_upsilon",
+    "figure_eight_complex", "slice_cable_record", "staircase",
+    "torus_knot_complex", "unknot_complex",
     "ConcordanceVerdict", "RVCertificate", "RibbonMinimalityReport",
     "certify_right_veering", "classify_tightness", "obstruct_concordance",
     "ribbon_minimality_report",

@@ -33,6 +33,13 @@ def _witness_below_one(f: PLFunction, slope: int):
     return None
 
 
+def _check_genus(genus: int) -> int:
+    """The genus itself; a negative genus is refused, as no knot has one."""
+    if genus < 0:
+        raise ValueError("genus must be non-negative")
+    return genus
+
+
 def _interval_json(iv):
     if iv is None:
         return None
@@ -73,8 +80,7 @@ def certify_right_veering(upsilon_fn: PLFunction, genus: int) -> RVCertificate:
     Breakpoints themselves are excluded as singular points.  Never returns
     a negative verdict: a failed test is only inconclusive.
     """
-    if genus < 0:
-        raise ValueError("genus must be non-negative")
+    _check_genus(genus)
     witness = _witness_below_one(upsilon_fn, -genus)
     if witness is None:
         return RVCertificate("inconclusive", None, genus)
@@ -84,7 +90,7 @@ def certify_right_veering(upsilon_fn: PLFunction, genus: int) -> RVCertificate:
 def classify_tightness(tau: int, genus: int) -> str:
     """Hedden's criterion for the contact structure a fibered knot in the
     three-sphere supports: tight exactly when tau equals the genus."""
-    return "tight" if tau == genus else "overtwisted"
+    return "tight" if tau == _check_genus(genus) else "overtwisted"
 
 
 @dataclass(frozen=True)
@@ -211,8 +217,8 @@ def ribbon_minimality_report(k: KnotRecord) -> RibbonMinimalityReport:
         raise MissingDataError("record %r has no genus" % k.name)
     if not k.has_upsilon():
         raise MissingDataError("record %r carries no upsilon data" % k.name)
+    g = _check_genus(k.genus)
     f = k.upsilon_function()
-    g = k.genus
     anywhere = f.slope_intervals(-g)
     below_one = _witness_below_one(f, -g)
     holds = bool(anywhere)

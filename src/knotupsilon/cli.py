@@ -224,8 +224,13 @@ def main(argv=None) -> int:
         return 1
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print("error: cannot write %r: %s" % (out_path, exc),
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return status

@@ -147,12 +147,17 @@ class BifilteredComplex:
         return self._cache[key]
 
     def _distinguished_cycle(self) -> int:
-        """Cycle mask representing the one class in grading ambient_d."""
+        """The first cycle mask outside the boundary span in grading
+        ambient_d, which represents the class; raises NonAdmissibleError
+        unless there is exactly one class."""
         if "distinguished" not in self._cache:
             p = self.ambient_d % 2
-            self._cache["distinguished"] = _essential_cycle(
-                self._cycle_masks(p), self._boundary_echelon(p), "homology",
-                self.ambient_d)
+            cycles, ech = self._cycle_masks(p), self._boundary_echelon(p)
+            if len(cycles) - ech.rank != 1:
+                raise NonAdmissibleError("homology is not one-dimensional in "
+                                         "grading %d" % self.ambient_d)
+            self._cache["distinguished"] = next(z for z in cycles
+                                                if ech.reduce(z))
         return self._cache["distinguished"]
 
     def _boundary_masks(self, p: int) -> list[int]:
@@ -170,16 +175,6 @@ class BifilteredComplex:
         """F2-dimension of homology computed on the grading-d lattice slice."""
         p = d % 2
         return len(self._cycle_masks(p)) - self._boundary_echelon(p).rank
-
-
-def _essential_cycle(cycles, ech: BitEchelon, what: str, d: int) -> int:
-    """The first of cycles outside the span of the boundary echelon ech,
-    which represents the class; raises NonAdmissibleError unless there is
-    exactly one class."""
-    if len(cycles) - ech.rank != 1:
-        raise NonAdmissibleError("%s is not one-dimensional in grading %d"
-                                 % (what, d))
-    return next(z for z in cycles if ech.reduce(z))
 
 
 # ---------------------------------------------------------------------------

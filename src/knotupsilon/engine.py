@@ -18,7 +18,8 @@ scan; two test oracles check it.  upsilon sweeps t with one scan per
 segment: the cycle and the cocycle hold nu to the realizing point's line
 up to the next tie parameter where a point of either crosses it.  Each
 segment is checked from that certificate before it is kept, and
-jump_report reads the realizers.
+jump_report reads the realizers.  tau is minus the slope of the first
+segment, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (BifilteredComplex, LatticePoint, _essential_cycle,
-                        grading_slice, require_admissible)
+from .complexes import (BifilteredComplex, LatticePoint, grading_slice,
+                        require_admissible)
 from .errors import NonAdmissibleError
-from .gf2 import BitEchelon, bits, kernel_basis
+from .gf2 import BitEchelon, bits
 from .plfunction import PLFunction
 
 
@@ -75,16 +76,16 @@ def _filtered_scan(z, boundaries, keys):
 
     z and boundaries are bitmask vectors over positions 0..n-1, z outside
     the boundary span, and keys[k] is the sort key of position k: the
-    weight scaled by 2b for nu_at, that paired with j - i for upsilon, the
-    Alexander grading for tau; ties go by position.  Once the positions
-    are reindexed so keys grow with the bit index, z reduced against the
-    boundaries tops out at a position p where no boundary has its pivot,
-    so adding any boundary can only raise that top.  The cocycle phi
-    starts at p and, walking up the echelon rows pivoting above p, takes
-    the pivot of each row it meets an odd number of times: it then
-    vanishes on every boundary, meets z once and lies at or above p, so
-    every cycle in the class reaches p's level.  Returns (p, r, phi) with
-    r the reduced z; positions and masks are the original ones.
+    weight scaled by 2b for nu_at, that paired with j - i for upsilon;
+    ties go by position.  Once the positions are reindexed so keys grow
+    with the bit index, z reduced against the boundaries tops out at a
+    position p where no boundary has its pivot, so adding any boundary can
+    only raise that top.  The cocycle phi starts at p and, walking up the
+    echelon rows pivoting above p, takes the pivot of each row it meets an
+    odd number of times: it then vanishes on every boundary, meets z once
+    and lies at or above p, so every cycle in the class reaches p's level.
+    Returns (p, r, phi) with r the reduced z; positions and masks are the
+    original ones.
     """
     order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties by k
     newpos = [0] * len(keys)
@@ -254,35 +255,14 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
 
 
 def tau(c: BifilteredComplex) -> int:
-    """The tau invariant from the Alexander filtration on the vertical complex.
+    """The tau invariant, minus the initial slope of upsilon.
 
-    Restrict to algebraic level zero with the U-power-zero differential,
-    then find the least Alexander level whose filtered subcomplex already
-    carries the generator of the grading-zero homology.  Only defined for
-    ambient grading zero (the three-sphere convention).
+    Upsilon'(0) = -tau (Ozsvath-Stipsicz-Szabo 2017), so tau is read off
+    the first segment of the same sweep.  Only defined for ambient
+    grading zero (the three-sphere convention).
     """
     require_admissible(c)
     if c.ambient_d != 0:
         raise NonAdmissibleError("tau requires ambient grading 0, got %d"
                                  % c.ambient_d)
-    out = c._out_entries()
-    grade0 = [g for g in c.generators if g.maslov == 0]
-    grade1 = [g for g in c.generators if g.maslov == 1]
-    drop = [g.name for g in c.generators if g.maslov == -1]
-    pos_drop = {n: k for k, n in enumerate(drop)}
-    pos0 = {g.name: k for k, g in enumerate(grade0)}
-
-    def vertical_image(name, positions):
-        v = 0
-        for tgt, k in out[name]:
-            if k == 0 and tgt in positions:
-                v ^= 1 << positions[tgt]
-        return v
-
-    cols = [vertical_image(g.name, pos_drop) for g in grade0]
-    boundaries = [vertical_image(g.name, pos0) for g in grade1]
-    z = _essential_cycle(kernel_basis(cols), BitEchelon(boundaries),
-                         "vertical homology", 0)
-    alexander = [g.alexander for g in grade0]
-    top, _, _ = _filtered_scan(z, boundaries, alexander)
-    return alexander[top]
+    return -upsilon(c).initial_slope

@@ -1,13 +1,12 @@
-"""Builders for named and parametric knot complexes, plus polynomial tools.
+"""Builders for named and parametric knot complexes, and knot records.
 
 Staircase complexes model L-space knots: the step lengths are the gaps
 between the exponents of the (alternating-coefficient) Alexander
 polynomial.  For a positive torus knot these are the runs of members and
 gaps of its semigroup, so its complex needs no polynomial at all.  The
 figure-eight gets the standard five-generator model (a unit plus one
-box).  Cables enter either through the Alexander polynomial product
-formula or, for the (2, 2n+1)-cables of the left-handed trefoil, through
-Chen's closed-form upsilon.
+box).  The (2, 2n+1)-cables of the left-handed trefoil enter through
+Chen's closed-form upsilon, with no complex.
 """
 
 from __future__ import annotations
@@ -21,170 +20,6 @@ from . import engine
 from .complexes import BifilteredComplex, DiffEntry, Generator, dual
 from .errors import MissingDataError
 from .plfunction import PLFunction
-
-
-class LaurentPolyZ:
-    """Integer Laurent polynomial with finitely many terms."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        data = dict(coeffs)
-        self.coeffs = {e: c for e, c in data.items() if c != 0}
-
-    @classmethod
-    def one(cls) -> "LaurentPolyZ":
-        return cls({0: 1})
-
-    def coefficient(self, e: int) -> int:
-        return self.coeffs.get(e, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.coeffs)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPolyZ):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolyZ(out)
-
-    def __neg__(self):
-        return LaurentPolyZ({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolyZ(out)
-
-    def shifted(self, k: int) -> "LaurentPolyZ":
-        return LaurentPolyZ({e + k: c for e, c in self.coeffs.items()})
-
-    def substitute_power(self, p: int) -> "LaurentPolyZ":
-        """Return q with q(t) = self(t^p)."""
-        if p < 1:
-            raise ValueError("power must be >= 1")
-        return LaurentPolyZ({e * p: c for e, c in self.coeffs.items()})
-
-    def is_symmetric(self) -> bool:
-        return all(self.coefficient(-e) == c for e, c in self.coeffs.items())
-
-    def symmetrized(self) -> "LaurentPolyZ":
-        """Recenter so that the coefficients are palindromic."""
-        if self.is_zero():
-            return self
-        span = self.max_degree + self.min_degree
-        if span % 2 != 0:
-            raise ValueError("degree span is odd; cannot center symmetrically")
-        out = self.shifted(-span // 2)
-        if not out.is_symmetric():
-            raise ValueError("polynomial is not symmetric")
-        return out
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            mag = "" if abs(c) == 1 and e != 0 else str(abs(c))
-            if e == 0:
-                var = ""
-            elif e == 1:
-                var = "t"
-            else:
-                var = "t^%d" % e
-            piece = (mag + ("*" if mag and var else "") + var) or str(abs(c))
-            terms.append(("- " if c < 0 else "+ ") + piece)
-        head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
-        return " ".join([head] + terms[1:])
-
-
-def _poly_divide_exact(num: LaurentPolyZ, den: LaurentPolyZ) -> LaurentPolyZ:
-    """Exact division of ordinary polynomials (raises on nonzero remainder)."""
-    shift = min(num.min_degree, den.min_degree)
-    rem = dict(num.shifted(-shift).coeffs)
-    d = den.shifted(-shift)
-    dd, dc = d.max_degree, d.coefficient(d.max_degree)
-    quot = {}
-    while rem:
-        top = max(rem)
-        if top < dd:
-            raise ValueError("division is not exact")
-        c, r = divmod(rem[top], dc)
-        if r:
-            raise ValueError("division is not exact")
-        quot[top - dd] = c
-        for e, dcoef in d.coeffs.items():
-            key = top - dd + e
-            val = rem.get(key, 0) - c * dcoef
-            if val:
-                rem[key] = val
-            else:
-                rem.pop(key, None)
-    return LaurentPolyZ(quot)
-
-
-def torus_knot_alexander(p: int, q: int) -> LaurentPolyZ:
-    """Symmetrized Alexander polynomial of the (p, q) torus knot.
-
-    (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), centered; the mirror
-    (negative q) gives the same polynomial.
-    """
-    q = abs(q)
-    if p < 2 or q < 2:
-        raise ValueError("need p, |q| >= 2")
-    if gcd(p, q) != 1:
-        raise ValueError("(%d, %d) are not coprime" % (p, q))
-
-    def cyc(n):
-        return LaurentPolyZ({n: 1, 0: -1})
-
-    raw = _poly_divide_exact(cyc(p * q) * cyc(1), cyc(p) * cyc(q))
-    return raw.symmetrized()
-
-
-def fibered_genus(delta: LaurentPolyZ) -> int:
-    """Top degree of a symmetric Alexander polynomial: the genus of a
-    fibered knot."""
-    if delta.is_zero():
-        raise ValueError("zero polynomial has no degree")
-    return delta.max_degree
-
-
-def cable_alexander(delta_k: LaurentPolyZ, p: int, q: int) -> LaurentPolyZ:
-    """Alexander polynomial of the (p, q)-cable: companion(t^p) times the
-    torus pattern polynomial."""
-    if p < 1:
-        raise ValueError("cabling parameter p must be >= 1")
-    if not delta_k.is_symmetric():
-        raise ValueError("companion polynomial must be symmetric")
-    if p == 1 or abs(q) < 2:
-        pattern = LaurentPolyZ.one()
-    else:
-        pattern = torus_knot_alexander(p, q)
-    return (delta_k.substitute_power(p) * pattern).symmetrized()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ a breakpoint, apart from upsilon's sweep.  torus_upsilon is a closed form
 that needs no complex at all, so it reaches slices far past brute force.
 check_segment_certificate proves one segment of upsilon from the cycle and
 cocycle the sweep kept, using only the boundary routines here, so it
-reaches any slice size too.
+reaches any slice size too.  vertical_tau computes tau from its definition
+on the vertical complex, apart from upsilon, which the library reads tau
+off.  torus_alexander, cable_alexander and top_degree are the
+Alexander-polynomial algebra the torus staircases and the cable genera are
+checked against.
 """
 
 from collections import Counter
@@ -75,6 +79,94 @@ def nu_at_halfplane(c, t):
                 return level
     raise ku.NonAdmissibleError("no essential cycle in the distinguished "
                                 "grading")
+
+
+def vertical_tau(c):
+    """tau from the vertical complex: the generators in Maslov grading 0
+    with the U-power-0 arrows, filtered by Alexander grading.  Returns the
+    least level s at which the generators of Alexander grading at most s
+    span a cycle that is not a boundary.  Computed from scratch per level,
+    straight off the differential list, independently of upsilon."""
+    if c.ambient_d != 0:
+        raise ValueError("tau needs ambient grading 0")
+    vertical = {}
+    for e in c.differential:
+        if e.upower == 0:
+            vertical.setdefault(e.source, []).append(e.target)
+
+    def positions(maslov):
+        return {g.name: k for k, g in enumerate(
+            g for g in c.generators if g.maslov == maslov)}
+
+    def image(name, targets):
+        v = 0
+        for tgt in vertical.get(name, ()):
+            v ^= 1 << targets[tgt]
+        return v
+
+    zero = [g for g in c.generators if g.maslov == 0]
+    at0, below = positions(0), positions(-1)
+    cols = [image(g.name, below) for g in zero]
+    bound = BitEchelon(image(name, at0) for name in positions(1))
+    if len(kernel_basis(cols)) - bound.rank != 1:
+        raise ku.NonAdmissibleError("vertical homology is not "
+                                    "one-dimensional in grading 0")
+    for level in sorted({g.alexander for g in zero}):
+        inside = [k for k, g in enumerate(zero) if g.alexander <= level]
+        for combo in kernel_basis([cols[k] for k in inside]):
+            full = 0
+            for b in bits(combo):
+                full |= 1 << inside[b]
+            if bound.reduce(full):
+                return level
+
+
+def poly_mul(a, b):
+    """Product of two Laurent polynomials given as {exponent: coefficient}."""
+    out = Counter()
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] += c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _centered(poly):
+    shift = (max(poly) + min(poly)) // 2
+    return {e - shift: c for e, c in poly.items()}
+
+
+def torus_alexander(p, q):
+    """Alexander polynomial of T(p, q) as {exponent: coefficient}, centered:
+    (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) by exact long division, which
+    raises ValueError when p and q are not coprime.  T(p, -q) has the same
+    polynomial."""
+    q = abs(q)
+    rem = poly_mul({p * q: 1, 0: -1}, {1: 1, 0: -1})
+    den = poly_mul({p: 1, 0: -1}, {q: 1, 0: -1})  # monic
+    top, quot = max(den), {}
+    while rem:
+        e = max(rem)
+        if e < top:
+            raise ValueError("division is not exact")
+        c = rem[e]
+        quot[e - top] = c
+        for d, dc in den.items():
+            rem[e - top + d] = rem.get(e - top + d, 0) - c * dc
+        rem = {k: v for k, v in rem.items() if v}
+    return _centered(quot)
+
+
+def cable_alexander(delta, p, q):
+    """Alexander polynomial of the (p, q)-cable of a knot with polynomial
+    delta: delta(t^p) times that of T(p, q), centered."""
+    companion = {e * p: c for e, c in delta.items()}
+    return _centered(poly_mul(companion, torus_alexander(p, q)))
+
+
+def top_degree(delta):
+    """Top degree of a centered Alexander polynomial: the genus of a
+    fibered knot."""
+    return max(delta)
 
 
 @lru_cache(maxsize=128)

@@ -55,8 +55,14 @@ def test_certify_never_beyond_slope_bound():
 
 
 def test_certify_rejects_negative_genus():
-    with pytest.raises(ValueError):
-        ku.certify_right_veering(PLFunction.zero(), -1)
+    # one check in all three certificates, with one message
+    rec = KnotRecord("negative", genus=-1, fibered=True,
+                     upsilon_override=PLFunction.zero())
+    for call in (lambda: ku.certify_right_veering(PLFunction.zero(), -1),
+                 lambda: ku.classify_tightness(0, -3),
+                 lambda: ku.ribbon_minimality_report(rec)):
+        with pytest.raises(ValueError, match="^genus must be non-negative$"):
+            call()
 
 
 def test_certify_unknot_degenerate_case():

@@ -300,6 +300,27 @@ def test_out_flag(capsys, tmp_path):
     assert json.loads(target.read_text())["values"] == ["0", "-1", "0"]
 
 
+def test_out_flag_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    rc, out, err = run(capsys, ["upsilon", "trefoil", "--out", str(target)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %r" % str(target))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-rv", "trefoil", "--genus", "-1"],
+    ["classify-tight", "chen-cable:8", "--genus", "-3"],
+    ["ribbon-report", "chen-cable:8", "--genus", "-1"],
+])
+def test_negative_genus_is_domain_error(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: genus must be non-negative\n"
+
+
 def test_no_subcommand_is_parse_error(capsys):
     assert main([]) == 2
 

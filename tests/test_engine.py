@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +13,7 @@ from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 
 from helpers import (brute_force_nu, chain_boundary, check_segment_certificate,
                      corpus, nu_at_halfplane, random_admissible_complex,
-                     sampled_realizers, torus_upsilon)
+                     sampled_realizers, torus_upsilon, vertical_tau)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
 
@@ -110,6 +111,9 @@ def test_nu_rejects_non_admissible():
         ku.nu_at(c, 1)
     with pytest.raises(ku.NonAdmissibleError):
         nu_at_halfplane(c, 1)
+    with pytest.raises(ku.NonAdmissibleError) as exc:
+        c._distinguished_cycle()
+    assert str(exc.value) == "homology is not one-dimensional in grading 0"
 
 
 def test_brute_force_rejects_large_slice():
@@ -392,9 +396,27 @@ def test_tau_values(build, expected):
 
 
 def test_tau_matches_initial_slope():
-    for _, c in corpus():
-        if c.ambient_d == 0:
-            assert ku.tau(c) == -ku.upsilon(c).initial_slope
+    # tau is read off upsilon's first segment; the oracle reads it off the
+    # vertical complex, on the corpus and on every ordered corpus tensor
+    knots = [c for _, c in corpus()]
+    for c in knots + [ku.tensor(a, b) for a in knots for b in knots]:
+        assert ku.tau(c) == vertical_tau(c) == -ku.upsilon(c).initial_slope
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tau_matches_vertical_complex_on_random_complexes(seed):
+    c = random_admissible_complex(random.Random(seed), "v")
+    assert ku.tau(c) == vertical_tau(c)
+
+
+def test_tau_of_torus_knot_is_genus():
+    pairs = [(p, q) for q in range(3, 24) for p in range(2, q)
+             if gcd(p, q) == 1]
+    for p, q in pairs + [(13, 29), (17, 31)]:
+        genus = (p - 1) * (q - 1) // 2
+        assert ku.tau(ku.torus_knot_complex(p, q)) == genus
+        assert ku.tau(ku.torus_knot_complex(p, -q)) == -genus
 
 
 def test_knot_sum_mirror_is_slice():
@@ -405,13 +427,14 @@ def test_knot_sum_mirror_is_slice():
     for c in knots:
         s = ku.tensor(c, ku.dual(c))
         assert ku.upsilon(s).is_zero()
-        assert ku.tau(s) == 0
+        assert ku.tau(s) == vertical_tau(s) == 0
 
 
 def test_tau_rejects_nonzero_ambient():
     c = BifilteredComplex([Generator("v", 0, 2)], [], 2)
-    with pytest.raises(ku.NonAdmissibleError):
+    with pytest.raises(ku.NonAdmissibleError) as exc:
         ku.tau(c)
+    assert str(exc.value) == "tau requires ambient grading 0, got 2"
 
 
 # -- randomized consistency
