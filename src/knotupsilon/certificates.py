@@ -27,9 +27,12 @@ from .plfunction import PLFunction, format_rational
 
 def _witness_below_one(f: PLFunction, slope: int):
     """The first segment of this slope starting in [0, 1), cut off at 1."""
-    for a, b in f.slope_intervals(slope):
-        if a < 1:
-            return a, min(b, Fraction(1))
+    bps = f.breakpoints
+    for k, s in enumerate(f.slopes):
+        if bps[k] >= 1:
+            break
+        if s == slope:
+            return bps[k], min(bps[k + 1], Fraction(1))
     return None
 
 
@@ -126,8 +129,10 @@ def obstruct_concordance(k0: KnotRecord, k1: KnotRecord) -> ConcordanceVerdict:
         raise MissingDataError("both records need upsilon data")
     f0, f1 = k0.upsilon_function(), k1.upsilon_function()
 
-    diff = f0 - f1
-    if not diff.is_zero():
+    # canonical form makes data equality exact; the difference is only
+    # needed to name the first breakpoint where the two functions differ
+    if f0 != f1:
+        diff = f0 - f1
         t = next(b for b, v in zip(diff.breakpoints, diff.values) if v != 0)
         return ConcordanceVerdict(
             "obstructed", "upsilon_mismatch",

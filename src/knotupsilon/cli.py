@@ -98,7 +98,9 @@ def _load_record(name: str, force_file: bool) -> KnotRecord:
 def _record_from_text(text: str, origin: str) -> KnotRecord:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides syntax errors: a number past the interpreter's digit
+        # limit, and nesting deeper than the recursion limit
         raise FormatError("invalid JSON from %s: %s" % (origin, exc)) from exc
     if isinstance(obj, dict) and "breakpoints" in obj:
         return KnotRecord(name=origin,

@@ -4,11 +4,19 @@ Breakpoints and values are rationals, segment slopes are integers; this is
 exactly the class of functions the upsilon invariant lives in.  Functions
 are stored in canonical form (adjacent collinear segments merged), so two
 equal functions always compare equal as data.
+
+Only the public constructor validates.  Arithmetic works on data that is
+already canonical: a sum or difference is one merge walk over the two
+breakpoint lists, adding integer slopes piece by piece and merging
+collinear pieces as they are emitted, and negation, integer multiples
+and reflection map the stored tuples directly.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -23,11 +31,48 @@ def format_rational(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+# a decimal with an exponent, which Fraction would expand with 10**exponent;
+# compiled on first use, so importing the package does not pay for it
+_EXPONENT = r"([-+]?[\d_.]+)[eE]([-+]?\d+(?:_\d+)*)"
+
+
+def _longer_than(n: int, digits: int) -> bool:
+    """Whether |n| has more than `digits` decimal digits."""
+    n = abs(n)
+    return n.bit_length() > 3 * digits and n >= 10 ** digits
+
+
 def parse_rational(s) -> Fraction:
+    """The rational written as "p/q", an integer or a decimal with an
+    optional exponent.  One whose reduced numerator or denominator would
+    have more digits than the interpreter converts is refused, and an
+    exponent is checked before the power of ten is built."""
+    # the interpreter's int/str conversion limit; 0 means off, and then
+    # its default bounds the work all the same
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     try:
-        return Fraction(str(s).strip())
+        text = str(s).strip()
+    except ValueError as exc:  # an int too long to convert
+        raise FormatError("integer has more than %d digits" % limit) from exc
+    try:
+        m = (re.fullmatch(_EXPONENT, text)
+             if "e" in text or "E" in text else None)
+        x = Fraction(m[1] if m else text)
+        e = int(m[2]) if m else 0
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError("invalid rational %r" % (s,)) from exc
+    if e and x:
+        # |p/q * 10**e| exceeds 10**limit once e passes limit plus the
+        # length of q, and falls below 10**-limit once -e passes limit
+        # plus the length of p; bit_length // 3 + 1 bounds a length
+        if (e > limit + x.denominator.bit_length() // 3 + 1
+                or -e > limit + x.numerator.bit_length() // 3 + 1):
+            raise FormatError("rational %r has more than %d digits"
+                              % (s, limit))
+        x = x * 10 ** e if e > 0 else x / 10 ** -e
+    if _longer_than(x.numerator, limit) or _longer_than(x.denominator, limit):
+        raise FormatError("rational %r has more than %d digits" % (s, limit))
+    return x
 
 
 class PLFunction:
@@ -71,6 +116,13 @@ class PLFunction:
         self.slopes = tuple(keep_slopes)
 
     @classmethod
+    def _canonical(cls, breakpoints, values, slopes) -> "PLFunction":
+        """Wrap tuples that already are canonical and agree; no checks."""
+        f = object.__new__(cls)
+        f.breakpoints, f.values, f.slopes = breakpoints, values, slopes
+        return f
+
+    @classmethod
     def zero(cls) -> "PLFunction":
         return cls([0, 2], [0, 0])
 
@@ -98,32 +150,72 @@ class PLFunction:
             for a, b, s in self.segments())
         return "<PLFunction %s>" % pieces
 
+    def _merge(self, other, sign):
+        """self + sign * other in one walk over both breakpoint lists.
+
+        On each piece between consecutive breakpoints of the union the
+        slopes add as integers; a piece with the slope of the one before
+        extends it, so the result comes out canonical, and values are
+        computed only at the breakpoints that remain.
+        """
+        fb, fs, gb, gs = (self.breakpoints, self.slopes,
+                          other.breakpoints, other.slopes)
+        bps, slopes = [fb[0]], []
+        i = j = 0
+        while i < len(fs):
+            s = fs[i] + sign * gs[j]
+            b, c = fb[i + 1], gb[j + 1]
+            if b < c:
+                i += 1
+            elif c < b:
+                j += 1
+                b = c
+            else:
+                i += 1
+                j += 1
+            if slopes and slopes[-1] == s:
+                bps[-1] = b
+            else:
+                slopes.append(s)
+                bps.append(b)
+        v = self.values[0] + sign * other.values[0]
+        vals = [v]
+        for k, s in enumerate(slopes):
+            if s:
+                v += s * (bps[k + 1] - bps[k])
+            vals.append(v)
+        return PLFunction._canonical(tuple(bps), tuple(vals), tuple(slopes))
+
     def __add__(self, other):
         if not isinstance(other, PLFunction):
             return NotImplemented
-        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return PLFunction(bps, [self(t) + other(t) for t in bps])
+        return self._merge(other, 1)
 
     def __neg__(self):
-        return PLFunction(self.breakpoints, [-v for v in self.values])
+        return -1 * self
 
     def __sub__(self, other):
         if not isinstance(other, PLFunction):
             return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __rmul__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return PLFunction(self.breakpoints, [n * v for v in self.values])
+        if n == 0:
+            return PLFunction.zero()
+        return PLFunction._canonical(self.breakpoints,
+                                     tuple(n * v for v in self.values),
+                                     tuple(n * s for s in self.slopes))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
     def reflected(self) -> "PLFunction":
         """The function t -> f(2 - t)."""
-        return PLFunction([2 - b for b in reversed(self.breakpoints)],
-                          list(reversed(self.values)))
+        return PLFunction._canonical(
+            tuple(2 - b for b in reversed(self.breakpoints)),
+            self.values[::-1], tuple(-s for s in reversed(self.slopes)))
 
     @property
     def initial_slope(self) -> int:
@@ -136,7 +228,9 @@ class PLFunction:
 
     def slope_intervals(self, slope: int):
         """Open intervals (as (start, end) pairs) where the slope is attained."""
-        return [(a, b) for a, b, s in self.segments() if s == slope]
+        bps = self.breakpoints
+        return [(bps[k], bps[k + 1])
+                for k, s in enumerate(self.slopes) if s == slope]
 
     # -- serialization
 
@@ -160,6 +254,9 @@ class PLFunction:
         for key in ("breakpoints", "values"):
             if key not in obj:
                 raise FormatError("missing key %r" % key)
+        for key in ("breakpoints", "values", "slopes"):
+            if key in obj and not isinstance(obj[key], list):
+                raise FormatError("%r must be a list" % key)
         bps = [parse_rational(b) for b in obj["breakpoints"]]
         vals = [parse_rational(v) for v in obj["values"]]
         try:
@@ -168,7 +265,7 @@ class PLFunction:
             raise FormatError(str(exc)) from exc
         if "slopes" in obj:
             # slopes are derived data; check them against the raw segments
-            declared = list(obj["slopes"])
+            declared = obj["slopes"]
             raw = [(vals[k + 1] - vals[k]) / (bps[k + 1] - bps[k])
                    for k in range(len(bps) - 1)]
             if declared != raw:

@@ -16,7 +16,10 @@ reaches any slice size too.  vertical_tau computes tau from its definition
 on the vertical complex, apart from upsilon, which the library reads tau
 off.  torus_alexander, cable_alexander and top_degree are the
 Alexander-polynomial algebra the torus staircases and the cable genera are
-checked against.
+checked against.  pl_pointwise is piecewise-linear arithmetic by
+evaluation: both functions at every breakpoint of either, combined, then
+through the validating constructor; the library's one-merge arithmetic is
+checked against it.
 """
 
 from collections import Counter
@@ -225,6 +228,13 @@ def torus_upsilon(p, q, t):
         values.append(-2 * below - t * (g - m))
         below += any((m - k * b) % a == 0 for k in range(m // b + 1))
     return max(values) if q > 0 else -max(values)
+
+
+def pl_pointwise(f, g, op):
+    """The function t -> op(f(t), g(t)), evaluated at the union of the
+    breakpoints and rebuilt through the validating PLFunction constructor."""
+    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
+    return ku.PLFunction(bps, [op(f(t), g(t)) for t in bps])
 
 
 def brute_d_squared_even(c):

@@ -2,6 +2,7 @@
 
 import io
 import json
+from time import perf_counter
 
 import pytest
 
@@ -274,6 +275,44 @@ def test_obstruct_subcommand(capsys):
     obj = json.loads(out)
     assert obj["verdict"] == "obstructed"
     assert obj["reason"] == "upsilon_mismatch"
+
+
+@pytest.mark.parametrize("key", ["breakpoints", "values", "slopes"])
+def test_pl_field_not_a_list_is_parse_error(capsys, tmp_path, key):
+    obj = {"breakpoints": ["0", "2"], "values": ["0", "0"], "slopes": [0]}
+    obj[key] = 5
+    path = tmp_path / "pl.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["upsilon", str(path), "--file"],
+                 ["obstruct", str(path), "unknot"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: %r must be a list\n" % key
+
+
+def test_pl_oversized_rational_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "pl.json"
+    path.write_text(json.dumps({"breakpoints": ["0", "2"],
+                                "values": ["0", "1e20000000"]}))
+    start = perf_counter()
+    rc, out, err = run(capsys, ["upsilon", str(path)])
+    assert perf_counter() - start < 1
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: rational '1e20000000' has more than")
+
+
+@pytest.mark.parametrize("text", [
+    '{"breakpoints": ["0", "2"], "values": [0, %s]}' % ("1" * 5000),
+    "[" * 100000 + "]" * 100000])
+def test_json_past_interpreter_limits_is_parse_error(capsys, tmp_path, text):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["upsilon", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON from %s: " % path)
 
 
 def test_ribbon_report_subcommand(capsys):

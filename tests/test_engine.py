@@ -207,6 +207,25 @@ def test_upsilon_torus_semigroup_formula(knots):
         assert f(t) == sum(torus_upsilon(p, q, t) for p, q in knots), t
 
 
+def _torus_upsilon_function(p, q):
+    if q == 1:
+        return ku.upsilon(ku.unknot_complex())
+    return ku.upsilon(ku.torus_knot_complex(min(p, q), max(p, q)))
+
+
+def test_upsilon_feller_krcatovich_recursion():
+    # Feller-Krcatovich (2017): Upsilon_T(p,q) = Upsilon_T(p,q-p) +
+    # Upsilon_T(p,p+1) for 0 < p < q; T(p,1) is the unknot and T(p,q-p)
+    # with q - p < p is T(q-p,p).  Exercises PL addition on real upsilons.
+    cases = [(p, q) for p in range(2, 9) for q in range(p + 1, 4 * p + 3)
+             if gcd(p, q) == 1]
+    assert len(cases) == 73
+    for p, q in cases:
+        assert _torus_upsilon_function(p, q) == (
+            _torus_upsilon_function(p, q - p)
+            + _torus_upsilon_function(p, p + 1)), (p, q)
+
+
 def test_upsilon_asymmetric_staircase():
     # not a knot model; exercises the assembly on an asymmetric complex
     c = ku.staircase([1, 2])
