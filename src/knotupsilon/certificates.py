@@ -17,8 +17,8 @@ literature, never re-proved here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import MissingDataError
 from .knots import KnotRecord
@@ -49,8 +49,7 @@ def _interval_json(iv):
     return [format_rational(iv[0]), format_rational(iv[1])]
 
 
-@dataclass(frozen=True)
-class RVCertificate:
+class RVCertificate(NamedTuple):
     """Outcome of the right-veering slope test.
 
     verdict is "right_veering_certified" or "inconclusive";
@@ -96,8 +95,7 @@ def classify_tightness(tau: int, genus: int) -> str:
     return "tight" if tau == _check_genus(genus) else "overtwisted"
 
 
-@dataclass(frozen=True)
-class ConcordanceVerdict:
+class ConcordanceVerdict(NamedTuple):
     """Either "obstructed" with the reason tag that fired, or
     "no_obstruction_found"."""
 
@@ -162,8 +160,7 @@ def obstruct_concordance(k0: KnotRecord, k1: KnotRecord) -> ConcordanceVerdict:
     return ConcordanceVerdict("no_obstruction_found")
 
 
-@dataclass(frozen=True)
-class RibbonMinimalityReport:
+class RibbonMinimalityReport(NamedTuple):
     """What the slope hypothesis buys for homotopy ribbon concordance.
 
     The minimality claims use the hypothesis anywhere on [0, 2]; the

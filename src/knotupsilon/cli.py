@@ -13,7 +13,6 @@ JSON, unknown keys).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -21,7 +20,8 @@ from fractions import Fraction
 
 from .certificates import (certify_right_veering, classify_tightness,
                            obstruct_concordance, ribbon_minimality_report)
-from .complexes import complex_to_json, dual, tensor, validate
+from .complexes import (complex_from_json_dict, complex_to_json, dual,
+                         tensor, validate)
 from .errors import (FormatError, InvalidComplexError, KnotLibError,
                      MissingDataError, NonAdmissibleError)
 from .knots import KnotRecord, builtin_record
@@ -105,7 +105,6 @@ def _record_from_text(text: str, origin: str) -> KnotRecord:
     if isinstance(obj, dict) and "breakpoints" in obj:
         return KnotRecord(name=origin,
                           upsilon_override=PLFunction.from_json_dict(obj))
-    from .complexes import complex_from_json_dict
     c = complex_from_json_dict(obj)
     return KnotRecord(name=c.label or origin, complex=c)
 
@@ -128,12 +127,14 @@ def _sampling_step(text: str) -> Fraction:
     return step
 
 
-def _record_genus(record: KnotRecord, override) -> int:
-    if override is not None:
-        return override
-    if record.genus is not None:
-        return record.genus
-    raise MissingDataError("no genus known for %r; pass --genus" % record.name)
+def _with_genus(record: KnotRecord, override) -> KnotRecord:
+    """The record with --genus applied.  A negative genus is refused
+    first; the record then refuses one that its complex contradicts."""
+    if override is None:
+        return record
+    if override < 0:
+        raise ValueError("genus must be non-negative")
+    return record._replace(genus=override)
 
 
 def _dumps(obj) -> str:
@@ -158,7 +159,8 @@ def _dispatch(args) -> tuple[str, int]:
         k1 = _load_record(args.input1, args.file)
         return _dumps(obstruct_concordance(k0, k1).to_json_dict()), 0
 
-    record = _load_record(args.input, args.file)
+    record = _with_genus(_load_record(args.input, args.file),
+                         getattr(args, "genus", None))
 
     if cmd == "validate":
         c = _require_complex(record)
@@ -180,20 +182,21 @@ def _dispatch(args) -> tuple[str, int]:
     if cmd == "dual":
         return complex_to_json(dual(_require_complex(record))), 0
 
+    genus = record.genus
+    if cmd in ("certify-rv", "classify-tight") and genus is None:
+        raise MissingDataError("no genus known for %r; pass --genus"
+                               % record.name)
+
     if cmd == "certify-rv":
-        genus = _record_genus(record, args.genus)
         cert = certify_right_veering(record.upsilon_function(), genus)
         return _dumps(cert.to_json_dict()), 0
 
     if cmd == "classify-tight":
-        genus = _record_genus(record, args.genus)
         t = record.tau()
         return _dumps({"tau": t, "genus": genus,
                        "classification": classify_tightness(t, genus)}), 0
 
     if cmd == "ribbon-report":
-        if args.genus is not None:
-            record = dataclasses.replace(record, genus=args.genus)
         return _dumps(ribbon_minimality_report(record).to_json_dict()), 0
 
     if cmd == "sample":

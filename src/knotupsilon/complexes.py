@@ -21,15 +21,15 @@ grading ambient_d is not one-dimensional is flagged non-admissible and
 refused by the upsilon machinery.
 
 Complexes are immutable once built; all operations here are pure.
-Generator, DiffEntry and LatticePoint are named tuples: immutable,
-hashable and equal by value, and so also equal to a plain tuple (or a
-record of another type) holding the same fields.
+Generator, DiffEntry, LatticePoint and ValidationReport are named tuples,
+as are the records of engine, certificates and knots: immutable, hashable
+and equal by value, and so also equal to a plain tuple (or a record of
+another type) holding the same fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FormatError, InvalidComplexError, NonAdmissibleError
@@ -60,8 +60,7 @@ class LatticePoint(NamedTuple):
     j: int
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -379,6 +378,9 @@ def complex_from_json_dict(obj) -> BifilteredComplex:
         raise FormatError("label must be a string or null")
     if not isinstance(obj["ambient_d"], int) or isinstance(obj["ambient_d"], bool):
         raise FormatError("ambient_d must be an integer")
+    for field in ("generators", "differential"):
+        if not isinstance(obj[field], list):
+            raise FormatError("%r must be a list" % field)
     gens = []
     for g in obj["generators"]:
         _require_keys(g, _GEN_KEYS, _GEN_KEYS, "generator")

@@ -25,8 +25,8 @@ segment, since upsilon'(0) = -tau.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import (BifilteredComplex, LatticePoint, grading_slice,
                         require_admissible)
@@ -55,8 +55,7 @@ def _scaled_weights(t: Fraction) -> tuple[int, int, int]:
     return 2 * b - a, a, 2 * b
 
 
-@dataclass(frozen=True)
-class NuCertificate:
+class NuCertificate(NamedTuple):
     """A witness for the value of nu at one parameter.
 
     cycle is a minimizing cycle in Maslov grading ambient_d representing
@@ -203,8 +202,7 @@ def check_symmetry(f: PLFunction) -> bool:
     return f == f.reflected()
 
 
-@dataclass(frozen=True)
-class JumpCheck:
+class JumpCheck(NamedTuple):
     """Consistency record for one interior breakpoint of upsilon.
 
     The realizing points on the two adjacent segments lie on one line of

@@ -11,7 +11,7 @@ Chen's closed-form upsilon, with no complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
@@ -122,30 +122,36 @@ def chen_cable_upsilon(n: int) -> PLFunction:
 # knot records
 
 
-@dataclass
-class KnotRecord:
+class KnotRecord(namedtuple("KnotRecord", [
+        "name", "complex", "genus", "fibered", "monodromy_right_veering",
+        "upsilon_override"])):
     """A named knot bundle: complex and/or externally supplied knowledge.
 
     monodromy_right_veering is three-state (True / False / None=unknown)
     and always an external assertion; nothing here computes monodromies.
     upsilon_override carries a closed-form invariant for knots given
-    without a complex.
+    without a complex.  A named tuple whose every construction, _make
+    and _replace included, checks genus against the complex.
     """
 
-    name: str
-    complex: BifilteredComplex | None = None
-    genus: int | None = None
-    fibered: bool | None = None
-    monodromy_right_veering: bool | None = None
-    upsilon_override: PLFunction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.complex is not None and self.genus is not None:
-            top = max(g.alexander for g in self.complex.generators)
-            if self.genus != top:
+    def __new__(cls, name: str, complex: BifilteredComplex | None = None,
+                genus: int | None = None, fibered: bool | None = None,
+                monodromy_right_veering: bool | None = None,
+                upsilon_override: PLFunction | None = None):
+        if complex is not None and genus is not None and complex.generators:
+            top = max(g.alexander for g in complex.generators)
+            if genus != top:
                 raise ValueError(
                     "genus %d disagrees with top Alexander grading %d"
-                    % (self.genus, top))
+                    % (genus, top))
+        return super().__new__(cls, name, complex, genus, fibered,
+                               monodromy_right_veering, upsilon_override)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def has_upsilon(self) -> bool:
         return self.upsilon_override is not None or self.complex is not None

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -257,6 +261,27 @@ def test_certify_rv_file_needs_genus(capsys, tmp_path):
     assert "genus" in err
 
 
+def test_certify_rv_file_takes_matching_genus(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(ku.complex_to_json(ku.torus_knot_complex(3, 4)))
+    rc, out, _ = run(capsys, ["certify-rv", str(path), "--genus", "3"])
+    assert rc == 0
+    assert json.loads(out)["genus_used"] == 3
+    rc, out, err = run(capsys, ["certify-rv", str(path), "--genus", "2"])
+    assert rc == 1
+    assert out == ""
+    assert err == "error: genus 2 disagrees with top Alexander grading 3\n"
+
+
+@pytest.mark.parametrize("command",
+                         ["certify-rv", "classify-tight", "ribbon-report"])
+def test_genus_contradicting_complex_is_domain_error(capsys, command):
+    rc, out, err = run(capsys, [command, "torus:3,4", "--genus", "2"])
+    assert rc == 1
+    assert out == ""
+    assert err == "error: genus 2 disagrees with top Alexander grading 3\n"
+
+
 def test_classify_tight_trefoil(capsys):
     rc, out, _ = run(capsys, ["classify-tight", "trefoil"])
     assert rc == 0
@@ -286,6 +311,37 @@ def test_pl_field_not_a_list_is_parse_error(capsys, tmp_path, key):
     for argv in (["upsilon", str(path), "--file"],
                  ["obstruct", str(path), "unknot"]):
         rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: %r must be a list\n" % key
+
+
+def test_genus_on_complex_without_generators(capsys, tmp_path):
+    # nothing to check the genus against: the complex is refused later
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"label": "empty", "ambient_d": 0,
+                                "generators": [], "differential": []}))
+    for command, message in (
+            ("certify-rv", "non-admissible: homology has dimension 0 != 1 "
+                           "in grading 0"),
+            ("classify-tight", "non-admissible: homology has dimension 0 "
+                               "!= 1 in grading 0"),
+            ("ribbon-report", "record 'empty' is not known to be fibered")):
+        rc, out, err = run(capsys, [command, str(path), "--genus", "0"])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("key", ["generators", "differential"])
+@pytest.mark.parametrize("value", [5, 7, None])
+def test_complex_field_not_a_list_is_parse_error(capsys, tmp_path, key, value):
+    obj = {"label": None, "ambient_d": 0, "generators": [], "differential": []}
+    obj[key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(obj))
+    for command in ("validate", "upsilon"):
+        rc, out, err = run(capsys, [command, str(path), "--file"])
         assert rc == 2
         assert out == ""
         assert err == "error: %r must be a list\n" % key
@@ -352,6 +408,7 @@ def test_out_flag_unwritable_path(capsys, tmp_path):
     ["certify-rv", "trefoil", "--genus", "-1"],
     ["classify-tight", "chen-cable:8", "--genus", "-3"],
     ["ribbon-report", "chen-cable:8", "--genus", "-1"],
+    ["ribbon-report", "trefoil", "--genus", "-1"],
 ])
 def test_negative_genus_is_domain_error(capsys, argv):
     rc, out, err = run(capsys, argv)
@@ -366,3 +423,17 @@ def test_no_subcommand_is_parse_error(capsys):
 
 def test_unknown_option_rejected(capsys):
     assert main(["upsilon", "trefoil", "--frobnicate"]) == 2
+
+
+def test_cli_import_leaves_out_heavy_stdlib_modules():
+    # what importing the CLI adds to the modules of a bare interpreter;
+    # dataclasses would bring the rest of this list in with it
+    code = ("import sys; bare = set(sys.modules); import knotupsilon.cli; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    added = set(subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True,
+                               check=True).stdout.split())
+    assert "knotupsilon.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -1,6 +1,7 @@
 """Data model: validation, slices, tensor, dual, homology, JSON."""
 
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -22,8 +23,48 @@ def trefoil_by_hand():
 # -- records
 
 
-@pytest.mark.parametrize("record", [
-    Generator("a", 1, 2), DiffEntry("a", "b", 1), LatticePoint("a", 1, 2)])
+T = ku.torus_knot_complex(2, 3)
+POINT = LatticePoint("x0", 0, 1)
+
+# each record type with its fields as keywords, and its field defaults
+RECORD_FIELDS = [
+    (Generator, dict(name="a", alexander=1, maslov=2), {}),
+    (DiffEntry, dict(source="a", target="b", upower=1), {}),
+    (LatticePoint, dict(generator="a", i=1, j=2), {}),
+    (ku.ValidationReport, dict(ok=True, violations=()), {}),
+    (ku.NuCertificate, dict(t=Fraction(1, 2), nu=Fraction(1, 4),
+                            realizing_points=(POINT,), cycle=(POINT,)), {}),
+    (ku.JumpCheck, dict(t0=Fraction(2, 3), left_point=(0, 3),
+                        right_point=(1, 1), slope_before=-3, slope_after=0,
+                        expected_jump=Fraction(3), passed=True,
+                        degenerate=False), {}),
+    (ku.RVCertificate, dict(verdict="inconclusive", witness_interval=None,
+                            genus_used=2), {}),
+    (ku.ConcordanceVerdict, dict(verdict="no_obstruction_found"),
+     dict(reason=None, detail=None)),
+    (ku.RibbonMinimalityReport, dict(
+        knot="trefoil", genus=1, slope_target=-1, hypothesis_holds=True,
+        witness_interval=(Fraction(0), Fraction(1)),
+        hypothesis_interval="[0,2]", minimal_among_fibered=True,
+        mirror_minimal_among_fibered=True, uniqueness_hypothesis_holds=True,
+        uniqueness_witness=(Fraction(0), Fraction(1)),
+        uniqueness_interval="[0,1]"), {}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORD_FIELDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORD_FIELDS])
+def test_record_construction(cls, fields, defaults):
+    record = cls(**fields)
+    assert cls(*fields.values()) == record
+    assert record._fields == tuple(fields) + tuple(defaults)
+    assert tuple(record) == tuple(fields.values()) + tuple(defaults.values())
+    with pytest.raises(TypeError):
+        cls(*record, None)
+
+
+@pytest.mark.parametrize("record", [cls(**fields)
+                                    for cls, fields, _ in RECORD_FIELDS])
 def test_records_are_immutable_values(record):
     field = record._fields[0]
     with pytest.raises(AttributeError):
@@ -44,6 +85,36 @@ def test_record_repr():
             == "DiffEntry(source='a', target='b', upower=0)")
     assert (repr(LatticePoint("a", 1, 2))
             == "LatticePoint(generator='a', i=1, j=2)")
+    assert repr(ku.validate(T)) == "ValidationReport(ok=True, violations=())"
+    assert (repr(ku.nu_at(T, Fraction(1, 2)))
+            == "NuCertificate(t=Fraction(1, 2), nu=Fraction(1, 4), "
+            "realizing_points=(LatticePoint(generator='x0', i=0, j=1),), "
+            "cycle=(LatticePoint(generator='x0', i=0, j=1),))")
+    t34 = ku.torus_knot_complex(3, 4)
+    assert (repr(ku.jump_report(t34, ku.upsilon(t34))[0])
+            == "JumpCheck(t0=Fraction(2, 3), left_point=(0, 3), "
+            "right_point=(1, 1), slope_before=-3, slope_after=0, "
+            "expected_jump=Fraction(3, 1), passed=True, degenerate=False)")
+    assert (repr(ku.certify_right_veering(ku.upsilon(T), 1))
+            == "RVCertificate(verdict='right_veering_certified', "
+            "witness_interval=(Fraction(0, 1), Fraction(1, 1)), genus_used=1)")
+    trefoil = ku.builtin_record("trefoil")
+    assert (repr(ku.obstruct_concordance(trefoil, ku.builtin_record("unknot")))
+            == "ConcordanceVerdict(verdict='obstructed', "
+            "reason='upsilon_mismatch', "
+            "detail='upsilon functions differ at t=1: -1 vs 0')")
+    assert (repr(ku.obstruct_concordance(trefoil, trefoil))
+            == "ConcordanceVerdict(verdict='no_obstruction_found', "
+            "reason=None, detail=None)")
+    assert (repr(ku.ribbon_minimality_report(trefoil))
+            == "RibbonMinimalityReport(knot='trefoil', genus=1, "
+            "slope_target=-1, hypothesis_holds=True, "
+            "witness_interval=(Fraction(0, 1), Fraction(1, 1)), "
+            "hypothesis_interval='[0,2]', minimal_among_fibered=True, "
+            "mirror_minimal_among_fibered=True, "
+            "uniqueness_hypothesis_holds=True, "
+            "uniqueness_witness=(Fraction(0, 1), Fraction(1, 1)), "
+            "uniqueness_interval='[0,1]')")
 
 
 # -- validation
@@ -372,3 +443,55 @@ def test_json_rejects_bad_types():
 def test_json_rejects_malformed_text():
     with pytest.raises(ku.FormatError):
         ku.complex_from_json("{not json")
+
+
+@pytest.mark.parametrize("key", ["generators", "differential"])
+@pytest.mark.parametrize("value", [5, None, "ab", {"name": "a"}])
+def test_json_rejects_field_that_is_not_a_list(key, value):
+    obj = ku.complex_to_json_dict(ku.unknot_complex())
+    obj[key] = value
+    with pytest.raises(ku.FormatError, match="%r must be a list" % key):
+        ku.complex_from_json_dict(obj)
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                    st.floats(), st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6)
+NAMES = st.sampled_from(["a", "b", "c"])
+GRADINGS = st.integers(-2, 2)
+
+
+def json_objects(fields):
+    """Objects with the given fields: every field present and well typed,
+    or each field present or absent and filled with anything, plus maybe
+    an extra key."""
+    anything = {k: st.one_of(v, JSON_VALUES) for k, v in fields.items()}
+    return st.one_of(
+        st.fixed_dictionaries(fields),
+        st.fixed_dictionaries({}, optional={**anything, "extra": JSON_VALUES}),
+        JSON_VALUES)
+
+
+GENERATOR_OBJECTS = json_objects(
+    {"name": NAMES, "alexander": GRADINGS, "maslov": GRADINGS})
+ENTRY_OBJECTS = json_objects(
+    {"from": NAMES, "to": NAMES, "upower": st.integers(0, 2)})
+COMPLEX_OBJECTS = json_objects({
+    "label": st.one_of(st.none(), st.text(max_size=3)),
+    "ambient_d": GRADINGS,
+    "generators": st.lists(GENERATOR_OBJECTS, max_size=3),
+    "differential": st.lists(ENTRY_OBJECTS, max_size=3)})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(obj=COMPLEX_OBJECTS)
+def test_json_from_dict_raises_only_format_error(obj):
+    try:
+        c = ku.complex_from_json_dict(obj)
+    except ku.FormatError:
+        return
+    text = ku.complex_to_json(c)
+    assert ku.complex_to_json(ku.complex_from_json(text)) == text

@@ -191,8 +191,43 @@ def test_chen_rejects_small_n():
 
 
 def test_record_genus_consistency():
+    c = ku.torus_knot_complex(2, 3)
     with pytest.raises(ValueError):
-        ku.KnotRecord("bad", complex=ku.torus_knot_complex(2, 3), genus=5)
+        ku.KnotRecord("bad", complex=c, genus=5)
+    with pytest.raises(ValueError, match="genus 5 disagrees with top "
+                       "Alexander grading 1"):
+        ku.KnotRecord("bad", c, 5)
+    with pytest.raises(ValueError):
+        ku.KnotRecord._make(["bad", c, 5, None, None, None])
+    # the --genus override path: a changed genus is checked again
+    rec = ku.KnotRecord("trefoil", complex=c)
+    assert rec._replace(genus=1) == ku.KnotRecord("trefoil", c, 1)
+    with pytest.raises(ValueError):
+        rec._replace(genus=5)
+    with pytest.raises(AttributeError):
+        rec.genus = 5
+    assert ku.KnotRecord("g", genus=5)._replace(genus=7).genus == 7
+
+
+def test_knot_record_value():
+    rec = ku.KnotRecord("chen", None, 10, True, True, ku.chen_cable_upsilon(8))
+    assert rec == ku.builtin_record("chen-cable:8")._replace(name="chen")
+    assert hash(rec) == hash(ku.KnotRecord(*rec))
+    assert ku.KnotRecord("x") == ("x", None, None, None, None, None)
+    with pytest.raises(TypeError):
+        ku.KnotRecord()
+    with pytest.raises(TypeError):
+        ku.KnotRecord("x", colour="red")
+
+
+def test_knot_record_repr():
+    assert (repr(ku.builtin_record("trefoil"))
+            == "KnotRecord(name='trefoil', complex=<BifilteredComplex "
+            "T(2,3): 3 generators, 2 entries, d=0>, genus=1, fibered=True, "
+            "monodromy_right_veering=True, upsilon_override=None)")
+    assert (repr(ku.KnotRecord("x"))
+            == "KnotRecord(name='x', complex=None, genus=None, fibered=None, "
+            "monodromy_right_veering=None, upsilon_override=None)")
 
 
 def test_record_upsilon_from_complex():
