@@ -18,14 +18,18 @@ scan; two test oracles check it.  upsilon sweeps t with one scan per
 segment: the cycle and the cocycle hold nu to the realizing point's line
 up to the next tie parameter where a point of either crosses it.  Each
 segment is checked from that certificate before it is kept, and
-jump_report reads the realizers.  tau is minus the slope of the first
-segment, since upsilon'(0) = -tau.
+jump_report reads the realizers.  The sweep carries t = a/b as two
+integers and reads each boundary's support once; on a segment upsilon
+follows -2 times its realizer's weight, so its slope is the realizer's
+i - j, and Fractions are built only for the function returned.  tau is
+minus the slope of the first segment, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .complexes import (BifilteredComplex, LatticePoint, grading_slice,
@@ -33,26 +37,6 @@ from .complexes import (BifilteredComplex, LatticePoint, grading_slice,
 from .errors import NonAdmissibleError
 from .gf2 import BitEchelon, bits
 from .plfunction import PLFunction
-
-
-def _check_t(t) -> Fraction:
-    t = Fraction(t)
-    if not 0 <= t <= 2:
-        raise ValueError("parameter %s outside [0, 2]" % t)
-    return t
-
-
-def filtration_value(t, point: LatticePoint) -> Fraction:
-    """The weight (1 - t/2) i + (t/2) j of a lattice point, exactly."""
-    t = _check_t(t)
-    return (1 - t / 2) * point.i + (t / 2) * point.j
-
-
-def _scaled_weights(t: Fraction) -> tuple[int, int, int]:
-    """(u, v, s) with s * weight = u i + v j at t = a/b: u = 2b - a, v = a
-    and s = 2b, all integers."""
-    a, b = t.numerator, t.denominator
-    return 2 * b - a, a, 2 * b
 
 
 class NuCertificate(NamedTuple):
@@ -73,9 +57,9 @@ def _filtered_scan(z, boundaries, keys):
     """Reduce the cycle z against the boundaries in key order, with a dual
     witness.
 
-    z and boundaries are bitmask vectors over positions 0..n-1, z outside
-    the boundary span, and keys[k] is the sort key of position k: the
-    weight scaled by 2b for nu_at, that paired with j - i for upsilon;
+    z and the boundaries are supports, lists of positions 0..n-1, with z
+    outside the boundary span, and keys[k] is the sort key of position k:
+    the weight scaled by 2b for nu_at, that paired with j - i for upsilon;
     ties go by position.  Once the positions are reindexed so keys grow
     with the bit index, z reduced against the boundaries tops out at a
     position p where no boundary has its pivot, so adding any boundary can
@@ -83,65 +67,74 @@ def _filtered_scan(z, boundaries, keys):
     echelon rows pivoting above p, takes the pivot of each row it meets an
     odd number of times: it then vanishes on every boundary, meets z once
     and lies at or above p, so every cycle in the class reaches p's level.
-    Returns (p, r, phi) with r the reduced z; positions and masks are the
-    original ones.
+    Returns (p, r, phi) with r the reduced z, as bitmasks over the original
+    positions.
     """
     order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties by k
     newpos = [0] * len(keys)
     for new, old in enumerate(order):
         newpos[old] = new
 
-    def remap(v, table):
+    def mask(support, table):
         r = 0
-        for b in bits(v):
+        for b in support:
             r |= 1 << table[b]
         return r
 
-    b_ech = BitEchelon(remap(v, newpos) for v in boundaries)
-    r = b_ech.reduce(remap(z, newpos))
+    b_ech = BitEchelon()
+    for support in boundaries:  # mask() inlined: this runs per boundary
+        v = 0
+        for b in support:
+            v |= 1 << newpos[b]
+        b_ech.add(v)
+    r = b_ech.reduce(mask(z, newpos))
     top = r.bit_length() - 1
-    phi = 1 << top
-    for q in sorted(b_ech.pivots):
-        if q > top and (b_ech.pivots[q] & phi).bit_count() & 1:
+    phi, pivots = 1 << top, b_ech.pivots
+    for q in sorted(pivots):
+        if q > top and (pivots[q] & phi).bit_count() & 1:
             phi |= 1 << q
-    return order[top], remap(r, order), remap(phi, order)
+    return order[top], mask(bits(r), order), mask(bits(phi), order)
 
 
 def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     """nu at one parameter, with a minimizing cycle as certificate."""
-    t = _check_t(t)
+    t = Fraction(t)
+    if not 0 <= t <= 2:
+        raise ValueError("parameter %s outside [0, 2]" % t)
     require_admissible(c)
     pts = grading_slice(c, c.ambient_d)
-    u, v, s = _scaled_weights(t)
-    keys = [u * p.i + v * p.j for p in pts]
-    top, witness, _ = _filtered_scan(c._distinguished_cycle(),
-                                     c._boundary_masks(c.ambient_d % 2), keys)
+    a, b = t.numerator, t.denominator
+    keys = [(2 * b - a) * p.i + a * p.j for p in pts]
+    top, witness, _ = _filtered_scan(
+        bits(c._distinguished_cycle()),
+        [bits(w) for w in c._boundary_masks(c.ambient_d % 2)], keys)
     level = keys[top]
     support = bits(witness)
     cycle = tuple(pts[k] for k in support)
     realizing = tuple(pts[k] for k in support if keys[k] == level)
-    return NuCertificate(t=t, nu=Fraction(level, s),
+    return NuCertificate(t=t, nu=Fraction(level, 2 * b),
                          realizing_points=realizing, cycle=cycle)
 
 
 def _check_segment(c, r, phi, p, cycle, cocycle, ends):
-    """Prove that nu follows p's line between the two ends: r is the
-    distinguished cycle z plus boundaries, phi vanishes on every boundary
-    and meets z once, and at both ends the top of r (its points cycle) and
-    the bottom of phi (cocycle) weigh as much as p."""
+    """Prove that nu follows p's line between the two ends, each t = a/b
+    given as the pair (a, b): r is the distinguished cycle z plus
+    boundaries, phi vanishes on every boundary and meets z once, and at
+    both ends the top of r (its points cycle) and the bottom of phi
+    (cocycle) weigh as much as p."""
     par, z = c.ambient_d % 2, c._distinguished_cycle()
     ok = (not c._boundary_echelon(par).reduce(r ^ z)
           and (phi & z).bit_count() & 1
-          and not any((phi & b).bit_count() & 1
-                      for b in c._boundary_masks(par)))
-    for t in ends:
-        u, v, _ = _scaled_weights(t)
-        level = u * p.i + v * p.j
-        ok = (ok and max(u * q.i + v * q.j for q in cycle) == level
-              and min(u * q.i + v * q.j for q in cocycle) == level)
+          and not any([(phi & w).bit_count() & 1
+                       for w in c._boundary_masks(par)]))
+    for a, b in ends:
+        u = 2 * b - a
+        level = u * p.i + a * p.j
+        ok = (ok and max([u * q.i + a * q.j for q in cycle]) == level
+              and min([u * q.i + a * q.j for q in cocycle]) == level)
     if not ok:
         raise AssertionError("nu not linear on [%s, %s]: its certificate "
-                             "fails" % ends)
+                             "fails" % tuple(Fraction(a, b) for a, b in ends))
 
 
 def upsilon(c: BifilteredComplex) -> PLFunction:
@@ -154,7 +147,8 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     min_phi w_t' <= nu(t') <= max_r w_t', so nu follows p's line up to the
     first tie parameter t1 where a point of r overtakes p or a point of
     phi drops below it (or t1 = 2), and the next scan starts at t1.  Each
-    segment is checked from its certificate before it is kept.
+    segment is checked from its certificate before it is kept, and
+    consecutive realizers must weigh the same where they meet.
     """
     # the cache is filled only after require_admissible passed
     cached = c._cache.get("upsilon")
@@ -162,17 +156,18 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         return cached[0]
     require_admissible(c)
     pts = grading_slice(c, c.ambient_d)
-    z = c._distinguished_cycle()
-    boundaries = c._boundary_masks(c.ambient_d % 2)
-    grid, nu_vals, realizers, witnesses = [Fraction(0)], [], [], []
-    while grid[-1] < 2:
-        t = grid[-1]
-        u, v, s = _scaled_weights(t)
+    z = bits(c._distinguished_cycle())
+    boundaries = [bits(w) for w in c._boundary_masks(c.ambient_d % 2)]
+    ijd = [(q.i, q.j, q.j - q.i) for q in pts]
+    ends, realizers, witnesses = [(0, 1)], [], []
+    a, b = 0, 1
+    while a < 2 * b:
+        u = 2 * b - a
         top, r, phi = _filtered_scan(
-            z, boundaries, [(u * q.i + v * q.j, q.j - q.i) for q in pts])
+            z, boundaries, [(u * i + a * j, d) for i, j, d in ijd])
         p = pts[top]
-        cycle = tuple(pts[k] for k in bits(r))
-        cocycle = tuple(pts[k] for k in bits(phi))
+        cycle = tuple(map(pts.__getitem__, bits(r)))
+        cocycle = tuple(map(pts.__getitem__, bits(phi)))
         # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with d = j - i;
         # t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
         d = p.j - p.i
@@ -182,17 +177,32 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
                  for q in cocycle if q.j - q.i < d]
         n1, m1 = 2, 1
         for n, m in ties:
-            if t.numerator * m < n * t.denominator and n * m1 < n1 * m:
+            if a * m < n * b and n * m1 < n1 * m:
                 n1, m1 = n, m
-        t1 = Fraction(n1, m1)
-        _check_segment(c, r, phi, p, cycle, cocycle, (t, t1))
-        nu_vals.append(Fraction(u * p.i + v * p.j, s))
-        grid.append(t1)
+        g = gcd(n1, m1)  # lowest terms keep the next scan's keys small
+        t1 = (n1 // g, m1 // g)
+        _check_segment(c, r, phi, p, cycle, cocycle, ((a, b), t1))
+        q = realizers[-1] if realizers else p
+        if u * (p.i - q.i) + a * (p.j - q.j):
+            raise AssertionError("nu jumps at %s" % Fraction(a, b))
+        ends.append(t1)
         realizers.append(p)
         witnesses.append((cycle, cocycle))
-    nu_vals.append(Fraction(realizers[-1].j))  # the weight at t = 2 is j
-    f = PLFunction(grid, [-2 * v for v in nu_vals])
-    coords = sorted({(p.i, p.j) for p in pts})
+        a, b = t1
+    grid = [Fraction(a, b) for a, b in ends]
+    # on p's segment upsilon = -2 w_p: slope i - j, value
+    # -((2b - a) i + a j) / b at a/b; a segment with the slope of the one
+    # before extends it, so the function comes out canonical
+    bps, vals, slopes = [grid[0]], [Fraction(-2 * realizers[0].i)], []
+    for t1, (a, b), p in zip(grid[1:], ends[1:], realizers):
+        if slopes and slopes[-1] == p.i - p.j:
+            del bps[-1], vals[-1]
+        else:
+            slopes.append(p.i - p.j)
+        bps.append(t1)
+        vals.append(Fraction(-(2 * b - a) * p.i - a * p.j, b))
+    f = PLFunction._canonical(tuple(bps), tuple(vals), tuple(slopes))
+    coords = sorted({(i, j) for i, j, _ in ijd})
     c._cache["upsilon"] = (f, grid, realizers, coords, witnesses)
     return f
 
@@ -241,9 +251,9 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
                   and s_before == left.i - left.j
                   and s_after == right.i - right.j)
         # three or more lattice positions tying at the singular level
-        u, v, s = _scaled_weights(t0)
-        level = -own(t0) * s / 2
-        tying = [(i, j) for i, j in coords if u * i + v * j == level]
+        a, b = t0.numerator, t0.denominator
+        level = -own(t0) * b  # 2b nu(t0)
+        tying = [(i, j) for i, j in coords if (2 * b - a) * i + a * j == level]
         checks.append(JumpCheck(t0=t0, left_point=(left.i, left.j),
                                 right_point=(right.i, right.j),
                                 slope_before=s_before, slope_after=s_after,

@@ -3,8 +3,10 @@
 The d^2 and homology oracles deliberately avoid the library's linear
 algebra: the differential-squared checks count two-step paths straight off
 the entry list, and the homology dimensions come from exhaustive subset
-enumeration.  naive_tensor builds the tensor product entry by entry from
-the Leibniz rule.  The two nu oracles share only the slice, its boundary
+enumeration.  filtration_value is the weight in Fraction arithmetic, apart
+from the engine's integer keys; the oracles below weigh with it.
+naive_tensor builds the tensor product entry by entry from the Leibniz
+rule.  The two nu oracles share only the slice, its boundary
 columns and the GF(2) primitives with the engine's filtered reduction
 (nu_at): one grows the subcomplex below each weight level, the other
 enumerates every essential cycle.  sampled_realizers samples nu_at beside
@@ -58,6 +60,14 @@ def corpus():
     )
 
 
+def filtration_value(t, point):
+    """The weight (1 - t/2) i + (t/2) j of a lattice point, exactly."""
+    t = Fraction(t)
+    if not 0 <= t <= 2:
+        raise ValueError("parameter %s outside [0, 2]" % t)
+    return (1 - t / 2) * point.i + (t / 2) * point.j
+
+
 def nu_at_halfplane(c, t):
     """nu via the subcomplex formulation.
 
@@ -68,7 +78,7 @@ def nu_at_halfplane(c, t):
     """
     ku.require_admissible(c)
     pts = ku.grading_slice(c, c.ambient_d)
-    keys = [ku.filtration_value(t, p) for p in pts]
+    keys = [filtration_value(t, p) for p in pts]
     p = c.ambient_d % 2
     cols = c._boundary_columns(p)
     full_boundaries = BitEchelon(c._boundary_masks(p))
@@ -202,7 +212,7 @@ def brute_force_nu(c, t):
     if len(pts) > 20:
         raise ValueError("slice too large for brute force (%d points)"
                          % len(pts))
-    keys = [ku.filtration_value(t, p) for p in pts]
+    keys = [filtration_value(t, p) for p in pts]
     return min(max(keys[b] for b in bits(mask))
                for mask in _essential_cycles(c))
 
@@ -330,9 +340,9 @@ def check_segment_certificate(c, ends, p, cycle, cocycle):
             or len(r & phi) % 2 == 0):
         return False
     for t in ends:
-        level = ku.filtration_value(t, p)
-        if (max(ku.filtration_value(t, q) for q in cycle) != level
-                or min(ku.filtration_value(t, q) for q in cocycle) != level):
+        level = filtration_value(t, p)
+        if (max(filtration_value(t, q) for q in cycle) != level
+                or min(filtration_value(t, q) for q in cocycle) != level):
             return False
     return True
 

@@ -12,32 +12,33 @@ import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 
 from helpers import (brute_force_nu, chain_boundary, check_segment_certificate,
-                     corpus, nu_at_halfplane, random_admissible_complex,
-                     sampled_realizers, torus_upsilon, vertical_tau)
+                     corpus, filtration_value, nu_at_halfplane,
+                     random_admissible_complex, sampled_realizers,
+                     torus_upsilon, vertical_tau)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
 
 
-# -- filtration weights
+# -- filtration weights: the oracles' Fraction form in helpers
 
 
 def test_weight_at_zero_is_algebraic_level():
-    assert ku.filtration_value(0, LatticePoint("x", 3, 7)) == 3
+    assert filtration_value(0, LatticePoint("x", 3, 7)) == 3
 
 
 def test_weight_at_one_is_average():
-    assert ku.filtration_value(1, LatticePoint("x", 2, 5)) == F(7, 2)
+    assert filtration_value(1, LatticePoint("x", 2, 5)) == F(7, 2)
 
 
 def test_weight_two_thirds():
-    assert ku.filtration_value(F(2, 3), LatticePoint("c", 1, 0)) == F(2, 3)
+    assert filtration_value(F(2, 3), LatticePoint("c", 1, 0)) == F(2, 3)
 
 
 def test_weight_rejects_out_of_range():
     with pytest.raises(ValueError):
-        ku.filtration_value(F(5, 2), LatticePoint("x", 0, 0))
+        filtration_value(F(5, 2), LatticePoint("x", 0, 0))
     with pytest.raises(ValueError):
-        ku.filtration_value(-1, LatticePoint("x", 0, 0))
+        filtration_value(-1, LatticePoint("x", 0, 0))
 
 
 # -- nu and its certificates
@@ -62,10 +63,10 @@ def test_nu_certificate_invariants():
         for t in (F(1, 2), F(1)):
             cert = ku.nu_at(c, t)
             for p in cert.cycle:
-                assert ku.filtration_value(t, p) <= cert.nu
+                assert filtration_value(t, p) <= cert.nu
             assert cert.realizing_points
             for p in cert.realizing_points:
-                assert ku.filtration_value(t, p) == cert.nu
+                assert filtration_value(t, p) == cert.nu
             # the witness is a boundaryless cycle of the ambient grading
             assert chain_boundary(c, cert.cycle) == []
             for p in cert.cycle:
@@ -100,9 +101,9 @@ def test_nu_integer_keys_match_fraction_weights(seed, t):
     assert cert.nu == nu_at_halfplane(c, t)
     assert cert.realizing_points
     for p in cert.realizing_points:
-        assert ku.filtration_value(t, p) == cert.nu
+        assert filtration_value(t, p) == cert.nu
     for p in cert.cycle:
-        assert ku.filtration_value(t, p) <= cert.nu
+        assert filtration_value(t, p) <= cert.nu
 
 
 def test_nu_rejects_non_admissible():
@@ -264,8 +265,8 @@ def test_boundary_never_raises_weight():
             if not bd:
                 continue
             for t in ts:
-                assert (max(ku.filtration_value(t, p) for p in bd)
-                        <= max(ku.filtration_value(t, p) for p in chain))
+                assert (max(filtration_value(t, p) for p in bd)
+                        <= max(filtration_value(t, p) for p in chain))
 
 
 # -- jump checks
@@ -382,7 +383,89 @@ def test_segment_certificates_check_out():
             ends = (grid[k], grid[k + 1])
             assert check_segment_certificate(c, ends, p, cycle, cocycle)
             for t in ends:
-                assert f(t) == -2 * ku.filtration_value(t, p)
+                assert f(t) == -2 * filtration_value(t, p)
+
+
+def _rebuilt_through_constructor(c):
+    # upsilon at each grid point from the realizer of the segment starting
+    # there, and at 2 from the last one, through the validating constructor
+    ku.upsilon(c)
+    grid, realizers = c._cache["upsilon"][1:3]
+    values = [-2 * filtration_value(t, p) for t, p in zip(grid, realizers)]
+    values.append(-2 * filtration_value(2, realizers[-1]))
+    return PLFunction(grid, values)
+
+
+def test_upsilon_equals_validated_rebuild():
+    # the sweep assembles its canonical function from integer slopes; the
+    # constructor re-derives breakpoints, values and slopes from Fractions
+    named = dict(corpus())
+    small = [named[n] for n in ("trefoil", "trefoil-left", "T(2,5)",
+                                "T(2,-5)", "T(2,7)", "T(3,4)", "T(3,7)",
+                                "figure8")]
+    rng = random.Random(5)
+    complexes = ([c for _, c in corpus()]
+                 + [ku.tensor(a, b) for a in small for b in small]
+                 + [random_admissible_complex(rng, "w%d" % k)
+                    for k in range(200)]
+                 + [ku.torus_knot_complex(17, 31)])
+    assert len(complexes) == 14 + 64 + 200 + 1
+    for c in complexes:
+        f, g = ku.upsilon(c), _rebuilt_through_constructor(c)
+        assert g == f and g.slopes == f.slopes
+
+
+@pytest.mark.parametrize("knots,scans,pieces", [
+    ([(3, 5), (2, -3)], 4, 3), ([(3, 7), (3, -7)], 6, 1),
+], ids=["T(3,5)#T(2,-3)", "T(3,7)#T(3,-7)"])
+def test_upsilon_merges_collinear_segments(knots, scans, pieces):
+    c = ku.tensor(*(ku.torus_knot_complex(*pq) for pq in knots))
+    f = ku.upsilon(c)
+    assert len(c._cache["upsilon"][1]) - 1 == scans
+    assert len(f.slopes) == pieces
+    g = _rebuilt_through_constructor(c)
+    assert g == f and g.slopes == f.slopes
+
+
+def test_upsilon_runs_no_validating_constructor(monkeypatch):
+    # a machine-independent guard on the sweep's cost: the canonical
+    # function is assembled from the realizers, not validated again
+    complexes = (ku.torus_knot_complex(13, 29),
+                 ku.tensor(ku.torus_knot_complex(3, 5),
+                           ku.torus_knot_complex(2, -3)))
+    real = PLFunction.__init__
+    calls = 0
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        real(self, *args)
+
+    monkeypatch.setattr(PLFunction, "__init__", counted)
+    for c in complexes:
+        ku.upsilon(c)
+    assert calls == 0
+    PLFunction.zero()  # the counter sees the constructor
+    assert calls == 1
+
+
+def test_upsilon_refuses_realizers_that_disagree(monkeypatch):
+    # with the segment check off, a realizer moved on the second scan of
+    # T(3,4) weighs more than the first one where the two segments meet
+    real = knotupsilon.engine._filtered_scan
+    scans = 0
+
+    def second_moved(*args):
+        nonlocal scans
+        scans += 1
+        top, r, phi = real(*args)
+        return (phi.bit_length() - 1 if scans == 2 else top), r, phi
+
+    monkeypatch.setattr(knotupsilon.engine, "_check_segment",
+                        lambda *args: None)
+    monkeypatch.setattr(knotupsilon.engine, "_filtered_scan", second_moved)
+    with pytest.raises(AssertionError, match="^nu jumps at 2/3$"):
+        ku.upsilon(ku.torus_knot_complex(3, 4))
 
 
 def test_segment_certificate_oracle_rejects_broken_witness():
