@@ -14,8 +14,7 @@ from .complexes import (BifilteredComplex, DiffEntry, Generator,
                         complex_to_json_dict, direct_sum, dual,
                         grading_slice, require_admissible, require_valid,
                         tensor, validate)
-from .engine import (JumpCheck, NuCertificate, check_symmetry, jump_report,
-                     nu_at, tau, upsilon)
+from .engine import JumpCheck, NuCertificate, jump_report, nu_at, tau, upsilon
 from .errors import (FormatError, InvalidComplexError, KnotLibError,
                      MissingDataError, NonAdmissibleError)
 from .knots import (KnotRecord, box_complex, builtin_record,
@@ -36,8 +35,7 @@ __all__ = [
     "complex_from_json_dict", "complex_to_json", "complex_to_json_dict",
     "direct_sum", "dual", "grading_slice", "require_admissible",
     "require_valid", "tensor", "validate",
-    "JumpCheck", "NuCertificate", "check_symmetry", "jump_report", "nu_at",
-    "tau", "upsilon",
+    "JumpCheck", "NuCertificate", "jump_report", "nu_at", "tau", "upsilon",
     "FormatError", "InvalidComplexError", "KnotLibError", "MissingDataError",
     "NonAdmissibleError",
     "KnotRecord", "box_complex", "builtin_record", "chen_cable_upsilon",

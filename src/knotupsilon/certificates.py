@@ -9,7 +9,9 @@ literature, never re-proved here:
 * a fibered knot in the three-sphere supports the tight contact structure
   exactly when tau equals its genus (Hedden's criterion);
 * upsilon is a concordance invariant, and among fibered knots the slope
-  hypothesis pins the genus along a concordance;
+  hypothesis pins the genus along a concordance; a mismatch is named at
+  the first breakpoint of the canonical difference at which it is
+  nonzero, found without building the difference;
 * with the slope hypothesis anywhere on [0, 2], a fibered knot and its
   mirror are minimal under homotopy ribbon concordance, which upgrades a
   ribbon-cancelling partner to equality.
@@ -24,15 +26,18 @@ from .errors import MissingDataError
 from .knots import KnotRecord
 from .plfunction import PLFunction, format_rational
 
+_ONE = Fraction(1)
+
 
 def _witness_below_one(f: PLFunction, slope: int):
     """The first segment of this slope starting in [0, 1), cut off at 1."""
-    bps = f.breakpoints
-    for k, s in enumerate(f.slopes):
-        if bps[k] >= 1:
-            break
-        if s == slope:
-            return bps[k], min(bps[k + 1], Fraction(1))
+    # breakpoints increase: only the first segment of this slope can
+    # start below 1
+    if slope in f.slopes:
+        k = f.slopes.index(slope)
+        a, b = f.breakpoints[k:k + 2]
+        if a < 1:
+            return a, (b if b < 1 else _ONE)
     return None
 
 
@@ -127,29 +132,22 @@ def obstruct_concordance(k0: KnotRecord, k1: KnotRecord) -> ConcordanceVerdict:
         raise MissingDataError("both records need upsilon data")
     f0, f1 = k0.upsilon_function(), k1.upsilon_function()
 
-    # canonical form makes data equality exact; the difference is only
-    # needed to name the first breakpoint where the two functions differ
-    if f0 != f1:
-        diff = f0 - f1
-        t = next(b for b, v in zip(diff.breakpoints, diff.values) if v != 0)
+    first = f0._first_difference(f1)
+    if first is not None:
         return ConcordanceVerdict(
             "obstructed", "upsilon_mismatch",
             "upsilon functions differ at t=%s: %s vs %s"
-            % (format_rational(t), format_rational(f0(t)),
-               format_rational(f1(t))))
+            % tuple(map(format_rational, first)))
 
-    if (k0.fibered and k1.fibered
-            and k0.genus is not None and k1.genus is not None
-            and k0.genus != k1.genus
-            and _witness_below_one(f0, -k0.genus)
-            and _witness_below_one(f1, -k1.genus)):
+    holds0 = k0.genus is not None and _witness_below_one(f0, -k0.genus)
+    if (holds0 and k0.fibered and k1.fibered and k1.genus is not None
+            and k0.genus != k1.genus and _witness_below_one(f1, -k1.genus)):
         return ConcordanceVerdict(
             "obstructed", "genus_mismatch_lemma72",
             "slope hypothesis holds on both sides with genus %d vs %d"
             % (k0.genus, k1.genus))
 
-    if (k0.genus is not None and _witness_below_one(f0, -k0.genus)
-            and k1.fibered and k1.genus == k0.genus
+    if (holds0 and k1.fibered and k1.genus == k0.genus
             and k1.monodromy_right_veering is False):
         return ConcordanceVerdict(
             "obstructed", "rv_mismatch_prop14",

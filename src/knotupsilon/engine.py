@@ -207,11 +207,6 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     return f
 
 
-def check_symmetry(f: PLFunction) -> bool:
-    """Exact test of the identity f(t) = f(2 - t)."""
-    return f == f.reflected()
-
-
 class JumpCheck(NamedTuple):
     """Consistency record for one interior breakpoint of upsilon.
 

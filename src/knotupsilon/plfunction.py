@@ -9,7 +9,9 @@ Only the public constructor validates.  Arithmetic works on data that is
 already canonical: a sum or difference is one merge walk over the two
 breakpoint lists, adding integer slopes piece by piece and merging
 collinear pieces as they are emitted, and negation, integer multiples
-and reflection map the stored tuples directly.
+and reflection map the stored tuples directly.  _first_difference walks
+the same way but builds nothing: it stops at the first breakpoint of the
+canonical difference at which the difference is nonzero.
 """
 
 from __future__ import annotations
@@ -185,6 +187,40 @@ class PLFunction:
                 v += s * (bps[k + 1] - bps[k])
             vals.append(v)
         return PLFunction._canonical(tuple(bps), tuple(vals), tuple(slopes))
+
+    def _first_difference(self, other):
+        """(t, self(t), other(t)) at the first breakpoint t of the canonical
+        self - other where it is nonzero, or None when the two are equal.
+
+        t is 0 when the values there differ, else the end of the first
+        canonical piece of nonzero slope.  This is _merge's walk, comparing
+        integer slope differences only and reading both values off the
+        pieces it stops on; no difference function is built.
+        """
+        fb, fv, fs, gb, gv, gs = (self.breakpoints, self.values, self.slopes,
+                                  other.breakpoints, other.values, other.slopes)
+        if fv[0] != gv[0]:
+            return fb[0], fv[0], gv[0]
+        i = j = d = 0
+        while i < len(fs):
+            s = fs[i] - gs[j]
+            if s != d:
+                if d:
+                    break
+                d = s
+            b, c = fb[i + 1], gb[j + 1]
+            if b < c:
+                i, t = i + 1, b
+            elif c < b:
+                j, t = j + 1, c
+            else:
+                i, j, t = i + 1, j + 1, b
+        else:
+            return (fb[-1], fv[-1], gv[-1]) if d else None
+        # t is the breakpoint object of the side that reached it, whose
+        # value is stored; the other side is read off the piece it is on
+        return (t, fv[i] if fb[i] is t else fv[i] + fs[i] * (t - fb[i]),
+                gv[j] if gb[j] is t else gv[j] + gs[j] * (t - gb[j]))
 
     def __add__(self, other):
         if not isinstance(other, PLFunction):

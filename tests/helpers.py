@@ -21,7 +21,10 @@ Alexander-polynomial algebra the torus staircases and the cable genera are
 checked against.  pl_pointwise is piecewise-linear arithmetic by
 evaluation: both functions at every breakpoint of either, combined, then
 through the validating constructor; the library's one-merge arithmetic is
-checked against it.
+checked against it.  check_symmetry tests f(t) = f(2 - t) by evaluation.
+mismatch_detail finds where two functions first differ by building their
+difference and evaluating both functions there; obstruct_concordance's
+walk, which builds no difference, is checked against it.
 """
 
 from collections import Counter
@@ -245,6 +248,26 @@ def pl_pointwise(f, g, op):
     breakpoints and rebuilt through the validating PLFunction constructor."""
     bps = sorted(set(f.breakpoints) | set(g.breakpoints))
     return ku.PLFunction(bps, [op(f(t), g(t)) for t in bps])
+
+
+def check_symmetry(f):
+    """Whether f(t) = f(2 - t), by evaluation at every breakpoint and its
+    reflection; both sides are linear between those points."""
+    ts = set(f.breakpoints) | {2 - b for b in f.breakpoints}
+    return all(f(t) == f(2 - t) for t in ts)
+
+
+def mismatch_detail(f0, f1):
+    """The upsilon_mismatch detail by subtraction: the first breakpoint of
+    the canonical f0 - f1 at which it is nonzero, and both functions
+    evaluated there; None when the functions are equal."""
+    diff = f0 - f1
+    t = next((b for b, v in zip(diff.breakpoints, diff.values) if v != 0),
+             None)
+    if t is None:
+        return None
+    return "upsilon functions differ at t=%s: %s vs %s" % tuple(
+        map(ku.format_rational, (t, f0(t), f1(t))))
 
 
 def brute_d_squared_even(c):

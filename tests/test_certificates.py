@@ -1,6 +1,7 @@
 """Certificates: right-veering, tightness, concordance, ribbon minimality."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import knotupsilon as ku
 from knotupsilon import KnotRecord, PLFunction
 
-from helpers import random_staircase
+from helpers import corpus, mismatch_detail, random_staircase
 
 
 # -- right-veering
@@ -76,6 +77,51 @@ def test_slice_cable_shows_converse_fails():
     cert = ku.certify_right_veering(rec.upsilon_function(), rec.genus)
     assert cert.verdict == "inconclusive"
     assert rec.monodromy_right_veering is True
+
+
+def slopes_from_zero(bps, slopes):
+    """The PL function that starts at 0 with these slopes."""
+    values = [F(0)]
+    for a, b, s in zip(bps, bps[1:], slopes):
+        values.append(values[-1] + s * (b - a))
+    return PLFunction(bps, values)
+
+
+def genus_two_witnesses(f):
+    """The [0, 1) witness for slope -2 from both certificates, with the
+    JSON form of each."""
+    cert = ku.certify_right_veering(f, 2)
+    rep = ku.ribbon_minimality_report(
+        KnotRecord("k", genus=2, fibered=True, upsilon_override=f))
+    return (cert.verdict, cert.witness_interval,
+            cert.to_json_dict()["witness_interval"],
+            rep.uniqueness_hypothesis_holds, rep.uniqueness_witness,
+            rep.to_json_dict()["ribbon_uniqueness_hypothesis"]
+            ["witness_interval"])
+
+
+@pytest.mark.parametrize("bps, slopes, witness, text", [
+    # a slope -2 segment straddling 1 is cut off there
+    ([0, F(1, 2), F(3, 2), 2], (0, -2, 1), (F(1, 2), F(1)), ["1/2", "1"]),
+    # one that ends exactly at 1 keeps its end
+    ([0, F(1, 3), 1, 2], (0, -2, 1), (F(1, 3), F(1)), ["1/3", "1"]),
+    # the first one starts below 1; a later one does not count
+    ([0, F(1, 4), F(3, 4), 1, 2], (-2, 0, -1, -2), (F(0), F(1, 4)),
+     ["0", "1/4"]),
+])
+def test_witness_cut_at_one(bps, slopes, witness, text):
+    assert genus_two_witnesses(slopes_from_zero(bps, slopes)) == (
+        "right_veering_certified", witness, text, True, witness, text)
+
+
+def test_witness_starting_at_one_is_inconclusive():
+    f = slopes_from_zero([0, 1, 2], (0, -2))
+    assert genus_two_witnesses(f) == (
+        "inconclusive", None, None, False, None, None)
+    # the hypothesis on [0, 2] still sees the segment
+    rep = ku.ribbon_minimality_report(
+        KnotRecord("k", genus=2, fibered=True, upsilon_override=f))
+    assert rep.hypothesis_holds and rep.witness_interval == (F(1), F(2))
 
 
 # -- tightness
@@ -163,6 +209,87 @@ def test_obstruct_slice_cable_against_mirror_silent():
                    upsilon_override=PLFunction.zero())
     v = ku.obstruct_concordance(k, j)
     assert v.verdict == "no_obstruction_found"
+
+
+# -- where an upsilon mismatch is named
+
+
+def mismatch(f0, f1):
+    v = ku.obstruct_concordance(KnotRecord("a", upsilon_override=f0),
+                                KnotRecord("b", upsilon_override=f1))
+    return v.detail if v.reason == "upsilon_mismatch" else None
+
+
+def random_pl(rng):
+    """A random PL function whose first few pieces may be flat at 0, so
+    that sums with it agree with their summand on a prefix."""
+    den = rng.choice([1, 2, 3, 4, 6])
+    cuts = rng.sample(range(1, 2 * den), rng.randint(0, min(4, 2 * den - 1)))
+    bps = [F(0)] + [F(c, den) for c in sorted(cuts)] + [F(2)]
+    flat = rng.randint(0, len(bps) - 1)
+    slopes = [0] * flat + [rng.randint(-3, 3) for _ in bps[flat + 1:]]
+    return slopes_from_zero(bps, slopes)
+
+
+def test_mismatch_names_the_first_difference_on_corpus():
+    records = [KnotRecord(name, complex=c) for name, c in corpus()]
+    details = [ku.obstruct_concordance(a, b).detail
+               for a in records for b in records]
+    oracle = [mismatch_detail(a.upsilon_function(), b.upsilon_function())
+              for a in records for b in records]
+    assert details == oracle
+    assert sum(d is not None for d in details) > len(records) ** 2 // 2
+
+
+def test_mismatch_names_the_first_difference_on_random_pairs():
+    rng = random.Random(12)
+    seen = Counter()
+    for _ in range(200):
+        f0 = random_pl(rng)
+        f1 = f0 + random_pl(rng) if rng.random() < 0.8 else random_pl(rng)
+        if rng.random() < 0.2:
+            f1 = f1 + PLFunction([0, 2], [1, 1])
+        want = mismatch_detail(f0, f1)
+        assert mismatch(f0, f1) == want, (f0, f1)
+        seen[want.split(":")[0] if want else None] += 1
+    # the pairs reach t = 0, t = 2, breakpoints inside, and equality
+    assert {None, "upsilon functions differ at t=0",
+            "upsilon functions differ at t=2"} <= set(seen)
+    assert len(seen) > 6
+
+
+def test_mismatch_at_end_of_first_nonzero_piece():
+    # f0 - f1 is 0 on [0, 1/2] and has slope -1 on [1/2, 2]: the two
+    # differ from 1/2 on, yet the detail names 2, the end of that piece
+    f0 = slopes_from_zero([0, F(1, 2), 1, 2], (0, -1, -2))
+    f1 = slopes_from_zero([0, 1, 2], (0, -1))
+    want = "upsilon functions differ at t=2: -5/2 vs -1"
+    assert mismatch(f0, f1) == mismatch_detail(f0, f1) == want
+
+
+def test_obstruct_builds_no_difference(monkeypatch):
+    # a machine-independent guard on the mismatch search: no merge walk
+    # builds f0 - f1, and no value is found by bisection
+    records = [ku.builtin_record(name) for name in
+               ("trefoil", "trefoil-left", "figure8", "torus:3,4",
+                "chen-cable:8")]
+    fs = [rec.upsilon_function() for rec in records]  # cached from here on
+    calls = Counter()
+    for name in ("_merge", "__call__"):
+        real = getattr(PLFunction, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(PLFunction, name, counted)
+    verdicts = [ku.obstruct_concordance(a, b)
+                for a in records for b in records if a is not b]
+    assert {v.reason for v in verdicts} == {"upsilon_mismatch"}
+    assert calls == Counter()
+    fs[0] - fs[1]  # the counters see both methods
+    fs[0](1)
+    assert calls == Counter({"_merge": 1, "__call__": 1})
 
 
 # -- ribbon minimality
