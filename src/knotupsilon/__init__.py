@@ -18,9 +18,8 @@ from .engine import JumpCheck, NuCertificate, jump_report, nu_at, tau, upsilon
 from .errors import (FormatError, InvalidComplexError, KnotLibError,
                      MissingDataError, NonAdmissibleError)
 from .knots import (KnotRecord, box_complex, builtin_record,
-                    chen_cable_upsilon, figure_eight_complex,
-                    slice_cable_record, staircase, torus_knot_complex,
-                    unknot_complex)
+                    chen_cable_upsilon, figure_eight_complex, staircase,
+                    torus_knot_complex, unknot_complex)
 from .certificates import (ConcordanceVerdict, RVCertificate,
                            RibbonMinimalityReport, certify_right_veering,
                            classify_tightness, obstruct_concordance,
@@ -39,7 +38,7 @@ __all__ = [
     "FormatError", "InvalidComplexError", "KnotLibError", "MissingDataError",
     "NonAdmissibleError",
     "KnotRecord", "box_complex", "builtin_record", "chen_cable_upsilon",
-    "figure_eight_complex", "slice_cable_record", "staircase",
+    "figure_eight_complex", "staircase",
     "torus_knot_complex", "unknot_complex",
     "ConcordanceVerdict", "RVCertificate", "RibbonMinimalityReport",
     "certify_right_veering", "classify_tightness", "obstruct_concordance",

@@ -20,14 +20,14 @@ from fractions import Fraction
 
 from .certificates import (certify_right_veering, classify_tightness,
                            obstruct_concordance, ribbon_minimality_report)
-from .complexes import (complex_from_json_dict, complex_to_json, dual,
-                         tensor, validate)
+from .complexes import (_parse_json, complex_from_json_dict,
+                         complex_to_json, dual, tensor, validate)
 from .errors import (FormatError, InvalidComplexError, KnotLibError,
-                     MissingDataError, NonAdmissibleError)
+                     MissingDataError)
 from .knots import KnotRecord, builtin_record
 from .plfunction import PLFunction, parse_rational
 
-# sample and upsilon --csv refuse a step that would print more rows
+# sample refuses a step that would print more rows
 _MAX_SAMPLE_ROWS = 10**6
 
 
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="bifiltered knot complexes, exact upsilon, certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, inputs=1, genus_flag=False, csv_flag=False):
+    def add(name, help_text, inputs=1, genus_flag=False):
         p = sub.add_parser(name, help=help_text)
         for k in range(inputs):
             p.add_argument("input" if inputs == 1 else "input%d" % k,
@@ -48,9 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if genus_flag:
             p.add_argument("--genus", type=int, default=None,
                            help="genus to use (defaults to the record's)")
-        if csv_flag:
-            p.add_argument("--csv", metavar="step=p/q", default=None,
-                           help="emit sampled CSV rows instead of JSON")
         p.add_argument("--out", metavar="path", default=None,
                        help="write output to a file instead of stdout")
         return p
@@ -60,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("name", help="unknot | trefoil | trefoil-left | "
                        "figure8 | torus:p,q | staircase:a,b,... | chen-cable:n")
     build.add_argument("--out", metavar="path", default=None)
-    add("upsilon", "compute the upsilon function", csv_flag=True)
+    add("upsilon", "compute the upsilon function")
     add("tau", "compute the tau invariant")
     add("tensor", "tensor product of two complexes", inputs=2)
     add("dual", "mirror a complex")
@@ -96,12 +93,7 @@ def _load_record(name: str, force_file: bool) -> KnotRecord:
 
 
 def _record_from_text(text: str, origin: str) -> KnotRecord:
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # besides syntax errors: a number past the interpreter's digit
-        # limit, and nesting deeper than the recursion limit
-        raise FormatError("invalid JSON from %s: %s" % (origin, exc)) from exc
+    obj = _parse_json(text, " from " + origin)
     if isinstance(obj, dict) and "breakpoints" in obj:
         return KnotRecord(name=origin,
                           upsilon_override=PLFunction.from_json_dict(obj))
@@ -111,8 +103,7 @@ def _record_from_text(text: str, origin: str) -> KnotRecord:
 
 def _require_complex(record: KnotRecord):
     if record.complex is None:
-        raise MissingDataError(
-            "input %r is not a complex" % record.name)
+        raise MissingDataError("input %r is not a complex" % record.name)
     return record.complex
 
 
@@ -169,12 +160,7 @@ def _dispatch(args) -> tuple[str, int]:
         return text, 0 if report.ok else 1
 
     if cmd == "upsilon":
-        if args.csv is None:
-            return record.upsilon_function().to_json(), 0
-        if not args.csv.startswith("step="):
-            raise FormatError("--csv expects step=p/q")
-        step = _sampling_step(args.csv[len("step="):])
-        return record.upsilon_function().sample_csv(step), 0
+        return record.upsilon_function().to_json(), 0
 
     if cmd == "tau":
         return _dumps({"tau": record.tau()}), 0
@@ -218,13 +204,10 @@ def main(argv=None) -> int:
         print("error: %s" % (exc.args[0] if exc.args else exc),
               file=sys.stderr)
         return 2
-    except NonAdmissibleError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except InvalidComplexError as exc:
         print("error: non-admissible input: %s" % exc, file=sys.stderr)
         return 1
-    except (MissingDataError, KnotLibError, ValueError) as exc:
+    except (KnotLibError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     out_path = getattr(args, "out", None)

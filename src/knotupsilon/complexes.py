@@ -412,12 +412,17 @@ def complex_to_json_dict(c: BifilteredComplex) -> dict:
     }
 
 
-def complex_from_json(text: str) -> BifilteredComplex:
+def _parse_json(text: str, where: str = ""):
+    """json.loads with every failure a FormatError: a syntax error, a number
+    past the interpreter's digit limit, or nesting past the recursion limit."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError("invalid JSON: %s" % exc) from exc
-    return complex_from_json_dict(obj)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError("invalid JSON%s: %s" % (where, exc)) from exc
+
+
+def complex_from_json(text: str) -> BifilteredComplex:
+    return complex_from_json_dict(_parse_json(text))
 
 
 def complex_to_json(c: BifilteredComplex) -> str:

@@ -21,8 +21,9 @@ segment is checked from that certificate before it is kept, and
 jump_report reads the realizers.  The sweep carries t = a/b as two
 integers and reads each boundary's support once; on a segment upsilon
 follows -2 times its realizer's weight, so its slope is the realizer's
-i - j, and Fractions are built only for the function returned.  tau is
-minus the slope of the first segment, since upsilon'(0) = -tau.
+i - j.  Fractions are built only for the values at the segment ends,
+which PLFunction._canonical brings to canonical form.  tau is minus the
+slope of the first segment, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
@@ -191,17 +192,13 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         a, b = t1
     grid = [Fraction(a, b) for a, b in ends]
     # on p's segment upsilon = -2 w_p: slope i - j, value
-    # -((2b - a) i + a j) / b at a/b; a segment with the slope of the one
-    # before extends it, so the function comes out canonical
-    bps, vals, slopes = [grid[0]], [Fraction(-2 * realizers[0].i)], []
-    for t1, (a, b), p in zip(grid[1:], ends[1:], realizers):
-        if slopes and slopes[-1] == p.i - p.j:
-            del bps[-1], vals[-1]
-        else:
-            slopes.append(p.i - p.j)
-        bps.append(t1)
-        vals.append(Fraction(-(2 * b - a) * p.i - a * p.j, b))
-    f = PLFunction._canonical(tuple(bps), tuple(vals), tuple(slopes))
+    # -((2b - a) i + a j) / b at a/b, the end of p's segment and the start
+    # of the next one's, whose realizer weighs the same there
+    f = PLFunction._canonical(
+        grid, [Fraction(-2 * realizers[0].i)]
+        + [Fraction(-(2 * b - a) * p.i - a * p.j, b)
+           for (a, b), p in zip(ends[1:], realizers)],
+        [p.i - p.j for p in realizers])
     coords = sorted({(i, j) for i, j, _ in ijd})
     c._cache["upsilon"] = (f, grid, realizers, coords, witnesses)
     return f

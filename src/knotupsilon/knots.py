@@ -171,45 +171,20 @@ class KnotRecord(namedtuple("KnotRecord", [
         return -self.upsilon_function().initial_slope
 
 
-def slice_cable_record(p: int) -> KnotRecord:
-    """The (p, 1)-cable of the fibered slice knot 8_20.
-
-    Slice, hence upsilon vanishes identically; the monodromy is
-    nevertheless right-veering (positive fractional Dehn twist), which is
-    the standard example showing a vanishing-slope upsilon certifies
-    nothing in the other direction.
-    """
-    if p < 2:
-        raise ValueError("cabling parameter p must be >= 2")
-    return KnotRecord(name="8_20-cable(%d,1)" % p, genus=2 * p, fibered=True,
-                      monodromy_right_veering=True,
-                      upsilon_override=PLFunction.zero())
-
-
 # ---------------------------------------------------------------------------
 # builtin names (the CLI vocabulary)
 
 
-def _trefoil_record() -> KnotRecord:
-    return KnotRecord("trefoil", complex=torus_knot_complex(2, 3), genus=1,
-                      fibered=True, monodromy_right_veering=True)
-
-
-def _trefoil_left_record() -> KnotRecord:
-    c = torus_knot_complex(2, -3).relabeled("trefoil-left")
-    return KnotRecord("trefoil-left", complex=c, genus=1, fibered=True,
-                      monodromy_right_veering=False)
-
-
-def _figure8_record() -> KnotRecord:
-    # not strongly quasipositive and under ten crossings: known non-right-veering
-    return KnotRecord("figure8", complex=figure_eight_complex(), genus=1,
-                      fibered=True, monodromy_right_veering=False)
-
-
-def _unknot_record() -> KnotRecord:
-    return KnotRecord("unknot", complex=unknot_complex(), genus=0,
-                      fibered=True, monodromy_right_veering=True)
+# name -> (complex builder, genus, right-veering), all fibered; a builder
+# looks its constructor up when called, so a wrapper put on it sees the call
+_FIXED = {
+    "unknot": (lambda: unknot_complex(), 0, True),
+    "trefoil": (lambda: torus_knot_complex(2, 3), 1, True),
+    "trefoil-left": (
+        lambda: torus_knot_complex(2, -3).relabeled("trefoil-left"), 1, False),
+    # not strongly quasipositive, under ten crossings: known non-right-veering
+    "figure8": (lambda: figure_eight_complex(), 1, False),
+}
 
 
 def builtin_record(name: str) -> KnotRecord:
@@ -218,14 +193,10 @@ def builtin_record(name: str) -> KnotRecord:
     Raises KeyError for names outside the builtin vocabulary and
     ValueError for malformed parameters.
     """
-    fixed = {
-        "unknot": _unknot_record,
-        "trefoil": _trefoil_record,
-        "trefoil-left": _trefoil_left_record,
-        "figure8": _figure8_record,
-    }
-    if name in fixed:
-        return fixed[name]()
+    if name in _FIXED:
+        build, genus, rv = _FIXED[name]
+        return KnotRecord(name, complex=build(), genus=genus, fibered=True,
+                          monodromy_right_veering=rv)
     if ":" in name:
         head, _, tail = name.partition(":")
         try:

@@ -5,13 +5,12 @@ exactly the class of functions the upsilon invariant lives in.  Functions
 are stored in canonical form (adjacent collinear segments merged), so two
 equal functions always compare equal as data.
 
-Only the public constructor validates.  Arithmetic works on data that is
-already canonical: a sum or difference is one merge walk over the two
-breakpoint lists, adding integer slopes piece by piece and merging
-collinear pieces as they are emitted, and negation, integer multiples
-and reflection map the stored tuples directly.  _first_difference walks
-the same way but builds nothing: it stops at the first breakpoint of the
-canonical difference at which the difference is nonzero.
+One function, _merged, makes that form.  The public constructor calls it
+once it validates.  _canonical, which wraps raw pieces unchecked, calls
+it for sums and differences (one walk over both breakpoint lists, adding
+integer slopes), negation, integer multiples, reflection and upsilon's
+sweep.  _first_difference walks like a difference but builds nothing: it
+stops at the first canonical breakpoint where the difference is nonzero.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from .errors import FormatError
 
 def format_rational(x: Fraction) -> str:
     """Canonical string: "p/q" reduced with q >= 1, plain "p" for integers."""
-    x = Fraction(x)
+    if not isinstance(x, (Fraction, int)):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
@@ -77,6 +77,17 @@ def parse_rational(s) -> Fraction:
     return x
 
 
+def _merged(bps, vals, slopes):
+    """The canonical form, as three tuples: breakpoints, values and the
+    integer slopes between them, less each interior breakpoint where the
+    slope does not change.  The one place collinear pieces merge."""
+    keep = [0] + [k for k in range(1, len(slopes))
+                  if slopes[k] != slopes[k - 1]]
+    return (tuple([bps[k] for k in keep] + [bps[-1]]),
+            tuple([vals[k] for k in keep] + [vals[-1]]),
+            tuple([slopes[k] for k in keep]))
+
+
 class PLFunction:
     """A continuous piecewise-linear function on [0, 2].
 
@@ -103,25 +114,14 @@ class PLFunction:
                 raise ValueError("non-integer slope %s on [%s, %s]"
                                  % (s, bps[k], bps[k + 1]))
             slopes.append(int(s))
-        # canonical form: drop breakpoints where the slope does not change
-        keep_bps, keep_vals, keep_slopes = [bps[0]], [vals[0]], []
-        for k, s in enumerate(slopes):
-            if keep_slopes and keep_slopes[-1] == s:
-                keep_bps[-1] = bps[k + 1]
-                keep_vals[-1] = vals[k + 1]
-            else:
-                keep_slopes.append(s)
-                keep_bps.append(bps[k + 1])
-                keep_vals.append(vals[k + 1])
-        self.breakpoints = tuple(keep_bps)
-        self.values = tuple(keep_vals)
-        self.slopes = tuple(keep_slopes)
+        self.breakpoints, self.values, self.slopes = _merged(bps, vals, slopes)
 
     @classmethod
     def _canonical(cls, breakpoints, values, slopes) -> "PLFunction":
-        """Wrap tuples that already are canonical and agree; no checks."""
+        """Wrap breakpoints, values and integer slopes that agree, merging
+        collinear pieces; no checks."""
         f = object.__new__(cls)
-        f.breakpoints, f.values, f.slopes = breakpoints, values, slopes
+        f.breakpoints, f.values, f.slopes = _merged(breakpoints, values, slopes)
         return f
 
     @classmethod
@@ -153,19 +153,15 @@ class PLFunction:
         return "<PLFunction %s>" % pieces
 
     def _merge(self, other, sign):
-        """self + sign * other in one walk over both breakpoint lists.
-
-        On each piece between consecutive breakpoints of the union the
-        slopes add as integers; a piece with the slope of the one before
-        extends it, so the result comes out canonical, and values are
-        computed only at the breakpoints that remain.
-        """
+        """self + sign * other in one walk over both breakpoint lists: on
+        each piece between consecutive breakpoints of the union the slopes
+        add as integers."""
         fb, fs, gb, gs = (self.breakpoints, self.slopes,
                           other.breakpoints, other.slopes)
         bps, slopes = [fb[0]], []
         i = j = 0
         while i < len(fs):
-            s = fs[i] + sign * gs[j]
+            slopes.append(fs[i] + sign * gs[j])
             b, c = fb[i + 1], gb[j + 1]
             if b < c:
                 i += 1
@@ -175,18 +171,14 @@ class PLFunction:
             else:
                 i += 1
                 j += 1
-            if slopes and slopes[-1] == s:
-                bps[-1] = b
-            else:
-                slopes.append(s)
-                bps.append(b)
+            bps.append(b)
         v = self.values[0] + sign * other.values[0]
         vals = [v]
         for k, s in enumerate(slopes):
             if s:
                 v += s * (bps[k + 1] - bps[k])
             vals.append(v)
-        return PLFunction._canonical(tuple(bps), tuple(vals), tuple(slopes))
+        return PLFunction._canonical(bps, vals, slopes)
 
     def _first_difference(self, other):
         """(t, self(t), other(t)) at the first breakpoint t of the canonical
@@ -238,8 +230,6 @@ class PLFunction:
     def __rmul__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return PLFunction.zero()
         return PLFunction._canonical(self.breakpoints,
                                      tuple(n * v for v in self.values),
                                      tuple(n * s for s in self.slopes))

@@ -257,6 +257,21 @@ def check_symmetry(f):
     return all(f(t) == f(2 - t) for t in ts)
 
 
+def slice_cable_record(p):
+    """The (p, 1)-cable of the fibered slice knot 8_20.
+
+    Slice, hence upsilon vanishes identically; the monodromy is
+    nevertheless right-veering (positive fractional Dehn twist), which is
+    the standard example showing a vanishing-slope upsilon certifies
+    nothing in the other direction.
+    """
+    if p < 2:
+        raise ValueError("cabling parameter p must be >= 2")
+    return ku.KnotRecord(name="8_20-cable(%d,1)" % p, genus=2 * p,
+                         fibered=True, monodromy_right_veering=True,
+                         upsilon_override=ku.PLFunction.zero())
+
+
 def mismatch_detail(f0, f1):
     """The upsilon_mismatch detail by subtraction: the first breakpoint of
     the canonical f0 - f1 at which it is nonzero, and both functions

@@ -9,7 +9,8 @@ import pytest
 import knotupsilon as ku
 from knotupsilon import KnotRecord, PLFunction
 
-from helpers import corpus, mismatch_detail, random_staircase
+from helpers import (corpus, mismatch_detail, random_staircase,
+                     slice_cable_record)
 
 
 # -- right-veering
@@ -73,7 +74,7 @@ def test_certify_unknot_degenerate_case():
 
 def test_slice_cable_shows_converse_fails():
     # right-veering asserted externally, yet the slope test cannot see it
-    rec = ku.slice_cable_record(3)
+    rec = slice_cable_record(3)
     cert = ku.certify_right_veering(rec.upsilon_function(), rec.genus)
     assert cert.verdict == "inconclusive"
     assert rec.monodromy_right_veering is True
@@ -203,7 +204,7 @@ def test_obstruct_requires_upsilon():
 
 def test_obstruct_slice_cable_against_mirror_silent():
     # both slice: identical vanishing upsilon, no genus or rv branch fires
-    k = ku.slice_cable_record(3)
+    k = slice_cable_record(3)
     j = KnotRecord("mirror", genus=6, fibered=True,
                    monodromy_right_veering=False,
                    upsilon_override=PLFunction.zero())

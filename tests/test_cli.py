@@ -78,15 +78,17 @@ def test_upsilon_deterministic(capsys):
 
 
 def test_upsilon_csv(capsys):
-    rc, out, _ = run(capsys, ["upsilon", "trefoil", "--csv", "step=1/2"])
+    rc, out, _ = run(capsys, ["sample", "trefoil", "1/2"])
     assert rc == 0
     assert out.splitlines() == ["0,0", "1/2,-1/2", "1,-1", "3/2,-1/2", "2,0"]
 
 
-def test_upsilon_csv_bad_step_flag(capsys):
-    rc, _, err = run(capsys, ["upsilon", "trefoil", "--csv", "1/2"])
+def test_upsilon_has_no_csv_flag(capsys):
+    # sample is the one route to sampled CSV
+    rc, out, err = run(capsys, ["upsilon", "trefoil", "--csv", "step=1/2"])
     assert rc == 2
-    assert "step=" in err
+    assert out == ""
+    assert "unrecognized arguments: --csv" in err
 
 
 def test_sample_subcommand(capsys):
@@ -105,15 +107,16 @@ def test_sample_rejects_non_positive_step(capsys):
 
 @pytest.mark.parametrize("step", ["0", "-1/2"])
 def test_upsilon_csv_rejects_non_positive_step(capsys, step):
-    rc, out, err = run(capsys, ["upsilon", "trefoil", "--csv", "step=" + step])
+    # a closed-form record takes the same route to sampled CSV
+    rc, out, err = run(capsys, ["sample", "chen-cable:8", step])
     assert rc == 2
     assert out == ""
-    assert "positive" in err
+    assert err == "error: sampling step must be positive, got %s\n" % step
 
 
 @pytest.mark.parametrize("argv", [
     ["sample", "trefoil", "1/1000000000"],
-    ["upsilon", "trefoil", "--csv", "step=1/1000000000"],
+    ["sample", "torus:3,4", "1/1000000000"],
     ["sample", "trefoil", "1/500000"],
 ])
 def test_sampling_step_row_limit(capsys, monkeypatch, argv):
@@ -122,7 +125,7 @@ def test_sampling_step_row_limit(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(ku.KnotRecord, "upsilon_function", refuse)
     rc, out, err = run(capsys, argv)
-    step = argv[-1].removeprefix("step=")
+    step = argv[-1]
     rows = 2 * int(step.split("/")[1]) + 1
     assert rc == 2
     assert out == ""

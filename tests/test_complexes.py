@@ -441,8 +441,14 @@ def test_json_rejects_bad_types():
 
 
 def test_json_rejects_malformed_text():
-    with pytest.raises(ku.FormatError):
-        ku.complex_from_json("{not json")
+    for text in (
+            "{not json",
+            # past the interpreter's digit limit and its recursion limit
+            '{"ambient_d": %s, "generators": [], "differential": []}'
+            % ("1" * 5000),
+            "[" * 100000 + "]" * 100000):
+        with pytest.raises(ku.FormatError, match="^invalid JSON: "):
+            ku.complex_from_json(text)
 
 
 @pytest.mark.parametrize("key", ["generators", "differential"])

@@ -10,7 +10,8 @@ from knotupsilon import PLFunction
 from fractions import Fraction as F
 
 from helpers import (cable_alexander, check_symmetry, poly_mul,
-                     positionally_equal, top_degree, torus_alexander)
+                     positionally_equal, slice_cable_record, top_degree,
+                     torus_alexander)
 
 
 # -- staircases
@@ -248,7 +249,7 @@ def test_record_missing_upsilon():
 
 
 def test_slice_cable_record():
-    rec = ku.slice_cable_record(3)
+    rec = slice_cable_record(3)
     assert rec.genus == 6
     assert rec.fibered and rec.monodromy_right_veering
     assert rec.upsilon_function().is_zero()
@@ -258,10 +259,14 @@ def test_slice_cable_record():
 
 
 def test_builtin_fixed_names():
-    for name in ("unknot", "trefoil", "trefoil-left", "figure8"):
+    for name, label, genus in (("unknot", "unknot", 0),
+                               ("trefoil", "T(2,3)", 1),
+                               ("trefoil-left", "trefoil-left", 1),
+                               ("figure8", "figure8", 1)):
         rec = ku.builtin_record(name)
         assert rec.name == name
         assert rec.complex is not None
+        assert rec.complex.label == label and rec.genus == genus
         assert rec.fibered
 
 

@@ -9,7 +9,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotupsilon import PLFunction, parse_rational
+from knotupsilon import PLFunction, format_rational, parse_rational
 from knotupsilon.errors import FormatError
 
 from helpers import pl_pointwise
@@ -101,6 +101,18 @@ def test_parse_rational_keeps_values_within_limit():
     with pytest.raises(FormatError, match="integer has more than %d digits"
                        % limit):
         parse_rational(10 ** limit)
+
+
+def test_format_rational_inputs():
+    # rationals and ints are formatted as they are; other inputs are
+    # converted first
+    assert format_rational(F(-6, 4)) == "-3/2"
+    assert format_rational(F(4, 2)) == "2"
+    assert format_rational(-7) == "-7"
+    assert format_rational(True) == "1"
+    assert format_rational(0.5) == "1/2"
+    assert format_rational("3/6") == "1/2"
+    assert format_rational(0.1) == "3602879701896397/36028797018963968"
 
 
 # -- the PL JSON reader
