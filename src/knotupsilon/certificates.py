@@ -215,8 +215,6 @@ def ribbon_minimality_report(k: KnotRecord) -> RibbonMinimalityReport:
         raise MissingDataError("record %r is not known to be fibered" % k.name)
     if k.genus is None:
         raise MissingDataError("record %r has no genus" % k.name)
-    if not k.has_upsilon():
-        raise MissingDataError("record %r carries no upsilon data" % k.name)
     g = _check_genus(k.genus)
     f = k.upsilon_function()
     anywhere = f.slope_intervals(-g)

@@ -18,7 +18,8 @@ A complex additionally records ambient_d, the Maslov grading of the
 distinguished homology class (the correction term of the ambient
 three-manifold; 0 for the three-sphere).  A complex whose homology in
 grading ambient_d is not one-dimensional is flagged non-admissible and
-refused by the upsilon machinery.
+refused by the upsilon machinery.  require_admissible alone decides
+this, and builds once per complex the record of that slice the engine reads.
 
 Complexes are immutable once built; all operations here are pure.
 Generator, DiffEntry, LatticePoint and ValidationReport are named tuples,
@@ -84,7 +85,8 @@ class BifilteredComplex:
         self.ambient_d = int(ambient_d)
         self.label = label
         self._index = {g.name: g for g in self.generators}
-        self._cache = {}
+        # each built on first use; _sweep is engine.upsilon's
+        self._out = self._violations = self._slice = self._sweep = None
 
     def __repr__(self):
         tag = self.label or "complex"
@@ -98,82 +100,37 @@ class BifilteredComplex:
         return BifilteredComplex(self.generators, self.differential,
                                  self.ambient_d, label)
 
-    # -- internal structure, cached; only meaningful on validated complexes
+    # -- internal structure; only meaningful on validated complexes
 
     def _out_entries(self) -> dict:
         """Per-generator outgoing terms as (target, upower) lists."""
-        out = self._cache.get("out")
-        if out is None:
-            out = {g.name: [] for g in self.generators}
+        if self._out is None:
+            self._out = {g.name: [] for g in self.generators}
             for e in self.differential:
-                out[e.source].append((e.target, e.upower))
-            self._cache["out"] = out
-        return out
+                self._out[e.source].append((e.target, e.upower))
+        return self._out
 
-    def _parity_names(self, p: int) -> list[str]:
-        key = ("names", p)
-        if key not in self._cache:
-            self._cache[key] = [g.name for g in self.generators
-                                if g.maslov % 2 == p]
-        return self._cache[key]
-
-    def _boundary_columns(self, p: int) -> list[int]:
-        """Columns of the differential from parity-p chains to parity-(1-p).
-
-        Grading plays no role beyond parity: the grading-d slice of the
-        complex consists of one lattice point per generator of matching
-        parity, and the differential matrix between slices depends on the
-        parity class only.
-        """
-        key = ("cols", p)
-        if key not in self._cache:
-            target_pos = {n: k for k, n in enumerate(self._parity_names(1 - p))}
-            out = self._out_entries()
-            cols = []
-            for name in self._parity_names(p):
-                v = 0
-                for tgt, _ in out[name]:
-                    v ^= 1 << target_pos[tgt]
-                cols.append(v)
-            self._cache[key] = cols
-        return self._cache[key]
-
-    def _cycle_masks(self, p: int) -> list[int]:
-        """Basis of cycles among parity-p chains, as masks over parity-p slots."""
-        key = ("cycles", p)
-        if key not in self._cache:
-            self._cache[key] = kernel_basis(self._boundary_columns(p))
-        return self._cache[key]
-
-    def _distinguished_cycle(self) -> int:
-        """The first cycle mask outside the boundary span in grading
-        ambient_d, which represents the class; raises NonAdmissibleError
-        unless there is exactly one class."""
-        if "distinguished" not in self._cache:
-            p = self.ambient_d % 2
-            cycles, ech = self._cycle_masks(p), self._boundary_echelon(p)
-            if len(cycles) - ech.rank != 1:
-                raise NonAdmissibleError("homology is not one-dimensional in "
-                                         "grading %d" % self.ambient_d)
-            self._cache["distinguished"] = next(z for z in cycles
-                                                if ech.reduce(z))
-        return self._cache["distinguished"]
-
-    def _boundary_masks(self, p: int) -> list[int]:
-        """Spanning set of boundaries landing in parity p."""
-        return self._boundary_columns(1 - p)
-
-    def _boundary_echelon(self, p: int) -> BitEchelon:
-        """Echelon of the boundaries landing in parity p; never added to."""
-        key = ("bech", p)
-        if key not in self._cache:
-            self._cache[key] = BitEchelon(self._boundary_masks(p))
-        return self._cache[key]
+    def _columns(self, p: int) -> list[int]:
+        """The differential out of the parity-p generators, as masks over the
+        parity-(1 - p) ones: the matrix between any two adjacent grading
+        slices, as each has one point per generator of its parity."""
+        names = ([], [])
+        for g in self.generators:
+            names[g.maslov % 2].append(g.name)
+        target_pos = {name: k for k, name in enumerate(names[1 - p])}
+        out, cols = self._out_entries(), []
+        for name in names[p]:
+            v = 0
+            for tgt, _ in out[name]:
+                v ^= 1 << target_pos[tgt]
+            cols.append(v)
+        return cols
 
     def homology_dimension(self, d: int) -> int:
         """F2-dimension of homology computed on the grading-d lattice slice."""
         p = d % 2
-        return len(self._cycle_masks(p)) - self._boundary_echelon(p).rank
+        return (len(kernel_basis(self._columns(p)))
+                - BitEchelon(self._columns(1 - p)).rank)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +138,8 @@ class BifilteredComplex:
 
 
 def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
-    if "structural" in c._cache:
-        return c._cache["structural"]
+    if c._violations is not None:
+        return c._violations
     v = []
     index = c._index
     if len(index) < len(c.generators):
@@ -243,8 +200,8 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
                                  "%s -> %s with total U-power %d"
                                  % (x, z, k1 + k2))
 
-    c._cache["structural"] = tuple(v)
-    return c._cache["structural"]
+    c._violations = tuple(v)
+    return c._violations
 
 
 def validate(c: BifilteredComplex) -> ValidationReport:
@@ -268,30 +225,40 @@ def require_valid(c: BifilteredComplex) -> None:
         raise InvalidComplexError(v)
 
 
-def require_admissible(c: BifilteredComplex) -> None:
+class _Slice(NamedTuple):
+    """The slice in grading ambient_d: its points, the boundaries landing in
+    it as masks over them, their echelon and a cycle for the class."""
+
+    points: tuple[LatticePoint, ...]
+    boundaries: list[int]
+    echelon: BitEchelon
+    cycle: int
+
+
+def require_admissible(c: BifilteredComplex) -> _Slice:
     """Raise unless c is structurally valid with one-dimensional homology
-    in grading ambient_d."""
+    in grading ambient_d; return its slice there, built once per complex."""
     require_valid(c)
-    dim = c.homology_dimension(c.ambient_d)
-    if dim != 1:
-        raise NonAdmissibleError(
-            "non-admissible: homology has dimension %d != 1 in grading %d"
-            % (dim, c.ambient_d))
+    if c._slice is None:
+        p = c.ambient_d % 2
+        cycles, boundaries = kernel_basis(c._columns(p)), c._columns(1 - p)
+        ech = BitEchelon(boundaries)
+        dim = len(cycles) - ech.rank
+        if dim != 1:
+            raise NonAdmissibleError(
+                "non-admissible: homology has dimension %d != 1 in grading %d"
+                % (dim, c.ambient_d))
+        c._slice = _Slice(tuple(grading_slice(c, c.ambient_d)), boundaries,
+                          ech, next(z for z in cycles if ech.reduce(z)))
+    return c._slice
 
 
 def grading_slice(c: BifilteredComplex, d: int) -> list[LatticePoint]:
     """Lattice points of total Maslov grading d: one per generator of Maslov
-    parity d, its unique U-translate with that grading.  Built once per
-    complex and grading; each call returns a fresh list."""
-    key = ("slice", d)
-    if key not in c._cache:
-        pts = []
-        for name in c._parity_names(d % 2):
-            g = c.generator(name)
-            m = (d - g.maslov) // 2
-            pts.append(LatticePoint(name, m, g.alexander + m))
-        c._cache[key] = tuple(pts)
-    return list(c._cache[key])
+    parity d, its unique U-translate with that grading."""
+    return [LatticePoint(g.name, (d - g.maslov) // 2,
+                         g.alexander + (d - g.maslov) // 2)
+            for g in c.generators if g.maslov % 2 == d % 2]
 
 
 # ---------------------------------------------------------------------------

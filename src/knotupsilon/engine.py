@@ -8,17 +8,19 @@ of a summand, and upsilon(t) = -2 nu(t).
 Everything happens on the finite grading-d slice: each generator of the
 right Maslov parity contributes exactly one lattice point per homological
 grading, so cycles, boundaries, and the filtered minimum are all finite
-exact linear algebra over GF(2).  At t = a/b every weight times 2b is the
-integer (2b - a) i + a j, which orders the points exactly as the weights
-do.  One scan, _filtered_scan, reduces a fixed cycle representing the
-class against the boundaries in that order: the result tops out at weight
-nu, and a cocycle read off the same echelon shows that no cycle of the
-class tops out lower.  nu_at, the public route to nu at one t, is one
-scan; two test oracles check it.  upsilon sweeps t with one scan per
-segment: the cycle and the cocycle hold nu to the realizing point's line
-up to the next tie parameter where a point of either crosses it.  Each
-segment is checked from that certificate before it is kept, and
-jump_report reads the realizers.  The sweep carries t = a/b as two
+exact linear algebra over GF(2).  Every entry point reads that slice from
+the one record require_admissible builds per complex.  At t = a/b every
+weight times 2b is the integer (2b - a) i + a j, which orders the points
+exactly as the weights do.  One scan, _filtered_scan, reduces the
+record's cycle representing the class against the boundaries in that
+order: the result tops out at weight nu, and a cocycle read off the same
+echelon shows that no cycle of the class tops out lower.  nu_at, the
+public route to nu at one t, is one scan; two test oracles check it.
+upsilon sweeps t with one scan per segment: the cycle and the cocycle
+hold nu to the realizing point's line up to the next tie parameter where
+a point of either crosses it.  Each segment is checked from that
+certificate before it is kept, and the sweep is kept on the complex,
+where tau and jump_report read it.  The sweep carries t = a/b as two
 integers and reads each boundary's support once; on a segment upsilon
 follows -2 times its realizer's weight, so its slope is the realizer's
 i - j.  Fractions are built only for the values at the segment ends,
@@ -33,8 +35,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .complexes import (BifilteredComplex, LatticePoint, grading_slice,
-                        require_admissible)
+from .complexes import BifilteredComplex, LatticePoint, require_admissible
 from .errors import NonAdmissibleError
 from .gf2 import BitEchelon, bits
 from .plfunction import PLFunction
@@ -102,13 +103,12 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     t = Fraction(t)
     if not 0 <= t <= 2:
         raise ValueError("parameter %s outside [0, 2]" % t)
-    require_admissible(c)
-    pts = grading_slice(c, c.ambient_d)
+    s = require_admissible(c)
+    pts = s.points
     a, b = t.numerator, t.denominator
     keys = [(2 * b - a) * p.i + a * p.j for p in pts]
     top, witness, _ = _filtered_scan(
-        bits(c._distinguished_cycle()),
-        [bits(w) for w in c._boundary_masks(c.ambient_d % 2)], keys)
+        bits(s.cycle), [bits(w) for w in s.boundaries], keys)
     level = keys[top]
     support = bits(witness)
     cycle = tuple(pts[k] for k in support)
@@ -117,17 +117,15 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
                          realizing_points=realizing, cycle=cycle)
 
 
-def _check_segment(c, r, phi, p, cycle, cocycle, ends):
+def _check_segment(s, r, phi, p, cycle, cocycle, ends):
     """Prove that nu follows p's line between the two ends, each t = a/b
-    given as the pair (a, b): r is the distinguished cycle z plus
-    boundaries, phi vanishes on every boundary and meets z once, and at
-    both ends the top of r (its points cycle) and the bottom of phi
-    (cocycle) weigh as much as p."""
-    par, z = c.ambient_d % 2, c._distinguished_cycle()
-    ok = (not c._boundary_echelon(par).reduce(r ^ z)
-          and (phi & z).bit_count() & 1
-          and not any([(phi & w).bit_count() & 1
-                       for w in c._boundary_masks(par)]))
+    given as the pair (a, b): r is the slice s's cycle plus boundaries,
+    phi vanishes on every boundary and meets that cycle once, and at both
+    ends the top of r (its points cycle) and the bottom of phi (cocycle)
+    weigh as much as p."""
+    ok = (not s.echelon.reduce(r ^ s.cycle)
+          and (phi & s.cycle).bit_count() & 1
+          and not any([(phi & w).bit_count() & 1 for w in s.boundaries]))
     for a, b in ends:
         u = 2 * b - a
         level = u * p.i + a * p.j
@@ -136,6 +134,15 @@ def _check_segment(c, r, phi, p, cycle, cocycle, ends):
     if not ok:
         raise AssertionError("nu not linear on [%s, %s]: its certificate "
                              "fails" % tuple(Fraction(a, b) for a, b in ends))
+
+
+class _Sweep(NamedTuple):
+    """upsilon's result, segment ends, realizers and (cycle, cocycle)s."""
+
+    function: PLFunction
+    grid: list[Fraction]
+    realizers: list[LatticePoint]
+    witnesses: list[tuple]
 
 
 def upsilon(c: BifilteredComplex) -> PLFunction:
@@ -151,14 +158,12 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     segment is checked from its certificate before it is kept, and
     consecutive realizers must weigh the same where they meet.
     """
-    # the cache is filled only after require_admissible passed
-    cached = c._cache.get("upsilon")
-    if cached is not None:
-        return cached[0]
-    require_admissible(c)
-    pts = grading_slice(c, c.ambient_d)
-    z = bits(c._distinguished_cycle())
-    boundaries = [bits(w) for w in c._boundary_masks(c.ambient_d % 2)]
+    # the sweep is kept only after require_admissible passed
+    if c._sweep is not None:
+        return c._sweep.function
+    s = require_admissible(c)
+    pts, z = s.points, bits(s.cycle)
+    boundaries = [bits(w) for w in s.boundaries]
     ijd = [(q.i, q.j, q.j - q.i) for q in pts]
     ends, realizers, witnesses = [(0, 1)], [], []
     a, b = 0, 1
@@ -182,7 +187,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
                 n1, m1 = n, m
         g = gcd(n1, m1)  # lowest terms keep the next scan's keys small
         t1 = (n1 // g, m1 // g)
-        _check_segment(c, r, phi, p, cycle, cocycle, ((a, b), t1))
+        _check_segment(s, r, phi, p, cycle, cocycle, ((a, b), t1))
         q = realizers[-1] if realizers else p
         if u * (p.i - q.i) + a * (p.j - q.j):
             raise AssertionError("nu jumps at %s" % Fraction(a, b))
@@ -199,8 +204,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         + [Fraction(-(2 * b - a) * p.i - a * p.j, b)
            for (a, b), p in zip(ends[1:], realizers)],
         [p.i - p.j for p in realizers])
-    coords = sorted({(i, j) for i, j, _ in ijd})
-    c._cache["upsilon"] = (f, grid, realizers, coords, witnesses)
+    c._sweep = _Sweep(f, grid, realizers, witnesses)
     return f
 
 
@@ -229,7 +233,8 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
     property of the knot.  It reads the realizers upsilon(c) recorded.
     """
     upsilon(c)
-    own, grid, realizers, coords = c._cache["upsilon"][:4]
+    own, grid, realizers, _ = c._sweep
+    coords = {(q.i, q.j) for q in require_admissible(c).points}
     checks = []
     bps = f.breakpoints
     for k in range(1, len(bps) - 1):

@@ -5,8 +5,9 @@ exactly the class of functions the upsilon invariant lives in.  Functions
 are stored in canonical form (adjacent collinear segments merged), so two
 equal functions always compare equal as data.
 
-One function, _merged, makes that form.  The public constructor calls it
-once it validates.  _canonical, which wraps raw pieces unchecked, calls
+One function, _merged, makes that form.  _slopes validates raw pieces
+and derives their slopes once; the public constructor and from_json_dict
+pass those to _merged.  _canonical, which wraps raw pieces unchecked, calls
 it for sums and differences (one walk over both breakpoint lists, adding
 integer slopes), negation, integer multiples, reflection and upsilon's
 sweep.  _first_difference walks like a difference but builds nothing: it
@@ -88,6 +89,24 @@ def _merged(bps, vals, slopes):
             tuple([slopes[k] for k in keep]))
 
 
+def _slopes(bps, vals):
+    """The integer slopes of raw Fraction pieces on [0, 2], validated."""
+    if len(bps) != len(vals) or len(bps) < 2:
+        raise ValueError("need matching breakpoint/value lists, length >= 2")
+    if bps[0] != 0 or bps[-1] != 2:
+        raise ValueError("domain must be exactly [0, 2]")
+    if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    slopes = []
+    for k in range(len(bps) - 1):
+        s = (vals[k + 1] - vals[k]) / (bps[k + 1] - bps[k])
+        if s.denominator != 1:
+            raise ValueError("non-integer slope %s on [%s, %s]"
+                             % (s, bps[k], bps[k + 1]))
+        slopes.append(int(s))
+    return slopes
+
+
 class PLFunction:
     """A continuous piecewise-linear function on [0, 2].
 
@@ -101,20 +120,8 @@ class PLFunction:
     def __init__(self, breakpoints, values):
         bps = [Fraction(b) for b in breakpoints]
         vals = [Fraction(v) for v in values]
-        if len(bps) != len(vals) or len(bps) < 2:
-            raise ValueError("need matching breakpoint/value lists, length >= 2")
-        if bps[0] != 0 or bps[-1] != 2:
-            raise ValueError("domain must be exactly [0, 2]")
-        if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        slopes = []
-        for k in range(len(bps) - 1):
-            s = (vals[k + 1] - vals[k]) / (bps[k + 1] - bps[k])
-            if s.denominator != 1:
-                raise ValueError("non-integer slope %s on [%s, %s]"
-                                 % (s, bps[k], bps[k + 1]))
-            slopes.append(int(s))
-        self.breakpoints, self.values, self.slopes = _merged(bps, vals, slopes)
+        self.breakpoints, self.values, self.slopes = _merged(
+            bps, vals, _slopes(bps, vals))
 
     @classmethod
     def _canonical(cls, breakpoints, values, slopes) -> "PLFunction":
@@ -286,17 +293,13 @@ class PLFunction:
         bps = [parse_rational(b) for b in obj["breakpoints"]]
         vals = [parse_rational(v) for v in obj["values"]]
         try:
-            f = cls(bps, vals)
+            slopes = _slopes(bps, vals)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-        if "slopes" in obj:
-            # slopes are derived data; check them against the raw segments
-            declared = obj["slopes"]
-            raw = [(vals[k + 1] - vals[k]) / (bps[k + 1] - bps[k])
-                   for k in range(len(bps) - 1)]
-            if declared != raw:
-                raise FormatError("declared slopes disagree with values")
-        return f
+        # slopes are derived data; check them against the raw segments
+        if "slopes" in obj and obj["slopes"] != slopes:
+            raise FormatError("declared slopes disagree with values")
+        return cls._canonical(bps, vals, slopes)
 
     def sample_rows(self, step) -> list[tuple[Fraction, Fraction]]:
         """(t, value) pairs at multiples of step across [0, 2]."""

@@ -6,9 +6,10 @@ the entry list, and the homology dimensions come from exhaustive subset
 enumeration.  filtration_value is the weight in Fraction arithmetic, apart
 from the engine's integer keys; the oracles below weigh with it.
 naive_tensor builds the tensor product entry by entry from the Leibniz
-rule.  The two nu oracles share only the slice, its boundary
-columns and the GF(2) primitives with the engine's filtered reduction
-(nu_at): one grows the subcomplex below each weight level, the other
+rule.  The two nu oracles share only grading_slice and the GF(2)
+primitives with the engine's filtered reduction (nu_at): they build the
+slice's boundary matrices point by point off the differential list, then
+one grows the subcomplex below each weight level and the other
 enumerates every essential cycle.  sampled_realizers samples nu_at beside
 a breakpoint, apart from upsilon's sweep.  torus_upsilon is a closed form
 that needs no complex at all, so it reaches slices far past brute force.
@@ -82,9 +83,8 @@ def nu_at_halfplane(c, t):
     ku.require_admissible(c)
     pts = ku.grading_slice(c, c.ambient_d)
     keys = [filtration_value(t, p) for p in pts]
-    p = c.ambient_d % 2
-    cols = c._boundary_columns(p)
-    full_boundaries = BitEchelon(c._boundary_masks(p))
+    cols, upper = _slice_matrices(c)
+    full_boundaries = BitEchelon(upper)
     for level in sorted(set(keys)):
         inside = [k for k in range(len(pts)) if keys[k] <= level]
         for combo in kernel_basis([cols[k] for k in inside]):
@@ -192,9 +192,8 @@ def _essential_cycles(c):
     Exhaustive enumeration; memoised per complex since it only depends on
     the slice, not on the parameter.
     """
-    p = c.ambient_d % 2
-    cols = c._boundary_columns(p)
-    bound = BitEchelon(c._boundary_masks(p))
+    cols, upper = _slice_matrices(c)
+    bound = BitEchelon(upper)
     survivors = []
     for mask in range(1, 1 << len(cols)):
         img = 0
@@ -358,6 +357,23 @@ def _upper_boundaries(c):
     """Boundaries of the points one grading above the ambient slice."""
     return [_point_boundary(c, (x.generator, x.i))
             for x in ku.grading_slice(c, c.ambient_d + 1)]
+
+
+def _slice_matrices(c):
+    """The ambient slice's matrices, built point by point off the
+    differential list: the boundary of each slice point as a mask over the
+    slice one grading down, and the boundaries landing in the slice as
+    masks over its points."""
+    d = c.ambient_d
+
+    def masks(boundaries, grading):
+        pos = {(q.generator, q.i): k
+               for k, q in enumerate(ku.grading_slice(c, grading))}
+        return [sum(1 << pos[x] for x in b) for b in boundaries]
+
+    down = [_point_boundary(c, (x.generator, x.i))
+            for x in ku.grading_slice(c, d)]
+    return masks(down, d - 1), masks(_upper_boundaries(c), d)
 
 
 def check_segment_certificate(c, ends, p, cycle, cocycle):

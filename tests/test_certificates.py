@@ -333,6 +333,9 @@ def test_ribbon_requires_fibered_and_genus():
     with pytest.raises(ku.MissingDataError):
         ku.ribbon_minimality_report(KnotRecord("no-genus", fibered=True,
                                                upsilon_override=PLFunction.zero()))
+    with pytest.raises(ku.MissingDataError) as exc:
+        ku.ribbon_minimality_report(KnotRecord("x", genus=1, fibered=True))
+    assert str(exc.value) == "record 'x' carries no upsilon data"
 
 
 # -- the headline joint example

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import knotupsilon as ku
+import knotupsilon.complexes
 import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 
@@ -108,13 +109,34 @@ def test_nu_integer_keys_match_fraction_weights(seed, t):
 
 def test_nu_rejects_non_admissible():
     c = BifilteredComplex([Generator("x", 0, 0), Generator("y", 0, 0)], [], 0)
-    with pytest.raises(ku.NonAdmissibleError):
-        ku.nu_at(c, 1)
+    for route in (lambda: ku.nu_at(c, 1), lambda: ku.upsilon(c)):
+        with pytest.raises(ku.NonAdmissibleError) as exc:
+            route()
+        assert str(exc.value) == ("non-admissible: homology has dimension "
+                                  "2 != 1 in grading 0")
     with pytest.raises(ku.NonAdmissibleError):
         nu_at_halfplane(c, 1)
-    with pytest.raises(ku.NonAdmissibleError) as exc:
-        c._distinguished_cycle()
-    assert str(exc.value) == "homology is not one-dimensional in grading 0"
+
+
+def test_slice_is_built_once_per_complex(monkeypatch):
+    # require_admissible builds the ambient slice, its boundaries and the
+    # distinguished cycle once; every later entry point reads that record
+    calls = []
+    real = knotupsilon.complexes.kernel_basis
+
+    def counted(columns):
+        calls.append(1)
+        return real(columns)
+
+    monkeypatch.setattr(knotupsilon.complexes, "kernel_basis", counted)
+    c = ku.tensor(ku.torus_knot_complex(3, 4), ku.torus_knot_complex(2, 3))
+    assert ku.validate(c).ok
+    f = ku.upsilon(c)
+    assert ku.tau(c) == 4
+    for t in (F(1, 3), F(1), F(5, 3)):
+        assert ku.nu_at(c, t).nu == -f(t) / 2
+    assert all(check.passed for check in ku.jump_report(c, f))
+    assert len(calls) == 1
 
 
 def test_brute_force_rejects_large_slice():
@@ -366,7 +388,7 @@ def test_upsilon_one_scan_per_segment(monkeypatch):
     monkeypatch.setattr(knotupsilon.engine, "_filtered_scan", counted)
     c = ku.torus_knot_complex(13, 29)
     ku.upsilon(c)
-    grid = c._cache["upsilon"][1]
+    grid = c._sweep.grid
     assert scans <= len(grid) - 1 <= 15
 
 
@@ -378,9 +400,10 @@ def test_segment_certificates_check_out():
                  + [ku.torus_knot_complex(17, 31)])
     for c in complexes:
         f = ku.upsilon(c)
-        _, grid, realizers, _, witnesses = c._cache["upsilon"]
-        for k, (p, (cycle, cocycle)) in enumerate(zip(realizers, witnesses)):
-            ends = (grid[k], grid[k + 1])
+        sweep = c._sweep
+        for k, (p, (cycle, cocycle)) in enumerate(zip(sweep.realizers,
+                                                      sweep.witnesses)):
+            ends = (sweep.grid[k], sweep.grid[k + 1])
             assert check_segment_certificate(c, ends, p, cycle, cocycle)
             for t in ends:
                 assert f(t) == -2 * filtration_value(t, p)
@@ -390,7 +413,7 @@ def _rebuilt_through_constructor(c):
     # upsilon at each grid point from the realizer of the segment starting
     # there, and at 2 from the last one, through the validating constructor
     ku.upsilon(c)
-    grid, realizers = c._cache["upsilon"][1:3]
+    grid, realizers = c._sweep.grid, c._sweep.realizers
     values = [-2 * filtration_value(t, p) for t, p in zip(grid, realizers)]
     values.append(-2 * filtration_value(2, realizers[-1]))
     return PLFunction(grid, values)
@@ -421,7 +444,7 @@ def test_upsilon_equals_validated_rebuild():
 def test_upsilon_merges_collinear_segments(knots, scans, pieces):
     c = ku.tensor(*(ku.torus_knot_complex(*pq) for pq in knots))
     f = ku.upsilon(c)
-    assert len(c._cache["upsilon"][1]) - 1 == scans
+    assert len(c._sweep.grid) - 1 == scans
     assert len(f.slopes) == pieces
     g = _rebuilt_through_constructor(c)
     assert g == f and g.slopes == f.slopes
@@ -471,8 +494,9 @@ def test_upsilon_refuses_realizers_that_disagree(monkeypatch):
 def test_segment_certificate_oracle_rejects_broken_witness():
     c = ku.torus_knot_complex(3, 4)
     ku.upsilon(c)
-    _, grid, realizers, _, witnesses = c._cache["upsilon"]
-    ends, p, (cycle, cocycle) = (grid[0], grid[1]), realizers[0], witnesses[0]
+    grid = c._sweep.grid
+    p, (cycle, cocycle) = c._sweep.realizers[0], c._sweep.witnesses[0]
+    ends = (grid[0], grid[1])
     assert check_segment_certificate(c, ends, p, cycle, cocycle)
     assert not check_segment_certificate(c, ends, p, cycle, ())
     assert not check_segment_certificate(c, ends, p, cycle[1:], cocycle)

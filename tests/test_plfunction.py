@@ -160,3 +160,17 @@ def test_from_json_dict_refuses_field_that_is_not_a_list(key):
     obj[key] = 5
     with pytest.raises(FormatError, match="%r must be a list" % key):
         PLFunction.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("declared, ok", [
+    ([-1, -1], True), ([-1.0, -1.0], True), (["-1", "-1"], False),
+    ([-1], False), ([True, -1], False), ([-1, -2], False)])
+def test_from_json_dict_checks_declared_slopes(declared, ok):
+    obj = {"breakpoints": ["0", "1", "2"], "values": ["0", "-1", "-2"],
+           "slopes": declared}
+    if ok:
+        assert PLFunction.from_json_dict(obj) == PLFunction([0, 2], [0, -2])
+    else:
+        with pytest.raises(FormatError) as exc:
+            PLFunction.from_json_dict(obj)
+        assert str(exc.value) == "declared slopes disagree with values"
