@@ -128,8 +128,6 @@ def obstruct_concordance(k0: KnotRecord, k1: KnotRecord) -> ConcordanceVerdict:
 
     Only ever obstructs; "no_obstruction_found" decides nothing.
     """
-    if not (k0.has_upsilon() and k1.has_upsilon()):
-        raise MissingDataError("both records need upsilon data")
     f0, f1 = k0.upsilon_function(), k1.upsilon_function()
 
     first = f0._first_difference(f1)
@@ -215,7 +213,7 @@ def ribbon_minimality_report(k: KnotRecord) -> RibbonMinimalityReport:
         raise MissingDataError("record %r is not known to be fibered" % k.name)
     if k.genus is None:
         raise MissingDataError("record %r has no genus" % k.name)
-    g = _check_genus(k.genus)
+    g = k.genus
     f = k.upsilon_function()
     anywhere = f.slope_intervals(-g)
     below_one = _witness_below_one(f, -g)

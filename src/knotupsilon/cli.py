@@ -22,8 +22,7 @@ from .certificates import (certify_right_veering, classify_tightness,
                            obstruct_concordance, ribbon_minimality_report)
 from .complexes import (_parse_json, complex_from_json_dict,
                          complex_to_json, dual, tensor, validate)
-from .errors import (FormatError, InvalidComplexError, KnotLibError,
-                     MissingDataError)
+from .errors import FormatError, KnotLibError, MissingDataError
 from .knots import KnotRecord, builtin_record
 from .plfunction import PLFunction, parse_rational
 
@@ -118,16 +117,6 @@ def _sampling_step(text: str) -> Fraction:
     return step
 
 
-def _with_genus(record: KnotRecord, override) -> KnotRecord:
-    """The record with --genus applied.  A negative genus is refused
-    first; the record then refuses one that its complex contradicts."""
-    if override is None:
-        return record
-    if override < 0:
-        raise ValueError("genus must be non-negative")
-    return record._replace(genus=override)
-
-
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -150,8 +139,9 @@ def _dispatch(args) -> tuple[str, int]:
         k1 = _load_record(args.input1, args.file)
         return _dumps(obstruct_concordance(k0, k1).to_json_dict()), 0
 
-    record = _with_genus(_load_record(args.input, args.file),
-                         getattr(args, "genus", None))
+    record = _load_record(args.input, args.file)
+    if getattr(args, "genus", None) is not None:
+        record = record._replace(genus=args.genus)
 
     if cmd == "validate":
         c = _require_complex(record)
@@ -204,9 +194,6 @@ def main(argv=None) -> int:
         print("error: %s" % (exc.args[0] if exc.args else exc),
               file=sys.stderr)
         return 2
-    except InvalidComplexError as exc:
-        print("error: non-admissible input: %s" % exc, file=sys.stderr)
-        return 1
     except (KnotLibError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -19,7 +19,13 @@ distinguished homology class (the correction term of the ambient
 three-manifold; 0 for the three-sphere).  A complex whose homology in
 grading ambient_d is not one-dimensional is flagged non-admissible and
 refused by the upsilon machinery.  require_admissible alone decides
-this, and builds once per complex the record of that slice the engine reads.
+this, and builds once per complex the record of that slice the engine reads,
+or the refusal.
+
+Each grading slice has one point per generator of its Maslov parity, so the
+differential between any two adjacent slices is one GF(2) matrix: a column
+per generator, a mask over the positions of the other parity.  A complex
+builds that matrix once; the d^2 check and require_admissible both read it.
 
 Complexes are immutable once built; all operations here are pure.
 Generator, DiffEntry, LatticePoint and ValidationReport are named tuples,
@@ -66,6 +72,21 @@ class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
 
+class _Matrix(NamedTuple):
+    """The differential of a complex whose entries pass the per-entry checks.
+
+    out[x] lists x's terms as (target, upower) pairs; pos[x] is x's position
+    among the generators of its Maslov parity; cols[p][pos[x]], for x of
+    parity p, is the differential out of x as a mask over the parity-(1 - p)
+    positions.  cols[p] is then the matrix between any two adjacent grading
+    slices, as each has one point per generator of its parity.
+    """
+
+    out: dict
+    pos: dict
+    cols: tuple[list[int], list[int]]
+
+
 class BifilteredComplex:
     """A finitely generated bifiltered complex over F2[U, U^-1].
 
@@ -86,7 +107,7 @@ class BifilteredComplex:
         self.label = label
         self._index = {g.name: g for g in self.generators}
         # each built on first use; _sweep is engine.upsilon's
-        self._out = self._violations = self._slice = self._sweep = None
+        self._mat = self._violations = self._slice = self._sweep = None
 
     def __repr__(self):
         tag = self.label or "complex"
@@ -100,37 +121,25 @@ class BifilteredComplex:
         return BifilteredComplex(self.generators, self.differential,
                                  self.ambient_d, label)
 
-    # -- internal structure; only meaningful on validated complexes
+    # -- internal structure; built only once the per-entry checks pass
 
-    def _out_entries(self) -> dict:
-        """Per-generator outgoing terms as (target, upower) lists."""
-        if self._out is None:
-            self._out = {g.name: [] for g in self.generators}
-            for e in self.differential:
-                self._out[e.source].append((e.target, e.upower))
-        return self._out
-
-    def _columns(self, p: int) -> list[int]:
-        """The differential out of the parity-p generators, as masks over the
-        parity-(1 - p) ones: the matrix between any two adjacent grading
-        slices, as each has one point per generator of its parity."""
-        names = ([], [])
-        for g in self.generators:
-            names[g.maslov % 2].append(g.name)
-        target_pos = {name: k for k, name in enumerate(names[1 - p])}
-        out, cols = self._out_entries(), []
-        for name in names[p]:
-            v = 0
-            for tgt, _ in out[name]:
-                v ^= 1 << target_pos[tgt]
-            cols.append(v)
-        return cols
-
-    def homology_dimension(self, d: int) -> int:
-        """F2-dimension of homology computed on the grading-d lattice slice."""
-        p = d % 2
-        return (len(kernel_basis(self._columns(p)))
-                - BitEchelon(self._columns(1 - p)).rank)
+    def _matrix(self) -> _Matrix:
+        """The differential, built once: see _Matrix."""
+        if self._mat is None:
+            out, pos, cols = {}, {}, ([], [])
+            for g in self.generators:
+                out[g.name] = []
+                pos[g.name] = len(cols[g.maslov % 2])
+                cols[g.maslov % 2].append(0)
+            for s, t, k in self.differential:
+                out[s].append((t, k))
+            for g in self.generators:
+                v = 0
+                for t, _ in out[g.name]:
+                    v ^= 1 << pos[t]
+                cols[g.maslov % 2][pos[g.name]] = v
+            self._mat = _Matrix(out, pos, cols)
+        return self._mat
 
 
 # ---------------------------------------------------------------------------
@@ -174,28 +183,21 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
         # d^2 = 0 over F2[U]: two-step path counts must be even for every
         # (source, target, total U-power) triple.  Every entry obeys the
         # Maslov rule here, so a path x -> y -> z has total U-power
-        # (M(z) - M(x))/2 + 1 whatever y is: the parity per (x, z, k) is
-        # the parity per (x, z), the bit of z in the XOR over x's targets y
-        # of reach[y], the mask of y's targets.  Where that XOR is nonzero,
-        # x's paths are walked in y-then-z order to report each odd z once.
-        out = c._out_entries()
-        bit = {g.name: 1 << n for n, g in enumerate(c.generators)}
-        reach = {}
-        for y, targets in out.items():
-            mask = 0
-            for z, _ in targets:
-                mask ^= bit[z]
-            reach[y] = mask
-        for x, targets in out.items():
-            odd = 0
-            for y, _ in targets:
-                odd ^= reach[y]
+        # (M(z) - M(x))/2 + 1 whatever y is, and z has x's parity: the
+        # parity per (x, z, k) is the bit of z in the XOR of the columns of
+        # x's targets y.  Where that XOR is nonzero, x's paths are walked
+        # in y-then-z order to report each odd z once.
+        out, pos, cols = c._matrix()
+        for x, _, m in c.generators:
+            ys, odd = cols[1 - m % 2], 0
+            for y, _ in out[x]:
+                odd ^= ys[pos[y]]
             if not odd:
                 continue
-            for y, k1 in targets:
+            for y, k1 in out[x]:
                 for z, k2 in out[y]:
-                    if odd & bit[z]:
-                        odd ^= bit[z]
+                    if odd >> pos[z] & 1:
+                        odd ^= 1 << pos[z]
                         v.append("d^2 != 0: odd number of two-step paths "
                                  "%s -> %s with total U-power %d"
                                  % (x, z, k1 + k2))
@@ -237,19 +239,23 @@ class _Slice(NamedTuple):
 
 def require_admissible(c: BifilteredComplex) -> _Slice:
     """Raise unless c is structurally valid with one-dimensional homology
-    in grading ambient_d; return its slice there, built once per complex."""
+    in grading ambient_d; return its slice there.  Built once per complex,
+    a refusal included: it is kept as its message."""
     require_valid(c)
     if c._slice is None:
         p = c.ambient_d % 2
-        cycles, boundaries = kernel_basis(c._columns(p)), c._columns(1 - p)
-        ech = BitEchelon(boundaries)
+        cols = c._matrix().cols
+        cycles, ech = kernel_basis(cols[p]), BitEchelon(cols[1 - p])
         dim = len(cycles) - ech.rank
         if dim != 1:
-            raise NonAdmissibleError(
-                "non-admissible: homology has dimension %d != 1 in grading %d"
-                % (dim, c.ambient_d))
-        c._slice = _Slice(tuple(grading_slice(c, c.ambient_d)), boundaries,
-                          ech, next(z for z in cycles if ech.reduce(z)))
+            c._slice = ("non-admissible: homology has dimension %d != 1 in "
+                        "grading %d" % (dim, c.ambient_d))
+        else:
+            c._slice = _Slice(tuple(grading_slice(c, c.ambient_d)),
+                              cols[1 - p], ech,
+                              next(z for z in cycles if ech.reduce(z)))
+    if isinstance(c._slice, str):
+        raise NonAdmissibleError(c._slice)
     return c._slice
 
 
@@ -274,7 +280,7 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
     """
     require_valid(c1)
     require_valid(c2)
-    out1, out2 = c1._out_entries(), c2._out_entries()
+    out1, out2 = c1._matrix().out, c2._matrix().out
     right = [("*" + name, a2, m2, [("*" + tgt, k) for tgt, k in out2[name]])
              for name, a2, m2 in c2.generators]
     gens, diff = [], []

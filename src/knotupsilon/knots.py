@@ -131,7 +131,8 @@ class KnotRecord(namedtuple("KnotRecord", [
     and always an external assertion; nothing here computes monodromies.
     upsilon_override carries a closed-form invariant for knots given
     without a complex.  A named tuple whose every construction, _make
-    and _replace included, checks genus against the complex.
+    and _replace included, refuses a negative genus and checks the genus
+    against the complex.
     """
 
     __slots__ = ()
@@ -140,6 +141,8 @@ class KnotRecord(namedtuple("KnotRecord", [
                 genus: int | None = None, fibered: bool | None = None,
                 monodromy_right_veering: bool | None = None,
                 upsilon_override: PLFunction | None = None):
+        if genus is not None and genus < 0:
+            raise ValueError("genus must be non-negative")
         if complex is not None and genus is not None and complex.generators:
             top = max(g.alexander for g in complex.generators)
             if genus != top:
@@ -152,9 +155,6 @@ class KnotRecord(namedtuple("KnotRecord", [
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    def has_upsilon(self) -> bool:
-        return self.upsilon_override is not None or self.complex is not None
 
     def upsilon_function(self) -> PLFunction:
         if self.upsilon_override is not None:

@@ -57,12 +57,12 @@ def test_certify_never_beyond_slope_bound():
 
 
 def test_certify_rejects_negative_genus():
-    # one check in all three certificates, with one message
-    rec = KnotRecord("negative", genus=-1, fibered=True,
-                     upsilon_override=PLFunction.zero())
+    # one message: the two certificates that take a bare genus refuse a
+    # negative one, and no record carries one for the ribbon report
     for call in (lambda: ku.certify_right_veering(PLFunction.zero(), -1),
                  lambda: ku.classify_tightness(0, -3),
-                 lambda: ku.ribbon_minimality_report(rec)):
+                 lambda: KnotRecord("negative", genus=-1, fibered=True,
+                                    upsilon_override=PLFunction.zero())):
         with pytest.raises(ValueError, match="^genus must be non-negative$"):
             call()
 

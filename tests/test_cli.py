@@ -191,11 +191,20 @@ def test_upsilon_rejects_broken_complex(capsys, tmp_path):
         "differential": [{"from": "a", "to": "b", "upower": 0},
                          {"from": "b", "to": "c", "upower": 0}],
     }
+    maslov = ku.complex_to_json_dict(ku.torus_knot_complex(2, 3))
+    maslov["differential"][0]["upower"] += 1  # breaks the Maslov rule
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    rc, _, err = run(capsys, ["upsilon", str(path)])
-    assert rc == 1
-    assert "non-admissible" in err
+    # structurally invalid, which is not non-admissible
+    for obj, violation in (
+            (bad, "d^2 != 0: odd number of two-step paths a -> c with "
+                  "total U-power 0"),
+            (maslov, "Maslov constraint violated by (x1 -> x0, U^2): "
+                     "M(x0)=0, expected 2")):
+        path.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, ["upsilon", "--file", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: invalid complex: %s\n" % violation
 
 
 def test_upsilon_rejects_rank_two(capsys, tmp_path):
@@ -317,6 +326,32 @@ def test_pl_field_not_a_list_is_parse_error(capsys, tmp_path, key):
         assert rc == 2
         assert out == ""
         assert err == "error: %r must be a list\n" % key
+
+
+@pytest.mark.parametrize("bps, values, message", [
+    (["0", "1", "1", "2"], ["0", "0", "0", "0"],
+     "breakpoints must be strictly increasing"),
+    (["0", "1/2", "2"], ["0", "1/3", "1/3"],
+     "non-integer slope 2/3 on [0, 1/2]")])
+def test_pl_out_of_contract_is_parse_error(capsys, tmp_path, bps, values,
+                                           message):
+    path = tmp_path / "pl.json"
+    path.write_text(json.dumps({"breakpoints": bps, "values": values}))
+    rc, out, err = run(capsys, ["upsilon", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "chen-cable:8"], "input 'chen-cable:8' is not a complex"),
+    (["upsilon", "torus:1,3"], "need p, |q| >= 2"),
+    (["upsilon", "chen-cable:8,9"], "chen-cable:n takes one integer")])
+def test_builtin_refusal_is_domain_error(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
 
 
 def test_genus_on_complex_without_generators(capsys, tmp_path):

@@ -270,19 +270,20 @@ def test_slice_cardinality_and_point_identity():
 
 def test_verify_homology_unknot():
     u = ku.unknot_complex()
-    assert u.homology_dimension(0) == 1
+    assert enumerated_homology_dim(u, 0) == 1
     assert ku.validate(u).ok
 
 
 def test_verify_homology_trefoil():
     c = trefoil_by_hand()
-    assert c.homology_dimension(0) == 1
-    assert c.homology_dimension(1) == 0
+    assert enumerated_homology_dim(c, 0) == 1
+    assert enumerated_homology_dim(c, 1) == 0
+    assert ku.validate(c).ok
 
 
 def test_verify_homology_rank_two():
     c = BifilteredComplex([Generator("x", 0, 0), Generator("y", 0, 0)], [], 0)
-    assert c.homology_dimension(0) == 2
+    assert enumerated_homology_dim(c, 0) == 2
     assert not ku.validate(c).ok
     msg = "non-admissible: homology has dimension 2 != 1 in grading 0"
     assert ku.validate(c).violations == (msg,)
@@ -292,19 +293,25 @@ def test_verify_homology_rank_two():
 
 
 def test_homology_against_enumeration_oracle():
+    # the rank require_admissible computes, at ambient_d and at the grading
+    # above it, read off validate's report
     small = [c for _, c in corpus() if len(c.generators) <= 9]
     for c in small:
-        d = c.ambient_d
-        assert c.homology_dimension(d) == enumerated_homology_dim(c, d)
-        assert c.homology_dimension(d + 1) == enumerated_homology_dim(c, d + 1)
+        for d in (c.ambient_d, c.ambient_d + 1):
+            dim = enumerated_homology_dim(c, d)
+            shifted = BifilteredComplex(c.generators, c.differential, d)
+            assert ku.validate(shifted).violations == (() if dim == 1 else (
+                "non-admissible: homology has dimension %d != 1 in grading %d"
+                % (dim, d),))
 
 
 def test_box_is_acyclic_but_valid():
     box = ku.box_complex()
     ku.require_valid(box)
-    assert box.homology_dimension(0) == 0
-    assert box.homology_dimension(1) == 0
-    assert not ku.validate(box).ok  # flagged non-admissible
+    assert enumerated_homology_dim(box, 0) == 0
+    assert enumerated_homology_dim(box, 1) == 0
+    assert ku.validate(box).violations == (
+        "non-admissible: homology has dimension 0 != 1 in grading 0",)
 
 
 # -- tensor
@@ -399,7 +406,7 @@ def test_direct_sum_with_box_keeps_homology():
     t = ku.torus_knot_complex(2, 3)
     c = ku.direct_sum(t, ku.box_complex(prefix="q_"))
     assert ku.validate(c).ok
-    assert c.homology_dimension(0) == 1
+    assert enumerated_homology_dim(c, 0) == 1
 
 
 # -- JSON interchange
@@ -434,10 +441,27 @@ def test_json_rejects_missing_keys():
 
 
 def test_json_rejects_bad_types():
-    obj = ku.complex_to_json_dict(ku.unknot_complex())
-    obj["ambient_d"] = "zero"
-    with pytest.raises(ku.FormatError):
-        ku.complex_from_json_dict(obj)
+    def ambient(obj):
+        obj["ambient_d"] = "zero"
+
+    def name(obj):
+        obj["generators"][0]["name"] = 5
+
+    def endpoint(obj):
+        obj["differential"][1]["to"] = ["x2"]
+
+    def upower(obj):
+        obj["differential"][0]["upower"] = 1.0
+
+    for mutate, message in (
+            (ambient, "ambient_d must be an integer"),
+            (name, "generator name must be a string"),
+            (endpoint, "differential endpoints must be strings"),
+            (upower, "upower must be an integer")):
+        obj = ku.complex_to_json_dict(ku.torus_knot_complex(2, 3))
+        mutate(obj)
+        with pytest.raises(ku.FormatError, match="^%s$" % message):
+            ku.complex_from_json_dict(obj)
 
 
 def test_json_rejects_malformed_text():

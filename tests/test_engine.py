@@ -57,6 +57,8 @@ def test_nu_trefoil_values():
     t = ku.torus_knot_complex(2, 3)
     assert ku.nu_at(t, 1).nu == F(1, 2)
     assert ku.nu_at(t, 0).nu == 0
+    with pytest.raises(ValueError, match=r"^parameter 3 outside \[0, 2\]$"):
+        ku.nu_at(t, 3)
 
 
 def test_nu_certificate_invariants():
@@ -120,22 +122,46 @@ def test_nu_rejects_non_admissible():
 
 def test_slice_is_built_once_per_complex(monkeypatch):
     # require_admissible builds the ambient slice, its boundaries and the
-    # distinguished cycle once; every later entry point reads that record
-    calls = []
+    # distinguished cycle once, or its refusal; every later entry point
+    # reads that record.  The d^2 check and require_admissible read one
+    # matrix, built once.
+    calls, reads = [], []
     real = knotupsilon.complexes.kernel_basis
+    real_matrix = BifilteredComplex._matrix
 
     def counted(columns):
         calls.append(1)
         return real(columns)
 
+    def counted_matrix(self):
+        reads.append((self, real_matrix(self)))
+        return reads[-1][1]
+
     monkeypatch.setattr(knotupsilon.complexes, "kernel_basis", counted)
+    monkeypatch.setattr(BifilteredComplex, "_matrix", counted_matrix)
     c = ku.tensor(ku.torus_knot_complex(3, 4), ku.torus_knot_complex(2, 3))
+    reads.clear()
     assert ku.validate(c).ok
     f = ku.upsilon(c)
     assert ku.tau(c) == 4
     for t in (F(1, 3), F(1), F(5, 3)):
         assert ku.nu_at(c, t).nu == -f(t) / 2
     assert all(check.passed for check in ku.jump_report(c, f))
+    assert len(calls) == 1
+    (c1, m1), (c2, m2) = reads
+    assert c1 is c2 is c and m1 is m2
+
+    # the trefoil plus one generator: refused, and refused from the record
+    tref = ku.torus_knot_complex(2, 3)
+    extra = BifilteredComplex(tref.generators + (Generator("e", 0, 0),),
+                              tref.differential)
+    msg = "non-admissible: homology has dimension 2 != 1 in grading 0"
+    calls.clear()
+    assert ku.validate(extra).violations == (msg,)
+    for route in [lambda t=t: ku.nu_at(extra, t) for t in (0, 1, 2)] + [
+            lambda: ku.upsilon(extra)]:
+        with pytest.raises(ku.NonAdmissibleError, match="^%s$" % msg):
+            route()
     assert len(calls) == 1
 
 

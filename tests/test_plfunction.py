@@ -72,6 +72,17 @@ def test_merge_of_collinear_pieces():
     assert data(0 * f) == data(PLFunction.zero())
 
 
+def test_domain_sampling_and_repr():
+    f = PLFunction([0, 1, 2], [0, -1, 0])
+    for t in ("-1/2", "3"):
+        with pytest.raises(ValueError,
+                           match=r"^argument %s outside \[0, 2\]$" % t):
+            f(F(t))
+    with pytest.raises(ValueError, match="^step must be positive$"):
+        f.sample_rows(0)
+    assert repr(f) == "<PLFunction slope -1 on [0, 1], slope 1 on [1, 2]>"
+
+
 # -- bounded rationals
 
 
