@@ -1,42 +1,43 @@
 """Bifiltered chain complexes over F2[U, U^-1] for knot Floer calculations.
 
-A complex is stored as a finite free F2[U]-basis: a list of generators,
-each carrying integer Alexander and Maslov gradings, plus a differential
-given by entries (source, target, k) meaning that d(source) contains the
-term U^k * target.  Formally inverting U recovers the full complex: the
-lattice point [x, i, j] stands for U^{-i} x, satisfies j - i = A(x), and
-has Maslov grading M(x) + 2i.
+A complex is stored as a finite free F2[U]-basis: generators carrying
+integer Alexander and Maslov gradings, and a differential of entries
+(source, target, k) meaning that d(source) contains the term U^k * target.
+Formally inverting U recovers the full complex: the lattice point [x, i, j]
+stands for U^{-i} x, satisfies j - i = A(x), and has Maslov grading
+M(x) + 2i.  Every entry must satisfy M(target) = M(source) - 1 + 2k, so a
+(source, target) pair determines its U-power, and A(source) - A(target) +
+k >= 0, so arrows point non-strictly down and to the left in the plane.
 
-Grading bookkeeping pins the structure down:
+Inside the library a generator is its position: a complex holds its names,
+Alexander and Maslov gradings as lists, and its entries as triples of
+positions.  tensor, dual, direct_sum and the staircases build that form
+directly; the public constructor resolves names once.  Names appear only
+where a user sees them: the generators and differential views, JSON,
+violation messages and LatticePoints.
 
-* every differential entry must satisfy M(target) = M(source) - 1 + 2k,
-  so a (source, target) pair determines its U-power uniquely;
-* A(source) - A(target) + k >= 0, so arrows point non-strictly down and
-  to the left in the (i, j) plane.
+ambient_d is the Maslov grading of the distinguished homology class (the
+correction term of the ambient three-manifold; 0 for the three-sphere).  A
+complex whose homology in grading ambient_d is not one-dimensional is
+refused by the upsilon machinery.  require_admissible alone decides this,
+and builds once per complex the record of that slice the engine reads, or
+the refusal.  Each grading slice has one point per generator of its Maslov
+parity, so the differential between adjacent slices is one GF(2) matrix: a
+column per generator, a mask over the positions of the other parity.  A
+complex builds that matrix once; the d^2 check and require_admissible read
+it.
 
-A complex additionally records ambient_d, the Maslov grading of the
-distinguished homology class (the correction term of the ambient
-three-manifold; 0 for the three-sphere).  A complex whose homology in
-grading ambient_d is not one-dimensional is flagged non-admissible and
-refused by the upsilon machinery.  require_admissible alone decides
-this, and builds once per complex the record of that slice the engine reads,
-or the refusal.
-
-Each grading slice has one point per generator of its Maslov parity, so the
-differential between any two adjacent slices is one GF(2) matrix: a column
-per generator, a mask over the positions of the other parity.  A complex
-builds that matrix once; the d^2 check and require_admissible both read it.
-
-Complexes are immutable once built; all operations here are pure.
-Generator, DiffEntry, LatticePoint and ValidationReport are named tuples,
-as are the records of engine, certificates and knots: immutable, hashable
-and equal by value, and so also equal to a plain tuple (or a record of
-another type) holding the same fields.
+Complexes are immutable once built; all operations here are pure.  The
+records (Generator, DiffEntry, LatticePoint, ValidationReport, and those of
+engine, certificates and knots) are named tuples: hashable and equal by
+value, so also equal to a plain tuple holding the same fields.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
+from itertools import count
 from typing import NamedTuple
 
 from .errors import FormatError, InvalidComplexError, NonAdmissibleError
@@ -75,71 +76,114 @@ class ValidationReport(NamedTuple):
 class _Matrix(NamedTuple):
     """The differential of a complex whose entries pass the per-entry checks.
 
-    out[x] lists x's terms as (target, upower) pairs; pos[x] is x's position
-    among the generators of its Maslov parity; cols[p][pos[x]], for x of
-    parity p, is the differential out of x as a mask over the parity-(1 - p)
-    positions.  cols[p] is then the matrix between any two adjacent grading
-    slices, as each has one point per generator of its parity.
+    Each list is indexed by generator position.  out[x] lists x's terms as
+    (target position, upower) pairs; pos[x] is x's position among the
+    generators of its Maslov parity; cols[p][pos[x]], for x of parity p, is
+    the differential out of x as a mask over the parity-(1 - p) positions.
+    cols[p] is then the matrix between any two adjacent grading slices, as
+    each has one point per generator of its parity.
     """
 
-    out: dict
-    pos: dict
+    out: list[list[tuple[int, int]]]
+    pos: list[int]
     cols: tuple[list[int], list[int]]
 
 
 class BifilteredComplex:
-    """A finitely generated bifiltered complex over F2[U, U^-1].
+    """A finitely generated bifiltered complex over F2[U, U^-1], built from
+    Generators (their order is kept), DiffEntries, the Maslov grading
+    ambient_d of the distinguished class and an optional display label.
 
-    generators: iterable of Generator (order is preserved and significant
-        for deterministic output).
-    differential: iterable of DiffEntry.
-    ambient_d: Maslov grading of the distinguished homology class.
-    label: optional display name.
-
-    Construction is permissive: structural problems are reported by
-    validate(), not raised here, so that broken data can be inspected.
+    Each name resolves to a position once; of generators sharing a name,
+    the last one wins.  Construction is permissive: validate() reports
+    structural problems, so that broken data can be inspected.
+    generators, differential and generator(name) are views, built on first
+    use.
     """
 
     def __init__(self, generators, differential, ambient_d=0, label=None):
-        self.generators = tuple(generators)
-        self.differential = tuple(differential)
+        gens = tuple(generators)
+        names, alex, maslov = ([g[k] for g in gens] for k in range(3))
+        index = {name: x for x, name in enumerate(names)}
+        dup = len(index) < len(names)
+        entries = []
+        for s, t, k in differential:
+            for name in (s, t):
+                if name not in index:  # kept for validate to report
+                    index[name] = len(names)
+                    names.append(name)
+            entries.append((index[s], index[t], k))
+        self._adopt(names, alex, maslov, entries, ambient_d, label, dup)
+
+    @classmethod
+    def _of(cls, *fields) -> "BifilteredComplex":
+        """A complex straight from positions: the fields of _adopt."""
+        c = cls.__new__(cls)
+        c._adopt(*fields)
+        return c
+
+    def _adopt(self, names, alex, maslov, entries, ambient_d, label,
+               dup=False):
+        # generator x is (names[x], alex[x], maslov[x]), an entry a triple of
+        # positions; names past the last generator are cited by entries
+        # only; dup: some name repeats.  The lists are shared, never changed.
+        self._names, self._alex, self._maslov = names, alex, maslov
+        self._entries, self._dup = entries, dup
         self.ambient_d = int(ambient_d)
         self.label = label
-        self._index = {g.name: g for g in self.generators}
         # each built on first use; _sweep is engine.upsilon's
         self._mat = self._violations = self._slice = self._sweep = None
 
     def __repr__(self):
         tag = self.label or "complex"
         return "<BifilteredComplex %s: %d generators, %d entries, d=%d>" % (
-            tag, len(self.generators), len(self.differential), self.ambient_d)
+            tag, len(self._alex), len(self._entries), self.ambient_d)
+
+    @cached_property
+    def generators(self) -> tuple[Generator, ...]:
+        return tuple(map(Generator, self._names, self._alex, self._maslov))
+
+    @cached_property
+    def differential(self) -> tuple[DiffEntry, ...]:
+        n = self._names
+        return tuple([DiffEntry(n[s], n[t], k) for s, t, k in self._entries])
+
+    @cached_property
+    def _by_name(self) -> dict:
+        return {g.name: g for g in self.generators}
 
     def generator(self, name: str) -> Generator:
-        return self._index[name]
+        return self._by_name[name]
 
     def relabeled(self, label) -> "BifilteredComplex":
-        return BifilteredComplex(self.generators, self.differential,
-                                 self.ambient_d, label)
+        return BifilteredComplex._of(self._names, self._alex, self._maslov,
+                                     self._entries, self.ambient_d, label,
+                                     self._dup)
 
     # -- internal structure; built only once the per-entry checks pass
 
     def _matrix(self) -> _Matrix:
         """The differential, built once: see _Matrix."""
         if self._mat is None:
-            out, pos, cols = {}, {}, ([], [])
-            for g in self.generators:
-                out[g.name] = []
-                pos[g.name] = len(cols[g.maslov % 2])
-                cols[g.maslov % 2].append(0)
-            for s, t, k in self.differential:
+            out = [[] for _ in self._alex]
+            for s, t, k in self._entries:
                 out[s].append((t, k))
-            for g in self.generators:
+            counters = (count(), count())
+            pos = [next(counters[m % 2]) for m in self._maslov]
+            cols = ([], [])
+            for m, terms in zip(self._maslov, out):
                 v = 0
-                for t, _ in out[g.name]:
+                for t, _ in terms:
                     v ^= 1 << pos[t]
-                cols[g.maslov % 2][pos[g.name]] = v
+                cols[m % 2].append(v)
             self._mat = _Matrix(out, pos, cols)
         return self._mat
+
+
+def _repeats(names) -> list:
+    """Each name equal to an earlier one, once per repeat, in order."""
+    seen = set()
+    return [name for name in names if name in seen or seen.add(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,35 +193,36 @@ class BifilteredComplex:
 def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
     if c._violations is not None:
         return c._violations
-    v = []
-    index = c._index
-    if len(index) < len(c.generators):
-        seen = set()
-        for g in c.generators:
-            if g.name in seen:
-                v.append("duplicate generator name %r" % g.name)
-            seen.add(g.name)
+    names, alex, maslov = c._names, c._alex, c._maslov
+    n = len(alex)
+    v = ["duplicate generator name %r" % name
+         for name in (_repeats(names[:n]) if c._dup else ())]
 
-    entries_seen = set()
-    for e in c.differential:
+    # entries are tracked one by one only when some entry repeats
+    entries = c._entries
+    repeats, seen = len(set(entries)) < len(entries), set()
+    for e in entries:
         s, t, k = e
-        src, tgt = index.get(s), index.get(t)
-        if src is None or tgt is None:
+        if s >= n or t >= n:
             v.append("entry (%s -> %s) references unknown generator %r"
-                     % (s, t, s if src is None else t))
+                     % (names[s], names[t], names[s if s >= n else t]))
             continue
         if k < 0:
-            v.append("entry (%s -> %s) has negative U-power %d" % e)
-        if e in entries_seen:
-            v.append("duplicate differential entry (%s -> %s, U^%d)" % e)
-        entries_seen.add(e)
-        if tgt.maslov != src.maslov - 1 + 2 * k:
+            v.append("entry (%s -> %s) has negative U-power %d"
+                     % (names[s], names[t], k))
+        if repeats:
+            if e in seen:
+                v.append("duplicate differential entry (%s -> %s, U^%d)"
+                         % (names[s], names[t], k))
+            seen.add(e)
+        if maslov[t] != maslov[s] - 1 + 2 * k:
             v.append("Maslov constraint violated by (%s -> %s, U^%d): "
                      "M(%s)=%d, expected %d"
-                     % (s, t, k, t, tgt.maslov, src.maslov - 1 + 2 * k))
-        if src.alexander - tgt.alexander + k < 0:
+                     % (names[s], names[t], k, names[t], maslov[t],
+                        maslov[s] - 1 + 2 * k))
+        if alex[s] - alex[t] + k < 0:
             v.append("Alexander constraint violated by (%s -> %s, U^%d): "
-                     "arrow points up or right" % e)
+                     "arrow points up or right" % (names[s], names[t], k))
 
     if not v:
         # d^2 = 0 over F2[U]: two-step path counts must be even for every
@@ -188,7 +233,7 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
         # x's targets y.  Where that XOR is nonzero, x's paths are walked
         # in y-then-z order to report each odd z once.
         out, pos, cols = c._matrix()
-        for x, _, m in c.generators:
+        for x, m in enumerate(maslov):
             ys, odd = cols[1 - m % 2], 0
             for y, _ in out[x]:
                 odd ^= ys[pos[y]]
@@ -200,7 +245,7 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
                         odd ^= 1 << pos[z]
                         v.append("d^2 != 0: odd number of two-step paths "
                                  "%s -> %s with total U-power %d"
-                                 % (x, z, k1 + k2))
+                                 % (names[x], names[z], k1 + k2))
 
     c._violations = tuple(v)
     return c._violations
@@ -228,8 +273,9 @@ def require_valid(c: BifilteredComplex) -> None:
 
 
 class _Slice(NamedTuple):
-    """The slice in grading ambient_d: its points, the boundaries landing in
-    it as masks over them, their echelon and a cycle for the class."""
+    """The slice in grading ambient_d: its points, the boundary columns
+    into it that its echelon found independent (a basis of every boundary)
+    as masks over them, that echelon and a cycle for the class."""
 
     points: tuple[LatticePoint, ...]
     boundaries: list[int]
@@ -245,14 +291,15 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
     if c._slice is None:
         p = c.ambient_d % 2
         cols = c._matrix().cols
-        cycles, ech = kernel_basis(cols[p]), BitEchelon(cols[1 - p])
+        cycles, ech = kernel_basis(cols[p]), BitEchelon()
+        boundaries = [w for w in cols[1 - p] if ech.add(w)]
         dim = len(cycles) - ech.rank
         if dim != 1:
             c._slice = ("non-admissible: homology has dimension %d != 1 in "
                         "grading %d" % (dim, c.ambient_d))
         else:
             c._slice = _Slice(tuple(grading_slice(c, c.ambient_d)),
-                              cols[1 - p], ech,
+                              boundaries, ech,
                               next(z for z in cycles if ech.reduce(z)))
     if isinstance(c._slice, str):
         raise NonAdmissibleError(c._slice)
@@ -262,9 +309,9 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
 def grading_slice(c: BifilteredComplex, d: int) -> list[LatticePoint]:
     """Lattice points of total Maslov grading d: one per generator of Maslov
     parity d, its unique U-translate with that grading."""
-    return [LatticePoint(g.name, (d - g.maslov) // 2,
-                         g.alexander + (d - g.maslov) // 2)
-            for g in c.generators if g.maslov % 2 == d % 2]
+    return [LatticePoint(name, (d - m) // 2, a + (d - m) // 2)
+            for name, a, m in zip(c._names, c._alex, c._maslov)
+            if m % 2 == d % 2]
 
 
 # ---------------------------------------------------------------------------
@@ -275,37 +322,44 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
     """Tensor product over F2[U]: gradings add, the differential obeys the
     Leibniz rule, and the ambient gradings add.
 
-    Generators are ordered lexicographically by input indices and named
-    "a*b"; this makes repeated tensors associate on the nose up to names.
+    Generators are ordered lexicographically by input positions and named
+    "a*b", each with entries d(a)*b, then a*d(b): repeated tensors associate
+    on the nose up to names.  Two products named alike raise ValueError.
     """
     require_valid(c1)
     require_valid(c2)
+    tails = ["*" + b for b in c2._names]
+    names = [a + tail for a in c1._names for tail in tails]
+    if len(set(names)) < len(names):
+        raise ValueError("tensor name clash: %s"
+                         % sorted(set(_repeats(names))))
+    n2 = len(c2._alex)
     out1, out2 = c1._matrix().out, c2._matrix().out
-    right = [("*" + name, a2, m2, [("*" + tgt, k) for tgt, k in out2[name]])
-             for name, a2, m2 in c2.generators]
-    gens, diff = [], []
-    for name1, a1, m1 in c1.generators:
-        targets1 = out1[name1]
-        for tail, a2, m2, targets2 in right:
-            src = name1 + tail
-            gens.append(Generator(src, a1 + a2, m1 + m2))
-            for tgt, k in targets1:
-                diff.append(DiffEntry(src, tgt + tail, k))
-            for tgt_tail, k in targets2:
-                diff.append(DiffEntry(src, name1 + tgt_tail, k))
-    label = None
-    if c1.label and c2.label:
-        label = "%s # %s" % (c1.label, c2.label)
-    return BifilteredComplex(gens, diff, c1.ambient_d + c2.ambient_d, label)
+    entries = []
+    append = entries.append
+    for x1, terms1 in enumerate(out1):
+        base = x1 * n2
+        left = [(t * n2, k) for t, k in terms1]
+        for x2, terms2 in enumerate(out2):
+            src = base + x2
+            for t, k in left:
+                append((src, t + x2, k))
+            for t, k in terms2:
+                append((src, base + t, k))
+    label = "%s # %s" % (c1.label, c2.label) if c1.label and c2.label else None
+    return BifilteredComplex._of(
+        names, [a1 + a2 for a1 in c1._alex for a2 in c2._alex],
+        [m1 + m2 for m1 in c1._maslov for m2 in c2._maslov], entries,
+        c1.ambient_d + c2.ambient_d, label)
 
 
 def dual(c: BifilteredComplex) -> BifilteredComplex:
     """Mirror: negate both gradings and the ambient grading, reverse arrows."""
     require_valid(c)
-    gens = [Generator(g.name, -g.alexander, -g.maslov) for g in c.generators]
-    diff = [DiffEntry(e.target, e.source, e.upower) for e in c.differential]
     label = "-%s" % c.label if c.label else None
-    return BifilteredComplex(gens, diff, -c.ambient_d, label)
+    return BifilteredComplex._of(
+        c._names, [-a for a in c._alex], [-m for m in c._maslov],
+        [(t, s, k) for s, t, k in c._entries], -c.ambient_d, label)
 
 
 def direct_sum(c1: BifilteredComplex, c2: BifilteredComplex,
@@ -315,12 +369,19 @@ def direct_sum(c1: BifilteredComplex, c2: BifilteredComplex,
     Generator names must not clash.  The ambient grading is taken from c1;
     summing with an acyclic piece leaves the homology unchanged.
     """
-    clash = {g.name for g in c1.generators} & {g.name for g in c2.generators}
+    n1, n2 = len(c1._alex), len(c2._alex)
+    clash = set(c1._names[:n1]) & set(c2._names[:n2])
     if clash:
         raise ValueError("direct_sum name clash: %s" % sorted(clash))
-    return BifilteredComplex(c1.generators + c2.generators,
-                             c1.differential + c2.differential,
-                             c1.ambient_d, label)
+    if len(c1._names) > n1 or len(c2._names) > n2:
+        # a name one side cites without a generator may be the other's
+        return BifilteredComplex(c1.generators + c2.generators,
+                                 c1.differential + c2.differential,
+                                 c1.ambient_d, label)
+    return BifilteredComplex._of(
+        c1._names + c2._names, c1._alex + c2._alex, c1._maslov + c2._maslov,
+        c1._entries + [(s + n1, t + n1, k) for s, t, k in c2._entries],
+        c1.ambient_d, label, c1._dup or c2._dup)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +423,7 @@ def complex_from_json_dict(obj) -> BifilteredComplex:
         for field in ("alexander", "maslov"):
             if not isinstance(g[field], int) or isinstance(g[field], bool):
                 raise FormatError("generator %s must be an integer" % field)
-        gens.append(Generator(g["name"], g["alexander"], g["maslov"]))
+        gens.append((g["name"], g["alexander"], g["maslov"]))
     diff = []
     for e in obj["differential"]:
         _require_keys(e, _ENTRY_KEYS, _ENTRY_KEYS, "differential entry")
@@ -370,7 +431,7 @@ def complex_from_json_dict(obj) -> BifilteredComplex:
             raise FormatError("differential endpoints must be strings")
         if not isinstance(e["upower"], int) or isinstance(e["upower"], bool):
             raise FormatError("upower must be an integer")
-        diff.append(DiffEntry(e["from"], e["to"], e["upower"]))
+        diff.append((e["from"], e["to"], e["upower"]))
     return BifilteredComplex(gens, diff, obj["ambient_d"], label)
 
 
@@ -378,10 +439,10 @@ def complex_to_json_dict(c: BifilteredComplex) -> dict:
     return {
         "label": c.label,
         "ambient_d": c.ambient_d,
-        "generators": [{"name": g.name, "alexander": g.alexander,
-                        "maslov": g.maslov} for g in c.generators],
-        "differential": [{"from": e.source, "to": e.target,
-                          "upower": e.upower} for e in c.differential],
+        "generators": [{"name": name, "alexander": a, "maslov": m}
+                       for name, a, m in zip(c._names, c._alex, c._maslov)],
+        "differential": [{"from": c._names[s], "to": c._names[t], "upower": k}
+                         for s, t, k in c._entries],
     }
 
 

@@ -17,7 +17,7 @@ from itertools import groupby
 from math import gcd
 
 from . import engine
-from .complexes import BifilteredComplex, DiffEntry, Generator, dual
+from .complexes import BifilteredComplex, dual
 from .errors import MissingDataError
 from .plfunction import PLFunction
 
@@ -27,7 +27,7 @@ from .plfunction import PLFunction
 
 
 def unknot_complex() -> BifilteredComplex:
-    return BifilteredComplex([Generator("u", 0, 0)], [], 0, "unknot")
+    return BifilteredComplex._of(["u"], [0], [0], [], 0, "unknot")
 
 
 def staircase(steps) -> BifilteredComplex:
@@ -52,14 +52,12 @@ def staircase(steps) -> BifilteredComplex:
             maslov.append(maslov[-1] + 1 - 2 * s)
         else:
             maslov.append(maslov[-1] - 1)
-    gens = [Generator("x%d" % k, alex[k], maslov[k])
-            for k in range(len(steps) + 1)]
-    diff = []
+    entries = []
     for k in range(1, len(steps) + 1, 2):
-        diff.append(DiffEntry("x%d" % k, "x%d" % (k - 1), steps[k - 1]))
-        diff.append(DiffEntry("x%d" % k, "x%d" % (k + 1), 0))
+        entries += [(k, k - 1, steps[k - 1]), (k, k + 1, 0)]
     label = "staircase:" + ",".join(str(s) for s in steps)
-    return BifilteredComplex(gens, diff, 0, label)
+    return BifilteredComplex._of(["x%d" % k for k in range(len(alex))],
+                                 alex, maslov, entries, 0, label)
 
 
 def torus_knot_complex(p: int, q: int) -> BifilteredComplex:
@@ -86,23 +84,18 @@ def torus_knot_complex(p: int, q: int) -> BifilteredComplex:
 
 def figure_eight_complex() -> BifilteredComplex:
     """Standard five-generator model: a free unit plus one box."""
-    gens = [Generator("e", 0, 0), Generator("a", 1, 1), Generator("b", 0, 0),
-            Generator("c", -1, -1), Generator("d", 0, 0)]
-    diff = [DiffEntry("b", "a", 1), DiffEntry("b", "c", 0),
-            DiffEntry("a", "d", 0), DiffEntry("c", "d", 1)]
-    return BifilteredComplex(gens, diff, 0, "figure8")
+    grading = [0, 1, 0, -1, 0]  # Alexander and Maslov agree on e, a, b, c, d
+    # d(b) = U a + c, d(a) = d, d(c) = U d
+    return BifilteredComplex._of(list("eabcd"), grading, grading, [
+        (2, 1, 1), (2, 3, 0), (1, 4, 0), (3, 4, 1)], 0, "figure8")
 
 
 def box_complex(prefix="box", alexander=0, maslov=0) -> BifilteredComplex:
     """One acyclic box summand, positioned by its distinguished corner."""
     a, m = alexander, maslov
-    gens = [Generator(prefix + "z", a, m), Generator(prefix + "h", a + 1, m + 1),
-            Generator(prefix + "v", a - 1, m - 1), Generator(prefix + "w", a, m)]
-    diff = [DiffEntry(prefix + "z", prefix + "h", 1),
-            DiffEntry(prefix + "z", prefix + "v", 0),
-            DiffEntry(prefix + "h", prefix + "w", 0),
-            DiffEntry(prefix + "v", prefix + "w", 1)]
-    return BifilteredComplex(gens, diff, 0, None)
+    return BifilteredComplex._of(
+        [prefix + x for x in "zhvw"], [a, a + 1, a - 1, a], [m, m + 1, m - 1, m],
+        [(0, 1, 1), (0, 2, 0), (1, 3, 0), (2, 3, 1)], 0, None)
 
 
 def chen_cable_upsilon(n: int) -> PLFunction:

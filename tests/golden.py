@@ -34,7 +34,7 @@ from pathlib import Path
 import knotupsilon as ku
 from knotupsilon.cli import main as cli_main
 
-from helpers import corpus, random_admissible_complex
+from helpers import corpus, random_admissible_complex, renamed
 
 GOLDEN = Path(__file__).resolve().parent / "golden.jsonl"
 
@@ -180,6 +180,9 @@ def write_inputs(where: Path):
             [ku.Generator("x", 0, 0), ku.Generator("y", 0, 0)], [], 0)),
         "ghost.json": ku.complex_to_json(ku.BifilteredComplex(
             [ku.Generator("x", 0, 0)], [ku.DiffEntry("x", "y", 0)], 0)),
+        # valid, but their tensor would name two generators "a*b*c"
+        "clash_a.json": ku.complex_to_json(renamed(tref, ["a", "a*b", "q"])),
+        "clash_b.json": ku.complex_to_json(renamed(tref, ["b*c", "c", "r"])),
         "broken.json": '{"label": "x", "generators": [',
         "extra.json": json.dumps({"label": None, "ambient_d": 0,
                                   "generators": [], "differential": [],
@@ -208,6 +211,7 @@ CLI_RUNS = [
     ["tensor", "trefoil.json", "fig8.json"],
     ["tensor", "trefoil", "chen-cable:8"], ["tensor", "trefoil", "bad.json"],
     ["tensor", "ghost.json", "trefoil"],
+    ["tensor", "clash_a.json", "clash_b.json"],
     ["dual", "trefoil"], ["dual", "figure8"], ["dual", "torus:3,4"],
     ["dual", "trefoil.json"], ["dual", "bad.json"],
     ["validate", "trefoil"], ["validate", "bad.json"],

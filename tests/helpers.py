@@ -444,6 +444,15 @@ def positionally_equal(c1, c2, names=False):
     return e1 == e2
 
 
+def renamed(c, names):
+    """c with its generators renamed, position by position."""
+    to = dict(zip([g.name for g in c.generators], names))
+    return ku.BifilteredComplex(
+        [g._replace(name=to[g.name]) for g in c.generators],
+        [(to[s], to[t], k) for s, t, k in c.differential], c.ambient_d,
+        c.label)
+
+
 def random_staircase(rng, max_half_steps=2, max_len=3):
     """Random staircase with up to max_half_steps horizontal/vertical pairs."""
     n = 2 * rng.randint(1, max_half_steps)

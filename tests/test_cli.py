@@ -13,6 +13,8 @@ import pytest
 import knotupsilon as ku
 from knotupsilon.cli import main
 
+from helpers import renamed
+
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
@@ -149,6 +151,17 @@ def test_tensor_subcommand(capsys):
     rc, out, _ = run(capsys, ["tensor", "trefoil", "trefoil"])
     assert rc == 0
     assert len(json.loads(out)["generators"]) == 9
+
+
+def test_tensor_name_clash_is_domain_error(capsys, tmp_path):
+    t = ku.torus_knot_complex(2, 3)
+    paths = []
+    for tag, names in (("a", ["a", "a*b", "q"]), ("b", ["b*c", "c", "r"])):
+        paths.append(tmp_path / (tag + ".json"))
+        paths[-1].write_text(ku.complex_to_json(renamed(t, names)))
+        assert run(capsys, ["validate", str(paths[-1])])[0] == 0
+    rc, out, err = run(capsys, ["tensor"] + [str(p) for p in paths])
+    assert (rc, out, err) == (1, "", "error: tensor name clash: ['a*b*c']\n")
 
 
 def test_dual_subcommand(capsys):

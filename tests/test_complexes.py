@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import knotupsilon as ku
+import knotupsilon.complexes
 from knotupsilon import BifilteredComplex, DiffEntry, Generator, LatticePoint
 
 from helpers import (brute_d_squared_even, corpus, d_squared_lines,
-                     enumerated_homology_dim, naive_tensor, positionally_equal)
+                     enumerated_homology_dim, naive_tensor, positionally_equal,
+                     renamed)
 
 
 def trefoil_by_hand():
@@ -359,11 +361,49 @@ def test_tensor_rejects_invalid():
         ku.tensor(broken, ku.unknot_complex())
 
 
+def test_tensor_name_clash():
+    # both copies of the trefoil are valid, but "a" * "b*c" and "a*b" * "c"
+    # would both be "a*b*c"
+    t = ku.torus_knot_complex(2, 3)
+    a, b = renamed(t, ["a", "a*b", "q"]), renamed(t, ["b*c", "c", "r"])
+    assert ku.validate(a).ok and ku.validate(b).ok
+    with pytest.raises(ValueError, match=r"^tensor name clash: \['a\*b\*c'\]$"):
+        ku.tensor(a, b)
+    assert ku.validate(ku.tensor(b, a)).ok
+
+
 def test_tensor_ambient_d_adds():
     u = ku.unknot_complex()
     shifted = BifilteredComplex([Generator("v", 0, 2)], [], 2)
     assert ku.tensor(shifted, shifted).ambient_d == 4
     assert ku.tensor(u, shifted).ambient_d == 2
+
+
+def test_positions_are_the_identity(monkeypatch):
+    # building, checking and sweeping a chain make no Generator or
+    # DiffEntry: only the views do, on first use
+    box, fig8 = ku.box_complex("q", 0, 0), ku.figure_eight_complex()
+
+    def refuse(*args):
+        raise AssertionError("built a named record")
+
+    monkeypatch.setattr(knotupsilon.complexes, "Generator", refuse)
+    monkeypatch.setattr(knotupsilon.complexes, "DiffEntry", refuse)
+    chain = [ku.torus_knot_complex(2, 3), fig8, ku.staircase([1, 2, 2, 1])]
+    c = ku.direct_sum(ku.dual(reduce(ku.tensor, chain)), box)
+    assert ku.validate(c).ok
+    f = ku.upsilon(c)
+    assert ku.tau(c) == -4 and all(j.passed for j in ku.jump_report(c, f))
+    assert ku.complex_from_json(ku.complex_to_json(c)).label == c.label
+    for view in ("generators", "differential"):
+        with pytest.raises(AssertionError, match="named record"):
+            getattr(c, view)
+    monkeypatch.undo()
+    out, pos, _ = c._matrix()
+    assert type(out) is list and type(pos) is list
+    assert c.generators is c.generators
+    assert c.differential is c.differential
+    assert c.generator("qz") == Generator("qz", 0, 0)
 
 
 # -- dual
@@ -400,6 +440,16 @@ def test_dual_swaps_slices():
 def test_direct_sum_name_clash():
     with pytest.raises(ValueError):
         ku.direct_sum(ku.unknot_complex(), ku.unknot_complex())
+
+
+def test_direct_sum_resolves_unknown_names_across_sides():
+    # an entry of one side naming a generator of the other resolves to it
+    left = BifilteredComplex([Generator("b", 0, -1)], [DiffEntry("b", "a", 1)])
+    right = BifilteredComplex([Generator("a", 1, 0)], [])
+    c = ku.direct_sum(left, right)
+    assert c.differential == (DiffEntry("b", "a", 1),)
+    assert ku.validate(c).violations == (
+        "non-admissible: homology has dimension 0 != 1 in grading 0",)
 
 
 def test_direct_sum_with_box_keeps_homology():

@@ -11,6 +11,7 @@ import knotupsilon as ku
 import knotupsilon.complexes
 import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
+from knotupsilon.gf2 import BitEchelon
 
 from helpers import (brute_force_nu, chain_boundary, check_segment_certificate,
                      check_symmetry, corpus, filtration_value, nu_at_halfplane,
@@ -163,6 +164,17 @@ def test_slice_is_built_once_per_complex(monkeypatch):
         with pytest.raises(ku.NonAdmissibleError, match="^%s$" % msg):
             route()
     assert len(calls) == 1
+
+
+def test_slice_keeps_independent_boundaries():
+    # about half the boundary columns of a sum are dependent; the slice
+    # keeps the ones its echelon found independent, a basis of the span
+    c = ku.tensor(ku.torus_knot_complex(3, 4), ku.torus_knot_complex(2, -3))
+    s = ku.require_admissible(c)
+    cols = c._matrix().cols[1 - c.ambient_d % 2]
+    assert len(s.boundaries) == s.echelon.rank < len(cols)
+    assert not any(s.echelon.reduce(w) for w in cols)
+    assert BitEchelon(s.boundaries).rank == s.echelon.rank
 
 
 def test_brute_force_rejects_large_slice():

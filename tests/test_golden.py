@@ -55,3 +55,16 @@ def test_golden_nu_certificates(admissible):
                        for p in cert.realizing_points), case
             assert all(filtration_value(t, p) <= cert.nu
                        for p in cert.cycle), case
+
+
+def test_views_rebuild_the_same_complex():
+    # the two routes to a complex: positions built by the library, and the
+    # public constructor resolving the names of its views back
+    for case, c in complex_cases():
+        again = ku.BifilteredComplex(c.generators, c.differential,
+                                     c.ambient_d, c.label)
+        violations = ku.validate(c).violations
+        assert ku.validate(again).violations == violations, case
+        assert ku.complex_to_json(again) == ku.complex_to_json(c), case
+        if not any("unknown generator" in v for v in violations):
+            assert again._matrix().cols == c._matrix().cols, case
