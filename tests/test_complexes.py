@@ -380,17 +380,17 @@ def test_tensor_ambient_d_adds():
 
 
 def test_positions_are_the_identity(monkeypatch):
-    # building, checking and sweeping a chain make no Generator or
-    # DiffEntry: only the views do, on first use
-    box, fig8 = ku.box_complex("q", 0, 0), ku.figure_eight_complex()
-
+    # the builders, and checking, sweeping and writing a chain, make no
+    # Generator or DiffEntry: only the views do, on first use
     def refuse(*args):
         raise AssertionError("built a named record")
 
     monkeypatch.setattr(knotupsilon.complexes, "Generator", refuse)
     monkeypatch.setattr(knotupsilon.complexes, "DiffEntry", refuse)
-    chain = [ku.torus_knot_complex(2, 3), fig8, ku.staircase([1, 2, 2, 1])]
-    c = ku.direct_sum(ku.dual(reduce(ku.tensor, chain)), box)
+    chain = [ku.torus_knot_complex(2, 3), ku.figure_eight_complex(),
+             ku.staircase([1, 2, 2, 1]), ku.unknot_complex()]
+    c = ku.direct_sum(ku.dual(reduce(ku.tensor, chain)),
+                      ku.box_complex("q", 0, 0))
     assert ku.validate(c).ok
     f = ku.upsilon(c)
     assert ku.tau(c) == -4 and all(j.passed for j in ku.jump_report(c, f))
@@ -445,8 +445,9 @@ def test_direct_sum_name_clash():
 def test_direct_sum_resolves_unknown_names_across_sides():
     # an entry of one side naming a generator of the other resolves to it
     left = BifilteredComplex([Generator("b", 0, -1)], [DiffEntry("b", "a", 1)])
-    right = BifilteredComplex([Generator("a", 1, 0)], [])
+    right = BifilteredComplex([Generator("z", 5, 5), Generator("a", 1, 0)], [])
     c = ku.direct_sum(left, right)
+    assert c.generators == left.generators + right.generators
     assert c.differential == (DiffEntry("b", "a", 1),)
     assert ku.validate(c).violations == (
         "non-admissible: homology has dimension 0 != 1 in grading 0",)
