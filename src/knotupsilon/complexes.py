@@ -210,11 +210,9 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
         if k < 0:
             v.append("entry (%s -> %s) has negative U-power %d"
                      % (names[s], names[t], k))
-        if repeats:
-            if e in seen:
-                v.append("duplicate differential entry (%s -> %s, U^%d)"
-                         % (names[s], names[t], k))
-            seen.add(e)
+        if repeats and (e in seen or seen.add(e)):
+            v.append("duplicate differential entry (%s -> %s, U^%d)"
+                     % (names[s], names[t], k))
         if maslov[t] != maslov[s] - 1 + 2 * k:
             v.append("Maslov constraint violated by (%s -> %s, U^%d): "
                      "M(%s)=%d, expected %d"
