@@ -123,12 +123,13 @@ class BifilteredComplex:
         return c
 
     def _adopt(self, names, alex, maslov, entries, ambient_d, label,
-               dup=False):
+               dup=False, flip=None):
         # generator x is (names[x], alex[x], maslov[x]), an entry a triple of
         # positions; names past the last generator are cited by entries
-        # only; dup: some name repeats.  The lists are shared, never changed.
+        # only; dup: some name repeats; flip: a builder's candidate flip,
+        # x -> flip[x]; upsilon tests it.  The lists are shared, never changed.
         self._names, self._alex, self._maslov = names, alex, maslov
-        self._entries, self._dup = entries, dup
+        self._entries, self._dup, self._flip = entries, dup, flip
         self.ambient_d = int(ambient_d)
         self.label = label
         # each built on first use; _sweep is engine.upsilon's
@@ -158,7 +159,7 @@ class BifilteredComplex:
     def relabeled(self, label) -> "BifilteredComplex":
         return BifilteredComplex._of(self._names, self._alex, self._maslov,
                                      self._entries, self.ambient_d, label,
-                                     self._dup)
+                                     self._dup, self._flip)
 
     # -- internal structure; built only once the per-entry checks pass
 
@@ -345,10 +346,12 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
             for t, k in terms2:
                 append((src, base + t, k))
     label = "%s # %s" % (c1.label, c2.label) if c1.label and c2.label else None
+    f1, f2 = c1._flip, c2._flip
     return BifilteredComplex._of(
         names, [a1 + a2 for a1 in c1._alex for a2 in c2._alex],
         [m1 + m2 for m1 in c1._maslov for m2 in c2._maslov], entries,
-        c1.ambient_d + c2.ambient_d, label)
+        c1.ambient_d + c2.ambient_d, label, False,
+        f1 and f2 and [y1 * n2 + y2 for y1 in f1 for y2 in f2])
 
 
 def dual(c: BifilteredComplex) -> BifilteredComplex:
@@ -357,7 +360,8 @@ def dual(c: BifilteredComplex) -> BifilteredComplex:
     label = "-%s" % c.label if c.label else None
     return BifilteredComplex._of(
         c._names, [-a for a in c._alex], [-m for m in c._maslov],
-        [(t, s, k) for s, t, k in c._entries], -c.ambient_d, label)
+        [(t, s, k) for s, t, k in c._entries], -c.ambient_d, label, False,
+        c._flip)
 
 
 def direct_sum(c1: BifilteredComplex, c2: BifilteredComplex,

@@ -18,10 +18,13 @@ echelon shows that no cycle of the class tops out lower.  nu_at, the
 public route to nu at one t, is one scan; two test oracles check it.
 upsilon sweeps t with one scan per segment: the cycle and the cocycle
 hold nu to the realizing point's line up to the next tie parameter where
-a point of either crosses it.  Each segment is checked from that
-certificate before it is kept, and the sweep is kept on the complex,
-where tau and jump_report read it.  The sweep carries t = a/b as two
-integers and reads each boundary's support once; on a segment upsilon
+a point of either crosses it.  Past t = 1 it scans only where a builder's
+flip x -> flip x fails: the slice map [x, i, j] -> [flip x, j, i] turns
+weights at t into weights at 2 - t, so flipped witnesses of a segment
+below 1 are candidates for its mirror image.  Each segment is checked
+from its certificate before it is kept, and the sweep is kept on the
+complex, where tau and jump_report read it.  The sweep carries t = a/b as
+two integers and reads each boundary's support once; on a segment upsilon
 follows -2 times its realizer's weight, so its slope is the realizer's
 i - j.  Fractions are built only for the values at the segment ends,
 which PLFunction._canonical brings to canonical form.  tau is minus the
@@ -69,34 +72,27 @@ def _filtered_scan(z, boundaries, keys):
     echelon rows pivoting above p, takes the pivot of each row it meets an
     odd number of times: it then vanishes on every boundary, meets z once
     and lies at or above p, so every cycle in the class reaches p's level.
-    Returns (p, r, phi) with r the reduced z, as bitmasks over the original
-    positions.
+    Returns (p, r, phi) with r the reduced z, as supports over the original
+    positions, in key order.
     """
     order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties by k
     newpos = [0] * len(keys)
     for new, old in enumerate(order):
         newpos[old] = new
-
-    def mask(support, table):
-        r = 0
-        for b in support:
-            r |= 1 << table[b]
-        return r
-
     b_ech = BitEchelon()
-    for support in boundaries:  # mask() inlined: this runs per boundary
+    for support in boundaries:  # a loop: this runs per boundary
         v = 0
         for b in support:
             v |= 1 << newpos[b]
         b_ech.add(v)
-    r = b_ech.reduce(mask(z, newpos))
+    r = b_ech.reduce(sum([1 << newpos[b] for b in z]))
     top = r.bit_length() - 1
     phi, pivots = 1 << top, b_ech.pivots
     for q in sorted(pivots):
         if q > top and (pivots[q] & phi).bit_count() & 1:
             phi |= 1 << q
-    return order[top], mask(bits(r), order), mask(bits(phi), order)
-
+    return (order[top], [order[k] for k in bits(r)],
+            [order[k] for k in bits(phi)])
 
 def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     """nu at one parameter, with a minimizing cycle as certificate."""
@@ -110,19 +106,19 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     top, witness, _ = _filtered_scan(
         bits(s.cycle), [bits(w) for w in s.boundaries], keys)
     level = keys[top]
-    support = bits(witness)
+    support = sorted(witness)
     cycle = tuple(pts[k] for k in support)
     realizing = tuple(pts[k] for k in support if keys[k] == level)
     return NuCertificate(t=t, nu=Fraction(level, 2 * b),
                          realizing_points=realizing, cycle=cycle)
 
 
-def _check_segment(s, r, phi, p, cycle, cocycle, ends):
-    """Prove that nu follows p's line between the two ends, each t = a/b
-    given as the pair (a, b): r is the slice s's cycle plus boundaries,
-    phi vanishes on every boundary and meets that cycle once, and at both
-    ends the top of r (its points cycle) and the bottom of phi (cocycle)
-    weigh as much as p."""
+def _proves_segment(s, r, phi, p, cycle, cocycle, ends):
+    """Whether r and phi prove that nu follows p's line between the two
+    ends, each t = a/b given as the pair (a, b): r is the slice s's cycle
+    plus boundaries, phi vanishes on every boundary and meets that cycle
+    once, and at both ends the top of r (its points cycle) and the bottom
+    of phi (cocycle) weigh as much as p."""
     ok = (not s.echelon.reduce(r ^ s.cycle)
           and (phi & s.cycle).bit_count() & 1
           and not any([(phi & w).bit_count() & 1 for w in s.boundaries]))
@@ -131,9 +127,22 @@ def _check_segment(s, r, phi, p, cycle, cocycle, ends):
         level = u * p.i + a * p.j
         ok = (ok and max([u * q.i + a * q.j for q in cycle]) == level
               and min([u * q.i + a * q.j for q in cocycle]) == level)
-    if not ok:
-        raise AssertionError("nu not linear on [%s, %s]: its certificate "
-                             "fails" % tuple(Fraction(a, b) for a, b in ends))
+    return bool(ok)
+
+
+def _slice_flip(c):
+    """c's candidate flip as a permutation of slice positions, [x, i, j] to
+    [flip x, j, i], if it permutes the generators with A(flip x) = -A(x)
+    and M(flip x) = M(x) - 2A(x), which keeps the slice's grading; else
+    None."""
+    flip, alex, maslov = c._flip, c._alex, c._maslov
+    if (not flip or sorted(flip) != list(range(len(alex)))
+            or any(alex[y] != -a or maslov[y] != m - 2 * a
+                   for y, a, m in zip(flip, alex, maslov))):
+        return None
+    gens = [x for x, m in enumerate(maslov) if m % 2 == c.ambient_d % 2]
+    pos = {x: k for k, x in enumerate(gens)}  # slice position of x
+    return [pos[flip[x]] for x in gens]
 
 
 class _Sweep(NamedTuple):
@@ -156,7 +165,10 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     first tie parameter t1 where a point of r overtakes p or a point of
     phi drops below it (or t1 = 2), and the next scan starts at t1.  Each
     segment is checked from its certificate before it is kept, and
-    consecutive realizers must weigh the same where they meet.
+    consecutive realizers must weigh the same where they meet.  From t = 1
+    on, a flip that passes _slice_flip maps the witnesses of the scanned
+    segment holding 2 - t to a segment ending where that one mirrors its
+    start; once they fail their check, the sweep scans again from there.
     """
     # the sweep is kept only after require_admissible passed
     if c._sweep is not None:
@@ -165,29 +177,49 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     pts, z = s.points, bits(s.cycle)
     boundaries = [bits(w) for w in s.boundaries]
     ijd = [(q.i, q.j, q.j - q.i) for q in pts]
-    ends, realizers, witnesses = [(0, 1)], [], []
+    ends, realizers, witnesses, scans = [(0, 1)], [], [], []
+    flip = k = None  # k: the scanned segment to mirror, once t reaches 1
     a, b = 0, 1
     while a < 2 * b:
         u = 2 * b - a
-        top, r, phi = _filtered_scan(
-            z, boundaries, [(u * i + a * j, d) for i, j, d in ijd])
+        if k is None and a >= b:
+            flip, k = _slice_flip(c), len(scans) - 1
+        if flip:
+            # the flipped witnesses of the scanned segment [t_k, t_k+1]
+            # holding 2 - t are candidates on [t, 2 - t_k]
+            while ends[k][0] * b >= u * ends[k][1]:
+                k -= 1
+            top, rs, ps = scans[k]
+            top, rs, ps = flip[top], [flip[x] for x in rs], [flip[x] for x in ps]
+            t1 = (2 * ends[k][1] - ends[k][0], ends[k][1])
+        else:
+            top, rs, ps = _filtered_scan(
+                z, boundaries, [(u * i + a * j, d) for i, j, d in ijd])
+            scans.append((top, rs, ps))
         p = pts[top]
-        cycle = tuple(map(pts.__getitem__, bits(r)))
-        cocycle = tuple(map(pts.__getitem__, bits(phi)))
-        # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with d = j - i;
-        # t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
-        d = p.j - p.i
-        ties = [(2 * (p.i - q.i), q.j - q.i - d)
-                for q in cycle if q.j - q.i > d]
-        ties += [(2 * (q.i - p.i), d - q.j + q.i)
-                 for q in cocycle if q.j - q.i < d]
-        n1, m1 = 2, 1
-        for n, m in ties:
-            if a * m < n * b and n * m1 < n1 * m:
-                n1, m1 = n, m
-        g = gcd(n1, m1)  # lowest terms keep the next scan's keys small
-        t1 = (n1 // g, m1 // g)
-        _check_segment(s, r, phi, p, cycle, cocycle, ((a, b), t1))
+        cycle = tuple(map(pts.__getitem__, rs))
+        cocycle = tuple(map(pts.__getitem__, ps))
+        if not flip:
+            # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with
+            # d = j - i; t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
+            d = p.j - p.i
+            ties = [(2 * (p.i - q.i), q.j - q.i - d)
+                    for q in cycle if q.j - q.i > d]
+            ties += [(2 * (q.i - p.i), d - q.j + q.i)
+                     for q in cocycle if q.j - q.i < d]
+            n1, m1 = 2, 1
+            for n, m in ties:
+                if a * m < n * b and n * m1 < n1 * m:
+                    n1, m1 = n, m
+            g = gcd(n1, m1)  # lowest terms keep the next scan's keys small
+            t1 = (n1 // g, m1 // g)
+        r, phi = sum([1 << x for x in rs]), sum([1 << x for x in ps])
+        if not _proves_segment(s, r, phi, p, cycle, cocycle, ((a, b), t1)):
+            if flip:  # not a flip of c after all: scan from t on
+                flip = None
+                continue
+            raise AssertionError("nu not linear on [%s, %s]: its certificate "
+                                 "fails" % (Fraction(a, b), Fraction(*t1)))
         q = realizers[-1] if realizers else p
         if u * (p.i - q.i) + a * (p.j - q.j):
             raise AssertionError("nu jumps at %s" % Fraction(a, b))

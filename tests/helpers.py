@@ -25,7 +25,9 @@ through the validating constructor; the library's one-merge arithmetic is
 checked against it.  check_symmetry tests f(t) = f(2 - t) by evaluation.
 mismatch_detail finds where two functions first differ by building their
 difference and evaluating both functions there; obstruct_concordance's
-walk, which builds no difference, is checked against it.
+walk, which builds no difference, is checked against it.  check_flip
+checks the flip symmetry a builder hands the sweep, entry by entry off
+the differential list.
 """
 
 from collections import Counter
@@ -399,6 +401,27 @@ def check_segment_certificate(c, ends, p, cycle, cocycle):
                 or min(filtration_value(t, q) for q in cocycle) != level):
             return False
     return True
+
+
+def check_flip(c):
+    """Whether the flip c's builder gave is a flip symmetry of c, read off
+    the generator and differential views: a permutation pi of the
+    generators with A(pi x) = -A(x) and M(pi x) = M(x) - 2A(x) that takes
+    the entries onto the entries, (s, t, k) to (pi s, pi t, A(s) - A(t) + k).
+    """
+    pi, gens = c._flip, c.generators
+    if pi is None or sorted(pi) != list(range(len(gens))):
+        return False
+    if any(gens[y].alexander != -g.alexander
+           or gens[y].maslov != g.maslov - 2 * g.alexander
+           for g, y in zip(gens, pi)):
+        return False
+    pos = {g.name: x for x, g in enumerate(gens)}
+    entries = Counter((pos[e.source], pos[e.target], e.upower)
+                      for e in c.differential)
+    return entries == Counter(
+        (pi[s], pi[t], gens[s].alexander - gens[t].alexander + k)
+        for s, t, k in entries.elements())
 
 
 def enumerated_homology_dim(c, d):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -13,8 +14,9 @@ import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 from knotupsilon.gf2 import BitEchelon
 
-from helpers import (brute_force_nu, chain_boundary, check_segment_certificate,
-                     check_symmetry, corpus, filtration_value, nu_at_halfplane,
+from helpers import (brute_force_nu, chain_boundary, check_flip,
+                     check_segment_certificate, check_symmetry, corpus,
+                     filtration_value, nu_at_halfplane,
                      random_admissible_complex, sampled_realizers,
                      torus_upsilon, vertical_tau)
 
@@ -307,6 +309,150 @@ def test_symmetry_rejects_line():
     assert not check_symmetry(PLFunction([0, 2], [0, -2]))
 
 
+# -- the flip symmetry: half a sweep
+
+
+def _flip_cases():
+    """Every genuine knot complex whose builder gives a flip: the corpus,
+    the ordered tensors of its first eight, the duals of all of these, and
+    torus knots up to T(17,31) with their mirrors."""
+    knots = [c for _, c in corpus()]
+    knots += [ku.tensor(a, b) for a in knots[:8] for b in knots[:8]]
+    knots += [ku.dual(c) for c in knots]
+    pairs = [(p, q) for q in range(3, 24) for p in range(2, q)
+             if gcd(p, q) == 1]
+    for p, q in pairs + [(13, 29), (17, 31)]:
+        knots += [ku.torus_knot_complex(p, q), ku.torus_knot_complex(p, -q)]
+    return knots
+
+
+def _with_flip(c, flip):
+    return BifilteredComplex._of(c._names, c._alex, c._maslov, c._entries,
+                                 c.ambient_d, c.label, c._dup, flip)
+
+
+def _counted(monkeypatch, name):
+    """The calls of one engine function, recorded from now on."""
+    real, calls = getattr(knotupsilon.engine, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(knotupsilon.engine, name, counted)
+    return calls
+
+
+def test_builders_give_flip_symmetries():
+    cases = _flip_cases()
+    assert len(cases) == 2 * (14 + 64) + 2 * (149 + 2)
+    assert all(check_flip(c) for c in cases)
+    # the public constructor, JSON and direct_sum give no flip
+    trefoil = ku.torus_knot_complex(2, 3)
+    for c in (BifilteredComplex(trefoil.generators, trefoil.differential),
+              ku.complex_from_json(ku.complex_to_json(trefoil)),
+              ku.direct_sum(trefoil, ku.box_complex("b."), "boxed")):
+        assert c._flip is None and not check_flip(c)
+    assert ku.staircase([1, 2])._flip is None  # not a palindrome
+
+
+def test_figure_eight_flip_is_a_chain_map():
+    # a <-> c, with e, b and d fixed, commutes with the differential on
+    # lattice points, [x, i, j] -> [pi x, j, i], off the differential list
+    c = ku.figure_eight_complex()
+    names = [g.name for g in c.generators]
+    pi = dict(zip(names, [names[y] for y in c._flip]))
+    assert pi == {"e": "e", "a": "c", "b": "b", "c": "a", "d": "d"}
+
+    def flipped(points):
+        return sorted(LatticePoint(pi[q.generator], q.j, q.i) for q in points)
+
+    for name in names:
+        for i in range(-2, 3):
+            p = LatticePoint(name, i, c.generator(name).alexander + i)
+            assert (flipped(chain_boundary(c, [p]))
+                    == chain_boundary(c, flipped([p])))
+    assert not check_flip(_with_flip(c, [4, 3, 2, 1, 0]))  # e <-> d is not
+
+
+def _realizer_runs(sweep):
+    """(t, (i, j)) wherever the realizer's coordinates change, from t = 0:
+    a sweep may split a run at a tie parameter that the other does not."""
+    runs = []
+    for t, p in zip(sweep.grid, sweep.realizers):
+        if not runs or runs[-1][1] != (p.i, p.j):
+            runs.append((t, (p.i, p.j)))
+    return runs
+
+
+def test_half_sweep_equals_full_sweep():
+    # the same complex through the public constructor carries no flip and
+    # is swept in full: the same function, slopes and realizers (i, j)
+    split = 0
+    for c in _flip_cases():
+        full = BifilteredComplex(c.generators, c.differential, c.ambient_d,
+                                 c.label)
+        f, g = ku.upsilon(c), ku.upsilon(full)
+        assert f == g and f.slopes == g.slopes and f == f.reflected()
+        assert _realizer_runs(c._sweep) == _realizer_runs(full._sweep)
+        split += c._sweep.grid != full._sweep.grid
+    assert split == 1  # -(T(3,5)#T(2,-3)): the full sweep splits at 6/5
+
+
+def test_wrong_flip_costs_scans_not_answers(monkeypatch):
+    # two entries of T(5,7)'s reversal swapped fail the grading screen; the
+    # reversal forced onto T(3,4)#T(2,-3)#figure8#figure8 passes it, but
+    # is no chain map (figure8's e <-> d).  Both give the upsilon of the
+    # right flip, with more scans, and witnesses that re-prove.
+    t, fig8 = ku.torus_knot_complex, ku.figure_eight_complex()
+    torus = t(5, 7)
+    swapped = list(torus._flip)
+    swapped[0], swapped[2] = swapped[2], swapped[0]
+    chain = ku.tensor(ku.tensor(ku.tensor(t(3, 4), t(2, -3)), fig8), fig8)
+    reversed_ = list(range(len(chain.generators)))[::-1]
+    scans = _counted(monkeypatch, "_filtered_scan")
+    for right, wrong, screened in ((torus, swapped, False),
+                                   (chain, reversed_, True)):
+        c = _with_flip(right, wrong)
+        assert not check_flip(c)
+        assert (knotupsilon.engine._slice_flip(c) is not None) == screened
+        scans.clear()
+        f = ku.upsilon(right)
+        half = len(scans)
+        scans.clear()
+        assert ku.upsilon(c) == f and f.slopes == ku.upsilon(c).slopes
+        sweep = c._sweep
+        for k, (p, (cycle, cocycle)) in enumerate(zip(sweep.realizers,
+                                                      sweep.witnesses)):
+            ends = (sweep.grid[k], sweep.grid[k + 1])
+            assert check_segment_certificate(c, ends, p, cycle, cocycle)
+        assert len(scans) > half
+
+
+def test_flip_halves_the_scans(monkeypatch):
+    # a machine-independent guard on the half sweep's cost, in scans and
+    # in screens of the flip
+    scans = _counted(monkeypatch, "_filtered_scan")
+    screens = _counted(monkeypatch, "_slice_flip")
+
+    def cost(c):
+        scans.clear()
+        screens.clear()
+        ku.upsilon(c)
+        return len(scans), len(screens)
+
+    t = ku.torus_knot_complex
+    c = t(13, 29)
+    assert cost(c)[0] <= 8 and len(c._sweep.grid) - 1 == 15
+    assert cost(reduce(ku.tensor, [t(2, 3)] * 6)) == (1, 1)
+    # upsilon is 0: one segment, so t never reaches 1 with work left
+    assert cost(reduce(ku.tensor, [ku.figure_eight_complex()] * 4)) == (1, 0)
+    # no flip through direct_sum: the full sweep's three scans
+    boxed = ku.direct_sum(ku.tensor(t(3, 4), t(3, 4)),
+                          ku.box_complex("b.", 1, 0))
+    assert cost(boxed)[0] == 3 and len(boxed._sweep.grid) - 1 == 3
+
+
 # -- monotonicity of weights under the differential
 
 
@@ -390,14 +536,15 @@ def test_upsilon_self_check_reads_both_ends(monkeypatch):
     # a scan that drops a point from either, or names another point of r
     # as the realizer, must not get past that check at one end or the other.
     # On T(3,-4) every r holds three coordinates, so the realizer can move.
+    # The scan returns r and phi as supports, lists of slice positions.
     def drop_from_cycle(top, r, phi):
-        return top, r ^ 1 << top, phi
+        return top, [x for x in r if x != top], phi
 
     def drop_from_cocycle(top, r, phi):
-        return top, r, phi ^ 1 << top
+        return top, r, [x for x in phi if x != top]
 
     def move_realizer(top, r, phi):
-        return (r & -r).bit_length() - 1, r, phi
+        return min(r), r, phi
 
     real = knotupsilon.engine._filtered_scan
     for corrupt in (drop_from_cycle, drop_from_cocycle, move_realizer):
@@ -520,10 +667,10 @@ def test_upsilon_refuses_realizers_that_disagree(monkeypatch):
         nonlocal scans
         scans += 1
         top, r, phi = real(*args)
-        return (phi.bit_length() - 1 if scans == 2 else top), r, phi
+        return (max(phi) if scans == 2 else top), r, phi
 
-    monkeypatch.setattr(knotupsilon.engine, "_check_segment",
-                        lambda *args: None)
+    monkeypatch.setattr(knotupsilon.engine, "_proves_segment",
+                        lambda *args: True)
     monkeypatch.setattr(knotupsilon.engine, "_filtered_scan", second_moved)
     with pytest.raises(AssertionError, match="^nu jumps at 2/3$"):
         ku.upsilon(ku.torus_knot_complex(3, 4))
