@@ -33,6 +33,7 @@ slope of the first segment, since upsilon'(0) = -tau.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
@@ -132,9 +133,8 @@ def _proves_segment(s, r, phi, p, cycle, cocycle, ends):
 
 def _slice_flip(c):
     """c's candidate flip as a permutation of slice positions, [x, i, j] to
-    [flip x, j, i], if it permutes the generators with A(flip x) = -A(x)
-    and M(flip x) = M(x) - 2A(x), which keeps the slice's grading; else
-    None."""
+    [flip x, j, i], if it permutes the generators with A(flip x) = -A(x) and
+    M(flip x) = M(x) - 2A(x), which keep the slice's grading; else None."""
     flip, alex, maslov = c._flip, c._alex, c._maslov
     if (not flip or sorted(flip) != list(range(len(alex)))
             or any(alex[y] != -a or maslov[y] != m - 2 * a
@@ -195,7 +195,8 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         else:
             top, rs, ps = _filtered_scan(
                 z, boundaries, [(u * i + a * j, d) for i, j, d in ijd])
-            scans.append((top, rs, ps))
+            # arrays: a list would keep an int object per position
+            scans.append((top, array("i", rs), array("i", ps)))
         p = pts[top]
         cycle = tuple(map(pts.__getitem__, rs))
         cocycle = tuple(map(pts.__getitem__, ps))
