@@ -33,7 +33,6 @@ slope of the first segment, since upsilon'(0) = -tau.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
@@ -81,7 +80,7 @@ def _filtered_scan(z, boundaries, keys):
     for new, old in enumerate(order):
         newpos[old] = new
     b_ech = BitEchelon()
-    for support in boundaries:  # a loop: this runs per boundary
+    for support in boundaries:  # a plain loop beats sum() on short supports
         v = 0
         for b in support:
             v |= 1 << newpos[b]
@@ -177,6 +176,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     pts, z = s.points, bits(s.cycle)
     boundaries = [bits(w) for w in s.boundaries]
     ijd = [(q.i, q.j, q.j - q.i) for q in pts]
+    ids = list(range(len(pts)))  # kept supports share these ints
     ends, realizers, witnesses, scans = [(0, 1)], [], [], []
     flip = k = None  # k: the scanned segment to mirror, once t reaches 1
     a, b = 0, 1
@@ -195,8 +195,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         else:
             top, rs, ps = _filtered_scan(
                 z, boundaries, [(u * i + a * j, d) for i, j, d in ijd])
-            # arrays: a list would keep an int object per position
-            scans.append((top, array("i", rs), array("i", ps)))
+            scans.append((top, [ids[x] for x in rs], [ids[x] for x in ps]))
         p = pts[top]
         cycle = tuple(map(pts.__getitem__, rs))
         cocycle = tuple(map(pts.__getitem__, ps))
