@@ -420,7 +420,8 @@ def test_wrong_flip_costs_scans_not_answers(monkeypatch):
         f = ku.upsilon(right)
         half = len(scans)
         scans.clear()
-        assert ku.upsilon(c) == f and f.slopes == ku.upsilon(c).slopes
+        g = ku.upsilon(c)
+        assert g == f and g.slopes == f.slopes
         sweep = c._sweep
         for k, (p, (cycle, cocycle)) in enumerate(zip(sweep.realizers,
                                                       sweep.witnesses)):
@@ -557,7 +558,8 @@ def test_upsilon_self_check_reads_both_ends(monkeypatch):
 
 def test_upsilon_one_scan_per_segment(monkeypatch):
     # a machine-independent guard on the sweep's cost: T(13,29) has 15
-    # certified segments, each proved by one scan, and nu_at is not used
+    # certified segments, none costs more than one scan, and nu_at is not
+    # used
     def refuse(c, t):
         raise AssertionError("upsilon evaluated nu_at at %s" % t)
 
