@@ -21,11 +21,12 @@ correction term of the ambient three-manifold; 0 for the three-sphere).  A
 complex whose homology in grading ambient_d is not one-dimensional is
 refused by the upsilon machinery.  require_admissible alone decides this,
 and builds once per complex the record of that slice the engine reads, or
-the refusal.  Each grading slice has one point per generator of its Maslov
-parity, so the differential between adjacent slices is one GF(2) matrix: a
-column per generator, a mask over the positions of the other parity.  A
-complex builds that matrix once; the d^2 check and require_admissible read
-it.
+the refusal; the engine cites the slice's points by position.  Each
+grading slice has one point per generator of its Maslov parity, so the
+differential between adjacent slices is one GF(2) matrix: a column per
+generator, a mask over the positions of the other parity.  A complex
+builds that matrix once; the d^2 check, require_admissible and the
+engine's flip screen read it.
 
 Complexes are immutable once built; all operations here are pure.  The
 records (Generator, DiffEntry, LatticePoint, ValidationReport, and those of
@@ -41,7 +42,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .errors import FormatError, InvalidComplexError, NonAdmissibleError
-from .gf2 import BitEchelon, kernel_basis
+from .gf2 import BitEchelon, bits, kernel_basis
 
 
 class Generator(NamedTuple):
@@ -274,10 +275,11 @@ def require_valid(c: BifilteredComplex) -> None:
 class _Slice(NamedTuple):
     """The slice in grading ambient_d: its points, the boundary columns
     into it that its echelon found independent (a basis of every boundary)
-    as masks over them, that echelon and a cycle for the class."""
+    as supports, lists of positions in points, that echelon and a cycle
+    for the class as a mask over them."""
 
     points: tuple[LatticePoint, ...]
-    boundaries: list[int]
+    boundaries: list[list[int]]
     echelon: BitEchelon
     cycle: int
 
@@ -291,7 +293,7 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
         p = c.ambient_d % 2
         cols = c._matrix().cols
         cycles, ech = kernel_basis(cols[p]), BitEchelon()
-        boundaries = [w for w in cols[1 - p] if ech.add(w)]
+        boundaries = [bits(w) for w in cols[1 - p] if ech.add(w)]
         dim = len(cycles) - ech.rank
         if dim != 1:
             c._slice = ("non-admissible: homology has dimension %d != 1 in "

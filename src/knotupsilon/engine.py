@@ -23,12 +23,14 @@ flip x -> flip x fails: the slice map [x, i, j] -> [flip x, j, i] turns
 weights at t into weights at 2 - t, so flipped witnesses of a segment
 below 1 are candidates for its mirror image.  Each segment is checked
 from its certificate before it is kept, and the sweep is kept on the
-complex, where tau and jump_report read it.  The sweep carries t = a/b as
-two integers and reads each boundary's support once; on a segment upsilon
-follows -2 times its realizer's weight, so its slope is the realizer's
-i - j.  Fractions are built only for the values at the segment ends,
-which PLFunction._canonical brings to canonical form.  tau is minus the
-slope of the first segment, since upsilon'(0) = -tau.
+complex, where tau and jump_report read it.  Each segment's realizer,
+cycle and cocycle are kept once, as slice positions; masks live only in a
+scan's echelon and a segment's proof.  The sweep carries t = a/b as two
+integers; on a segment upsilon follows -2 times its realizer's weight, so
+its slope is the realizer's i - j.  Fractions are built only for the
+values at the segment ends, which PLFunction._canonical brings to
+canonical form.  tau is minus the slope of the first segment, since
+upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
@@ -103,8 +105,7 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     pts = s.points
     a, b = t.numerator, t.denominator
     keys = [(2 * b - a) * p.i + a * p.j for p in pts]
-    top, witness, _ = _filtered_scan(
-        bits(s.cycle), [bits(w) for w in s.boundaries], keys)
+    top, witness, _ = _filtered_scan(bits(s.cycle), s.boundaries, keys)
     level = keys[top]
     support = sorted(witness)
     cycle = tuple(pts[k] for k in support)
@@ -113,15 +114,17 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
                          realizing_points=realizing, cycle=cycle)
 
 
-def _proves_segment(s, r, phi, p, cycle, cocycle, ends):
-    """Whether r and phi prove that nu follows p's line between the two
-    ends, each t = a/b given as the pair (a, b): r is the slice s's cycle
-    plus boundaries, phi vanishes on every boundary and meets that cycle
-    once, and at both ends the top of r (its points cycle) and the bottom
-    of phi (cocycle) weigh as much as p."""
-    ok = (not s.echelon.reduce(r ^ s.cycle)
-          and (phi & s.cycle).bit_count() & 1
-          and not any([(phi & w).bit_count() & 1 for w in s.boundaries]))
+def _proves_segment(s, top, r, phi, ends):
+    """Whether the supports r and phi prove that nu follows the line of the
+    point at top between the two ends, each t = a/b given as (a, b); all
+    are positions in the slice s.  As masks, r is s's cycle plus boundaries,
+    phi vanishes on the echelon's rows, a basis of the boundaries, and meets
+    that cycle once; at both ends r tops out and phi bottoms out at top."""
+    pts, e = s.points, s.echelon
+    rm, pm = sum([1 << x for x in r]), sum([1 << x for x in phi])
+    ok = (not e.reduce(rm ^ s.cycle) and (pm & s.cycle).bit_count() & 1
+          and not any([(pm & w).bit_count() & 1 for w in e.pivots.values()]))
+    p, cycle, cocycle = pts[top], [pts[x] for x in r], [pts[x] for x in phi]
     for a, b in ends:
         u = 2 * b - a
         level = u * p.i + a * p.j
@@ -139,18 +142,19 @@ def _slice_flip(c):
             or any(alex[y] != -a or maslov[y] != m - 2 * a
                    for y, a, m in zip(flip, alex, maslov))):
         return None
-    gens = [x for x, m in enumerate(maslov) if m % 2 == c.ambient_d % 2]
-    pos = {x: k for k, x in enumerate(gens)}  # slice position of x
-    return [pos[flip[x]] for x in gens]
+    pos, p = c._matrix().pos, c.ambient_d % 2  # pos: x's slice position
+    return [pos[y] for y, m in zip(flip, maslov) if m % 2 == p]
 
 
 class _Sweep(NamedTuple):
-    """upsilon's result, segment ends, realizers and (cycle, cocycle)s."""
+    """upsilon's result, segment ends, realizers (slice points) and
+    witnesses (top, r, phi): each segment's realizer, cycle and cocycle
+    as slice positions."""
 
     function: PLFunction
     grid: list[Fraction]
     realizers: list[LatticePoint]
-    witnesses: list[tuple]
+    witnesses: list[tuple[int, list[int], list[int]]]
 
 
 def upsilon(c: BifilteredComplex) -> PLFunction:
@@ -165,67 +169,62 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     phi drops below it (or t1 = 2), and the next scan starts at t1.  Each
     segment is checked from its certificate before it is kept, and
     consecutive realizers must weigh the same where they meet.  From t = 1
-    on, a flip that passes _slice_flip maps the witnesses of the scanned
+    on, a flip that passes _slice_flip maps the witness of the scanned
     segment holding 2 - t to a segment ending where that one mirrors its
-    start; once they fail their check, the sweep scans again from there.
+    start; once one fails its check, the sweep scans again from there.
     """
     # the sweep is kept only after require_admissible passed
     if c._sweep is not None:
         return c._sweep.function
     s = require_admissible(c)
     pts, z = s.points, bits(s.cycle)
-    boundaries = [bits(w) for w in s.boundaries]
     ijd = [(q.i, q.j, q.j - q.i) for q in pts]
     ids = list(range(len(pts)))  # kept supports share these ints
-    ends, realizers, witnesses, scans = [(0, 1)], [], [], []
+    ends, realizers, witnesses = [(0, 1)], [], []
     flip = k = None  # k: the scanned segment to mirror, once t reaches 1
     a, b = 0, 1
     while a < 2 * b:
         u = 2 * b - a
         if k is None and a >= b:
-            flip, k = _slice_flip(c), len(scans) - 1
+            flip, k = _slice_flip(c), len(witnesses) - 1
         if flip:
-            # the flipped witnesses of the scanned segment [t_k, t_k+1]
-            # holding 2 - t are candidates on [t, 2 - t_k]
+            # the flipped witness of the scanned segment [t_k, t_k+1]
+            # holding 2 - t is a candidate on [t, 2 - t_k]
             while ends[k][0] * b >= u * ends[k][1]:
                 k -= 1
-            top, rs, ps = scans[k]
+            top, rs, ps = witnesses[k]
             top, rs, ps = flip[top], [flip[x] for x in rs], [flip[x] for x in ps]
             t1 = (2 * ends[k][1] - ends[k][0], ends[k][1])
         else:
             top, rs, ps = _filtered_scan(
-                z, boundaries, [(u * i + a * j, d) for i, j, d in ijd])
-            scans.append((top, [ids[x] for x in rs], [ids[x] for x in ps]))
-        p = pts[top]
-        cycle = tuple(map(pts.__getitem__, rs))
-        cocycle = tuple(map(pts.__getitem__, ps))
-        if not flip:
+                z, s.boundaries, [(u * i + a * j, d) for i, j, d in ijd])
+            rs, ps = [ids[x] for x in rs], [ids[x] for x in ps]
             # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with
             # d = j - i; t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
-            d = p.j - p.i
-            ties = [(2 * (p.i - q.i), q.j - q.i - d)
-                    for q in cycle if q.j - q.i > d]
-            ties += [(2 * (q.i - p.i), d - q.j + q.i)
-                     for q in cocycle if q.j - q.i < d]
+            i0, _, d0 = ijd[top]
+            ties = [(2 * (i0 - i), d - d0)
+                    for i, _, d in map(ijd.__getitem__, rs) if d > d0]
+            ties += [(2 * (i - i0), d0 - d)
+                     for i, _, d in map(ijd.__getitem__, ps) if d < d0]
             n1, m1 = 2, 1
             for n, m in ties:
                 if a * m < n * b and n * m1 < n1 * m:
                     n1, m1 = n, m
             g = gcd(n1, m1)  # lowest terms keep the next scan's keys small
             t1 = (n1 // g, m1 // g)
-        r, phi = sum([1 << x for x in rs]), sum([1 << x for x in ps])
-        if not _proves_segment(s, r, phi, p, cycle, cocycle, ((a, b), t1)):
+        if not _proves_segment(s, top, rs, ps, ((a, b), t1)):
             if flip:  # not a flip of c after all: scan from t on
                 flip = None
                 continue
             raise AssertionError("nu not linear on [%s, %s]: its certificate "
                                  "fails" % (Fraction(a, b), Fraction(*t1)))
+        p = pts[top]
         q = realizers[-1] if realizers else p
         if u * (p.i - q.i) + a * (p.j - q.j):
             raise AssertionError("nu jumps at %s" % Fraction(a, b))
         ends.append(t1)
         realizers.append(p)
-        witnesses.append((cycle, cocycle))
+        witnesses.append((top, rs, ps))
         a, b = t1
     grid = [Fraction(a, b) for a, b in ends]
     # on p's segment upsilon = -2 w_p: slope i - j, value

@@ -139,12 +139,11 @@ class KnotRecord(namedtuple("KnotRecord", [
                 upsilon_override: PLFunction | None = None):
         if genus is not None and genus < 0:
             raise ValueError("genus must be non-negative")
-        if complex is not None and genus is not None and complex.generators:
-            top = max(g.alexander for g in complex.generators)
+        if complex is not None and genus is not None:
+            top = max(complex._alex, default=genus)
             if genus != top:
-                raise ValueError(
-                    "genus %d disagrees with top Alexander grading %d"
-                    % (genus, top))
+                raise ValueError("genus %d disagrees with top Alexander "
+                                 "grading %d" % (genus, top))
         return super().__new__(cls, name, complex, genus, fibered,
                                monodromy_right_veering, upsilon_override)
 
@@ -209,8 +208,7 @@ def builtin_record(name: str) -> KnotRecord:
                               monodromy_right_veering=q > 0)
         if head == "staircase":
             c = staircase(args)
-            genus = max(g.alexander for g in c.generators)
-            return KnotRecord(name, complex=c, genus=genus)
+            return KnotRecord(name, complex=c, genus=max(c._alex))
         if head == "chen-cable":
             if len(args) != 1:
                 raise ValueError("chen-cable:n takes one integer")

@@ -15,9 +15,10 @@ a breakpoint, apart from upsilon's sweep.  torus_upsilon is a closed form
 that needs no complex at all, so it reaches slices far past brute force.
 check_segment_certificate proves one segment of upsilon from the cycle and
 cocycle the sweep kept, using only the boundary routines here, so it
-reaches any slice size too.  vertical_tau computes tau from its definition
-on the vertical complex, apart from upsilon, which the library reads tau
-off.  torus_alexander, cable_alexander and top_degree are the
+reaches any slice size too; swept_segments reads those witnesses, kept
+as slice positions, as lattice points.  vertical_tau computes tau from its
+definition on the vertical complex, apart from upsilon, which the library
+reads tau off.  torus_alexander, cable_alexander and top_degree are the
 Alexander-polynomial algebra the torus staircases and the cable genera are
 checked against.  pl_pointwise is piecewise-linear arithmetic by
 evaluation: both functions at every breakpoint of either, combined, then
@@ -401,6 +402,17 @@ def check_segment_certificate(c, ends, p, cycle, cocycle):
                 or min(filtration_value(t, q) for q in cocycle) != level):
             return False
     return True
+
+
+def swept_segments(c):
+    """Each segment of upsilon(c)'s sweep as (ends, realizer, cycle,
+    cocycle): the kept witness's slice positions read as LatticePoints
+    through require_admissible(c).points."""
+    ku.upsilon(c)
+    pts, sweep = ku.require_admissible(c).points, c._sweep
+    for k, (top, r, phi) in enumerate(sweep.witnesses):
+        yield ((sweep.grid[k], sweep.grid[k + 1]), pts[top],
+               tuple(pts[x] for x in r), tuple(pts[x] for x in phi))
 
 
 def check_flip(c):

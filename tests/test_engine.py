@@ -1,6 +1,7 @@
 """Upsilon engine: weights, nu, the piecewise-linear assembly, tau, jumps."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 from functools import reduce
 from math import gcd
@@ -18,7 +19,7 @@ from helpers import (brute_force_nu, chain_boundary, check_flip,
                      check_segment_certificate, check_symmetry, corpus,
                      filtration_value, nu_at_halfplane,
                      random_admissible_complex, sampled_realizers,
-                     torus_upsilon, vertical_tau)
+                     swept_segments, torus_upsilon, vertical_tau)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
 
@@ -126,8 +127,8 @@ def test_nu_rejects_non_admissible():
 def test_slice_is_built_once_per_complex(monkeypatch):
     # require_admissible builds the ambient slice, its boundaries and the
     # distinguished cycle once, or its refusal; every later entry point
-    # reads that record.  The d^2 check and require_admissible read one
-    # matrix, built once.
+    # reads that record.  The d^2 check, require_admissible and the flip
+    # screen read one matrix, built once.
     calls, reads = [], []
     real = knotupsilon.complexes.kernel_basis
     real_matrix = BifilteredComplex._matrix
@@ -151,8 +152,8 @@ def test_slice_is_built_once_per_complex(monkeypatch):
         assert ku.nu_at(c, t).nu == -f(t) / 2
     assert all(check.passed for check in ku.jump_report(c, f))
     assert len(calls) == 1
-    (c1, m1), (c2, m2) = reads
-    assert c1 is c2 is c and m1 is m2
+    assert len(reads) == 3
+    assert all(d is c and m is reads[0][1] for d, m in reads)
 
     # the trefoil plus one generator: refused, and refused from the record
     tref = ku.torus_knot_complex(2, 3)
@@ -176,7 +177,11 @@ def test_slice_keeps_independent_boundaries():
     cols = c._matrix().cols[1 - c.ambient_d % 2]
     assert len(s.boundaries) == s.echelon.rank < len(cols)
     assert not any(s.echelon.reduce(w) for w in cols)
-    assert BitEchelon(s.boundaries).rank == s.echelon.rank
+    # kept as supports, lists of slice positions, each one of the columns
+    masks = [sum(1 << x for x in b) for b in s.boundaries]
+    assert all(b == sorted(b) and w in cols
+               for b, w in zip(s.boundaries, masks))
+    assert BitEchelon(masks).rank == s.echelon.rank
 
 
 def test_brute_force_rejects_large_slice():
@@ -356,6 +361,21 @@ def test_builders_give_flip_symmetries():
     assert ku.staircase([1, 2])._flip is None  # not a palindrome
 
 
+def test_slice_flip_maps_points_to_their_mirrors():
+    # the screened flip, as slice positions, sends [x, i, j] to
+    # [pi x, j, i], with pi read by name off the generator view
+    cases = _flip_cases()
+    assert len(cases) == 458
+    for c in cases:
+        names = [g.name for g in c.generators]
+        pi = dict(zip(names, [names[y] for y in c._flip]))
+        pts = ku.grading_slice(c, c.ambient_d)
+        flip = knotupsilon.engine._slice_flip(c)
+        assert sorted(flip) == list(range(len(pts)))
+        for q, y in zip(pts, flip):
+            assert pts[y] == LatticePoint(pi[q.generator], q.j, q.i)
+
+
 def test_figure_eight_flip_is_a_chain_map():
     # a <-> c, with e, b and d fixed, commutes with the differential on
     # lattice points, [x, i, j] -> [pi x, j, i], off the differential list
@@ -422,10 +442,7 @@ def test_wrong_flip_costs_scans_not_answers(monkeypatch):
         scans.clear()
         g = ku.upsilon(c)
         assert g == f and g.slopes == f.slopes
-        sweep = c._sweep
-        for k, (p, (cycle, cocycle)) in enumerate(zip(sweep.realizers,
-                                                      sweep.witnesses)):
-            ends = (sweep.grid[k], sweep.grid[k + 1])
+        for ends, p, cycle, cocycle in swept_segments(c):
             assert check_segment_certificate(c, ends, p, cycle, cocycle)
         assert len(scans) > half
 
@@ -452,6 +469,25 @@ def test_flip_halves_the_scans(monkeypatch):
     boxed = ku.direct_sum(ku.tensor(t(3, 4), t(3, 4)),
                           ku.box_complex("b.", 1, 0))
     assert cost(boxed)[0] == 3 and len(boxed._sweep.grid) - 1 == 3
+
+
+def test_sweep_keeps_each_witness_once():
+    # a machine-independent guard on the sweep's memory: on T(43,67) the
+    # kept supports, one list entry of 8 bytes per point, are most of the
+    # peak; keeping each witness twice, as supports and as lattice points,
+    # took the peak to 2.19 times their size, against 1.52 kept once
+    c = ku.torus_knot_complex(43, 67)
+    ku.require_admissible(c)
+    tracemalloc.start()
+    try:
+        ku.upsilon(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    witnesses = c._sweep.witnesses
+    kept = sum(len(w[-2]) + len(w[-1]) for w in witnesses)  # r and phi
+    assert len(witnesses) == 88
+    assert peak <= 1.85 * 8 * kept
 
 
 # -- monotonicity of weights under the differential
@@ -587,10 +623,7 @@ def test_segment_certificates_check_out():
                  + [ku.torus_knot_complex(17, 31)])
     for c in complexes:
         f = ku.upsilon(c)
-        sweep = c._sweep
-        for k, (p, (cycle, cocycle)) in enumerate(zip(sweep.realizers,
-                                                      sweep.witnesses)):
-            ends = (sweep.grid[k], sweep.grid[k + 1])
+        for ends, p, cycle, cocycle in swept_segments(c):
             assert check_segment_certificate(c, ends, p, cycle, cocycle)
             for t in ends:
                 assert f(t) == -2 * filtration_value(t, p)
@@ -680,10 +713,8 @@ def test_upsilon_refuses_realizers_that_disagree(monkeypatch):
 
 def test_segment_certificate_oracle_rejects_broken_witness():
     c = ku.torus_knot_complex(3, 4)
-    ku.upsilon(c)
+    ends, p, cycle, cocycle = next(swept_segments(c))
     grid = c._sweep.grid
-    p, (cycle, cocycle) = c._sweep.realizers[0], c._sweep.witnesses[0]
-    ends = (grid[0], grid[1])
     assert check_segment_certificate(c, ends, p, cycle, cocycle)
     assert not check_segment_certificate(c, ends, p, cycle, ())
     assert not check_segment_certificate(c, ends, p, cycle[1:], cocycle)

@@ -10,7 +10,8 @@ import pytest
 
 import knotupsilon as ku
 from golden import GOLDEN, complex_cases, golden_lines
-from helpers import check_segment_certificate, filtration_value
+from helpers import (check_segment_certificate, filtration_value,
+                     swept_segments)
 
 
 def _differing(got, want):
@@ -36,11 +37,7 @@ def test_golden_witnesses_prove_their_segments(admissible):
     # 280 pinned complexes plus the broken cases that stayed valid
     assert len(admissible) > 280
     for case, c in admissible:
-        ku.upsilon(c)
-        sweep = c._sweep
-        for k, (p, (cycle, cocycle)) in enumerate(zip(sweep.realizers,
-                                                      sweep.witnesses)):
-            ends = (sweep.grid[k], sweep.grid[k + 1])
+        for ends, p, cycle, cocycle in swept_segments(c):
             assert check_segment_certificate(c, ends, p, cycle, cocycle), case
 
 

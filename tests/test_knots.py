@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 import knotupsilon as ku
+import knotupsilon.complexes
 from knotupsilon import PLFunction
 from fractions import Fraction as F
 
@@ -209,6 +210,22 @@ def test_record_genus_consistency():
     with pytest.raises(AttributeError):
         rec.genus = 5
     assert ku.KnotRecord("g", genus=5)._replace(genus=7).genus == 7
+
+
+def test_records_build_no_generator_view(monkeypatch):
+    # the genus checks read the gradings by position: a record, its
+    # upsilon and its tau make no Generator or DiffEntry
+    def refuse(*args):
+        raise AssertionError("built a named record")
+
+    monkeypatch.setattr(knotupsilon.complexes, "Generator", refuse)
+    monkeypatch.setattr(knotupsilon.complexes, "DiffEntry", refuse)
+    for name, genus in (("torus:5,7", 12), ("staircase:1,2,2,1", 3)):
+        rec = ku.builtin_record(name)
+        assert rec.upsilon_function().initial_slope == -genus
+        assert rec.genus == rec.tau() == genus  # L-space knots: tau = g
+        with pytest.raises(AssertionError, match="named record"):
+            rec.complex.generators
 
 
 def test_knot_record_value():
