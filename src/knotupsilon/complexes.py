@@ -20,13 +20,13 @@ ambient_d is the Maslov grading of the distinguished homology class (the
 correction term of the ambient three-manifold; 0 for the three-sphere).  A
 complex whose homology in grading ambient_d is not one-dimensional is
 refused by the upsilon machinery.  require_admissible alone decides this,
-and builds once per complex the record of that slice the engine reads, or
-the refusal; the engine cites the slice's points by position.  Each
-grading slice has one point per generator of its Maslov parity, so the
-differential between adjacent slices is one GF(2) matrix: a column per
-generator, a mask over the positions of the other parity.  A complex
-builds that matrix once; the d^2 check, require_admissible and the
-engine's flip screen read it.
+and builds once per complex the record of that slice, or the refusal:
+all of a complex the engine reads, with the builder's flip screened on
+the slice's generators; the engine cites the slice's points by position.
+Each grading slice has one point per generator of its Maslov parity, so
+the differential between adjacent slices is one GF(2) matrix: a column
+per generator, a mask over the positions of the other parity.  A complex
+builds that matrix once; the d^2 check and require_admissible read it.
 
 Complexes are immutable once built; all operations here are pure.  The
 records (Generator, DiffEntry, LatticePoint, ValidationReport, and those of
@@ -273,15 +273,16 @@ def require_valid(c: BifilteredComplex) -> None:
 
 
 class _Slice(NamedTuple):
-    """The slice in grading ambient_d: its points, the boundary columns
-    into it that its echelon found independent (a basis of every boundary)
-    as supports, lists of positions in points, that echelon and a cycle
-    for the class as a mask over them."""
+    """The slice in grading ambient_d: its points, the supports over them
+    of the boundary columns its echelon found independent (a basis of every
+    boundary), that echelon, a mask of a cycle for the class, and the
+    builder's flip [x, i, j] -> [flip x, j, i] on positions, or None."""
 
     points: tuple[LatticePoint, ...]
     boundaries: list[list[int]]
     echelon: BitEchelon
     cycle: int
+    flip: list[int] | None
 
 
 def require_admissible(c: BifilteredComplex) -> _Slice:
@@ -291,7 +292,7 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
     require_valid(c)
     if c._slice is None:
         p = c.ambient_d % 2
-        cols = c._matrix().cols
+        _, pos, cols = c._matrix()
         cycles, ech = kernel_basis(cols[p]), BitEchelon()
         boundaries = [bits(w) for w in cols[1 - p] if ech.add(w)]
         dim = len(cycles) - ech.rank
@@ -299,9 +300,17 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
             c._slice = ("non-admissible: homology has dimension %d != 1 in "
                         "grading %d" % (dim, c.ambient_d))
         else:
-            c._slice = _Slice(tuple(grading_slice(c, c.ambient_d)),
-                              boundaries, ech,
-                              next(z for z in cycles if ech.reduce(z)))
+            # keep the builder's flip if the images of the slice's points
+            # permute them, with A(flip x) = -A(x), M(flip x) = M(x) - 2A(x):
+            # the sweep maps only these points and proves what it maps
+            alex, maslov = c._alex, c._maslov
+            flip = [pos[y] for y, a, m in zip(c._flip or (), alex, maslov)
+                    if m % 2 == p and alex[y] == -a and maslov[y] == m - 2 * a]
+            points = tuple(grading_slice(c, c.ambient_d))
+            if sorted(flip) != list(range(len(points))):
+                flip = None
+            c._slice = _Slice(points, boundaries, ech,
+                              next(z for z in cycles if ech.reduce(z)), flip)
     if isinstance(c._slice, str):
         raise NonAdmissibleError(c._slice)
     return c._slice

@@ -9,7 +9,8 @@ Everything happens on the finite grading-d slice: each generator of the
 right Maslov parity contributes exactly one lattice point per homological
 grading, so cycles, boundaries, and the filtered minimum are all finite
 exact linear algebra over GF(2).  Every entry point reads that slice from
-the one record require_admissible builds per complex.  At t = a/b every
+the one record require_admissible builds per complex: the engine reads a
+complex through that record and its own cache only.  At t = a/b every
 weight times 2b is the integer (2b - a) i + a j, which orders the points
 exactly as the weights do.  One scan, _filtered_scan, reduces the
 record's cycle representing the class against the boundaries in that
@@ -18,19 +19,17 @@ echelon shows that no cycle of the class tops out lower.  nu_at, the
 public route to nu at one t, is one scan; two test oracles check it.
 upsilon sweeps t with one scan per segment: the cycle and the cocycle
 hold nu to the realizing point's line up to the next tie parameter where
-a point of either crosses it.  Past t = 1 it scans only where a builder's
-flip x -> flip x fails: the slice map [x, i, j] -> [flip x, j, i] turns
-weights at t into weights at 2 - t, so flipped witnesses of a segment
-below 1 are candidates for its mirror image.  Each segment is checked
-from its certificate before it is kept, and the sweep is kept on the
-complex, where tau and jump_report read it.  Each segment's realizer,
-cycle and cocycle are kept once, as slice positions; masks live only in a
-scan's echelon and a segment's proof.  The sweep carries t = a/b as two
-integers; on a segment upsilon follows -2 times its realizer's weight, so
-its slope is the realizer's i - j.  Fractions are built only for the
-values at the segment ends, which PLFunction._canonical brings to
-canonical form.  tau is minus the slope of the first segment, since
-upsilon'(0) = -tau.
+a point of either crosses it.  Past t = 1 it scans only where the slice's
+flip fails: [x, i, j] -> [flip x, j, i] turns weights at t into weights
+at 2 - t, so flipped witnesses of a segment below 1 are candidates for
+its mirror image.  Each segment is proved from its certificate before it
+is kept.  The sweep, kept on the complex for tau and jump_report, holds
+the segment ends and each segment's realizer, cycle and cocycle once, as
+slice positions.  The sweep carries t = a/b as two integers; on a segment
+upsilon follows -2 times its realizer's weight, so its slope is the
+realizer's i - j.  Fractions are built only for the values at the segment
+ends, which PLFunction._canonical brings to canonical form.  tau is minus
+the slope of the first segment, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
@@ -133,27 +132,13 @@ def _proves_segment(s, top, r, phi, ends):
     return bool(ok)
 
 
-def _slice_flip(c):
-    """c's candidate flip as a permutation of slice positions, [x, i, j] to
-    [flip x, j, i], if it permutes the generators with A(flip x) = -A(x) and
-    M(flip x) = M(x) - 2A(x), which keep the slice's grading; else None."""
-    flip, alex, maslov = c._flip, c._alex, c._maslov
-    if (not flip or sorted(flip) != list(range(len(alex)))
-            or any(alex[y] != -a or maslov[y] != m - 2 * a
-                   for y, a, m in zip(flip, alex, maslov))):
-        return None
-    pos, p = c._matrix().pos, c.ambient_d % 2  # pos: x's slice position
-    return [pos[y] for y, m in zip(flip, maslov) if m % 2 == p]
-
-
 class _Sweep(NamedTuple):
-    """upsilon's result, segment ends, realizers (slice points) and
-    witnesses (top, r, phi): each segment's realizer, cycle and cocycle
-    as slice positions."""
+    """upsilon's result, segment ends and witnesses (top, r, phi): each
+    segment's realizer, cycle and cocycle as slice positions.  This is all
+    the sweep keeps; a realizer is read as the slice point at top."""
 
     function: PLFunction
     grid: list[Fraction]
-    realizers: list[LatticePoint]
     witnesses: list[tuple[int, list[int], list[int]]]
 
 
@@ -169,7 +154,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     phi drops below it (or t1 = 2), and the next scan starts at t1.  Each
     segment is checked from its certificate before it is kept, and
     consecutive realizers must weigh the same where they meet.  From t = 1
-    on, a flip that passes _slice_flip maps the witness of the scanned
+    on, the slice's flip, if it has one, maps the witness of the scanned
     segment holding 2 - t to a segment ending where that one mirrors its
     start; once one fails its check, the sweep scans again from there.
     """
@@ -186,7 +171,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     while a < 2 * b:
         u = 2 * b - a
         if k is None and a >= b:
-            flip, k = _slice_flip(c), len(witnesses) - 1
+            flip, k = s.flip, len(witnesses) - 1
         if flip:
             # the flipped witness of the scanned segment [t_k, t_k+1]
             # holding 2 - t is a candidate on [t, 2 - t_k]
@@ -235,7 +220,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         + [Fraction(-(2 * b - a) * p.i - a * p.j, b)
            for (a, b), p in zip(ends[1:], realizers)],
         [p.i - p.j for p in realizers])
-    c._sweep = _Sweep(f, grid, realizers, witnesses)
+    c._sweep = _Sweep(f, grid, witnesses)
     return f
 
 
@@ -261,18 +246,20 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
     """Check the slope-jump identity at every interior breakpoint of f.
 
     f must be upsilon(c); a failed check indicates an engine bug, not a
-    property of the knot.  It reads the realizers upsilon(c) recorded.
+    property of the knot.  It reads the realizers upsilon(c) recorded, each
+    the slice point at its witness's top.
     """
     upsilon(c)
-    own, grid, realizers, _ = c._sweep
-    coords = {(q.i, q.j) for q in require_admissible(c).points}
+    own, grid, witnesses = c._sweep
+    pts = require_admissible(c).points
+    coords = {(q.i, q.j) for q in pts}
     checks = []
     bps = f.breakpoints
     for k in range(1, len(bps) - 1):
         t0 = bps[k]
         # off c's grid, t0 lies inside one interval: both sides agree
-        left = realizers[bisect_left(grid, t0) - 1]
-        right = realizers[bisect_right(grid, t0) - 1]
+        left = pts[witnesses[bisect_left(grid, t0) - 1][0]]
+        right = pts[witnesses[bisect_right(grid, t0) - 1][0]]
         s_before, s_after = f.slopes[k - 1], f.slopes[k]
         expected = Fraction(2, 1) / t0 * (right.i - left.i)
         passed = (s_after - s_before == expected

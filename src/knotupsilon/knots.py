@@ -170,15 +170,15 @@ class KnotRecord(namedtuple("KnotRecord", [
 # builtin names (the CLI vocabulary)
 
 
-# name -> (complex builder, genus, right-veering), all fibered; a builder
-# looks its constructor up when called, so a wrapper put on it sees the call
+# name -> (complex builder, right-veering), all fibered; a builder looks its
+# constructor up when called, so a wrapper put on it sees the call
 _FIXED = {
-    "unknot": (lambda: unknot_complex(), 0, True),
-    "trefoil": (lambda: torus_knot_complex(2, 3), 1, True),
+    "unknot": (lambda: unknot_complex(), True),
+    "trefoil": (lambda: torus_knot_complex(2, 3), True),
     "trefoil-left": (
-        lambda: torus_knot_complex(2, -3).relabeled("trefoil-left"), 1, False),
+        lambda: torus_knot_complex(2, -3).relabeled("trefoil-left"), False),
     # not strongly quasipositive, under ten crossings: known non-right-veering
-    "figure8": (lambda: figure_eight_complex(), 1, False),
+    "figure8": (lambda: figure_eight_complex(), False),
 }
 
 
@@ -189,8 +189,9 @@ def builtin_record(name: str) -> KnotRecord:
     ValueError for malformed parameters.
     """
     if name in _FIXED:
-        build, genus, rv = _FIXED[name]
-        return KnotRecord(name, complex=build(), genus=genus, fibered=True,
+        build, rv = _FIXED[name]
+        c = build()
+        return KnotRecord(name, complex=c, genus=max(c._alex), fibered=True,
                           monodromy_right_veering=rv)
     if ":" in name:
         head, _, tail = name.partition(":")
@@ -203,9 +204,8 @@ def builtin_record(name: str) -> KnotRecord:
                 raise ValueError("torus:p,q takes two integers")
             p, q = args
             c = torus_knot_complex(p, q)
-            genus = (p - 1) * (abs(q) - 1) // 2
-            return KnotRecord(name, complex=c, genus=genus, fibered=True,
-                              monodromy_right_veering=q > 0)
+            return KnotRecord(name, complex=c, genus=max(c._alex),
+                              fibered=True, monodromy_right_veering=q > 0)
         if head == "staircase":
             c = staircase(args)
             return KnotRecord(name, complex=c, genus=max(c._alex))

@@ -127,8 +127,8 @@ def test_nu_rejects_non_admissible():
 def test_slice_is_built_once_per_complex(monkeypatch):
     # require_admissible builds the ambient slice, its boundaries and the
     # distinguished cycle once, or its refusal; every later entry point
-    # reads that record.  The d^2 check, require_admissible and the flip
-    # screen read one matrix, built once.
+    # reads that record.  The d^2 check and require_admissible, which
+    # screens the flip too, read one matrix, built once.
     calls, reads = [], []
     real = knotupsilon.complexes.kernel_basis
     real_matrix = BifilteredComplex._matrix
@@ -152,7 +152,7 @@ def test_slice_is_built_once_per_complex(monkeypatch):
         assert ku.nu_at(c, t).nu == -f(t) / 2
     assert all(check.passed for check in ku.jump_report(c, f))
     assert len(calls) == 1
-    assert len(reads) == 3
+    assert len(reads) == 2
     assert all(d is c and m is reads[0][1] for d, m in reads)
 
     # the trefoil plus one generator: refused, and refused from the record
@@ -370,8 +370,8 @@ def test_slice_flip_maps_points_to_their_mirrors():
         names = [g.name for g in c.generators]
         pi = dict(zip(names, [names[y] for y in c._flip]))
         pts = ku.grading_slice(c, c.ambient_d)
-        flip = knotupsilon.engine._slice_flip(c)
-        assert sorted(flip) == list(range(len(pts)))
+        flip = ku.require_admissible(c).flip
+        assert flip is not None and sorted(flip) == list(range(len(pts)))
         for q, y in zip(pts, flip):
             assert pts[y] == LatticePoint(pi[q.generator], q.j, q.i)
 
@@ -395,11 +395,11 @@ def test_figure_eight_flip_is_a_chain_map():
     assert not check_flip(_with_flip(c, [4, 3, 2, 1, 0]))  # e <-> d is not
 
 
-def _realizer_runs(sweep):
+def _realizer_runs(c):
     """(t, (i, j)) wherever the realizer's coordinates change, from t = 0:
     a sweep may split a run at a tie parameter that the other does not."""
     runs = []
-    for t, p in zip(sweep.grid, sweep.realizers):
+    for (t, _), p, _, _ in swept_segments(c):
         if not runs or runs[-1][1] != (p.i, p.j):
             runs.append((t, (p.i, p.j)))
     return runs
@@ -414,7 +414,7 @@ def test_half_sweep_equals_full_sweep():
                                  c.label)
         f, g = ku.upsilon(c), ku.upsilon(full)
         assert f == g and f.slopes == g.slopes and f == f.reflected()
-        assert _realizer_runs(c._sweep) == _realizer_runs(full._sweep)
+        assert _realizer_runs(c) == _realizer_runs(full)
         split += c._sweep.grid != full._sweep.grid
     assert split == 1  # -(T(3,5)#T(2,-3)): the full sweep splits at 6/5
 
@@ -435,7 +435,7 @@ def test_wrong_flip_costs_scans_not_answers(monkeypatch):
                                    (chain, reversed_, True)):
         c = _with_flip(right, wrong)
         assert not check_flip(c)
-        assert (knotupsilon.engine._slice_flip(c) is not None) == screened
+        assert (ku.require_admissible(c).flip is not None) == screened
         scans.clear()
         f = ku.upsilon(right)
         half = len(scans)
@@ -447,28 +447,55 @@ def test_wrong_flip_costs_scans_not_answers(monkeypatch):
         assert len(scans) > half
 
 
-def test_flip_halves_the_scans(monkeypatch):
-    # a machine-independent guard on the half sweep's cost, in scans and
-    # in screens of the flip
+def test_flip_is_screened_on_the_slice_only(monkeypatch):
+    # T(5,7)'s reversal with two generators of the other parity swapped is
+    # no flip symmetry, and its gradings fail off the slice, but it is the
+    # reversal on the slice, which is all the sweep maps: it is kept, and
+    # gives the reversal's upsilon in as many scans, every witness proved
+    right = ku.torus_knot_complex(5, 7)
+    alex, maslov = right._alex, right._maslov
+    wrong = list(right._flip)
+    assert maslov[1] % 2 == maslov[3] % 2 != right.ambient_d % 2
+    wrong[1], wrong[3] = wrong[3], wrong[1]
+    c = _with_flip(right, wrong)
+    assert not check_flip(c)
+    assert any(alex[y] != -a or maslov[y] != m - 2 * a
+               for y, a, m in zip(wrong, alex, maslov))
+    assert ku.require_admissible(c).flip == ku.require_admissible(right).flip
     scans = _counted(monkeypatch, "_filtered_scan")
-    screens = _counted(monkeypatch, "_slice_flip")
+    f = ku.upsilon(right)
+    assert len(scans) == 3
+    scans.clear()
+    g = ku.upsilon(c)
+    assert len(scans) == 3 and g == f and g.slopes == f.slopes
+    assert len(c._sweep.grid) - 1 == 6  # three segments mirrored
+    for ends, p, cycle, cocycle in swept_segments(c):
+        assert check_segment_certificate(c, ends, p, cycle, cocycle)
+
+
+def test_flip_halves_the_scans(monkeypatch):
+    # a machine-independent guard on the half sweep's cost, in scans, and
+    # on which complexes carry a screened flip
+    scans = _counted(monkeypatch, "_filtered_scan")
 
     def cost(c):
         scans.clear()
-        screens.clear()
         ku.upsilon(c)
-        return len(scans), len(screens)
+        return len(scans)
 
     t = ku.torus_knot_complex
     c = t(13, 29)
-    assert cost(c)[0] <= 8 and len(c._sweep.grid) - 1 == 15
-    assert cost(reduce(ku.tensor, [t(2, 3)] * 6)) == (1, 1)
+    assert cost(c) <= 8 and len(c._sweep.grid) - 1 == 15
+    sixfold = reduce(ku.tensor, [t(2, 3)] * 6)
+    assert cost(sixfold) == 1 and ku.require_admissible(sixfold).flip
     # upsilon is 0: one segment, so t never reaches 1 with work left
-    assert cost(reduce(ku.tensor, [ku.figure_eight_complex()] * 4)) == (1, 0)
+    fig8s = reduce(ku.tensor, [ku.figure_eight_complex()] * 4)
+    assert cost(fig8s) == 1 and ku.require_admissible(fig8s).flip
     # no flip through direct_sum: the full sweep's three scans
     boxed = ku.direct_sum(ku.tensor(t(3, 4), t(3, 4)),
                           ku.box_complex("b.", 1, 0))
-    assert cost(boxed)[0] == 3 and len(boxed._sweep.grid) - 1 == 3
+    assert cost(boxed) == 3 and len(boxed._sweep.grid) - 1 == 3
+    assert ku.require_admissible(boxed).flip is None
 
 
 def test_sweep_keeps_each_witness_once():
@@ -632,11 +659,10 @@ def test_segment_certificates_check_out():
 def _rebuilt_through_constructor(c):
     # upsilon at each grid point from the realizer of the segment starting
     # there, and at 2 from the last one, through the validating constructor
-    ku.upsilon(c)
-    grid, realizers = c._sweep.grid, c._sweep.realizers
-    values = [-2 * filtration_value(t, p) for t, p in zip(grid, realizers)]
-    values.append(-2 * filtration_value(2, realizers[-1]))
-    return PLFunction(grid, values)
+    segments = list(swept_segments(c))
+    values = [-2 * filtration_value(t, p) for (t, _), p, _, _ in segments]
+    values.append(-2 * filtration_value(2, segments[-1][1]))
+    return PLFunction([t for (t, _), _, _, _ in segments] + [2], values)
 
 
 def test_upsilon_equals_validated_rebuild():

@@ -305,6 +305,18 @@ def test_builtin_parametric():
     assert rec.genus == 3
 
 
+def test_builtin_torus_genus_is_the_closed_form():
+    # the record reads its genus off the complex; (p - 1)(|q| - 1)/2 is
+    # the oracle, for every coprime pair up to T(12,23) and the mirrors
+    pairs = [(p, q) for q in range(3, 24) for p in range(2, min(q, 13))
+             if gcd(p, q) == 1]
+    assert len(pairs) > 100
+    for p, q in pairs:
+        for b in (q, -q):
+            rec = ku.builtin_record("torus:%d,%d" % (p, b))
+            assert rec.genus == (p - 1) * (q - 1) // 2, (p, b)
+
+
 def test_builtin_unknown_name():
     with pytest.raises(KeyError):
         ku.builtin_record("granny")
