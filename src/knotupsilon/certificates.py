@@ -36,8 +36,8 @@ def _witness_below_one(f: PLFunction, slope: int):
     if slope in f.slopes:
         k = f.slopes.index(slope)
         a, b = f.breakpoints[k:k + 2]
-        if a < 1:
-            return a, (b if b < 1 else _ONE)
+        if a.numerator < a.denominator:
+            return a, (b if b.numerator < b.denominator else _ONE)
     return None
 
 

@@ -49,14 +49,16 @@ class NuCertificate(NamedTuple):
     """A witness for the value of nu at one parameter.
 
     cycle is a minimizing cycle in Maslov grading ambient_d representing
-    the nonzero class; realizing_points are its summands of maximal
-    weight; no uniqueness is claimed.
+    the nonzero class, realizing_points its summands of maximal weight;
+    cocycle, of weight at least nu at every point, meets every cycle of
+    that class, which proves nu from below.  No uniqueness is claimed.
     """
 
     t: Fraction
     nu: Fraction
     realizing_points: tuple[LatticePoint, ...]
     cycle: tuple[LatticePoint, ...]
+    cocycle: tuple[LatticePoint, ...]
 
 
 def _filtered_scan(z, boundaries, keys):
@@ -104,13 +106,14 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     pts = s.points
     a, b = t.numerator, t.denominator
     keys = [(2 * b - a) * p.i + a * p.j for p in pts]
-    top, witness, _ = _filtered_scan(bits(s.cycle), s.boundaries, keys)
+    top, witness, phi = _filtered_scan(bits(s.cycle), s.boundaries, keys)
     level = keys[top]
     support = sorted(witness)
     cycle = tuple(pts[k] for k in support)
     realizing = tuple(pts[k] for k in support if keys[k] == level)
     return NuCertificate(t=t, nu=Fraction(level, 2 * b),
-                         realizing_points=realizing, cycle=cycle)
+                         realizing_points=realizing, cycle=cycle,
+                         cocycle=tuple(pts[k] for k in sorted(phi)))
 
 
 def _proves_segment(s, top, r, phi, ends):

@@ -12,6 +12,8 @@ it for sums and differences (one walk over both breakpoint lists, adding
 integer slopes), negation, integer multiples, reflection and upsilon's
 sweep.  _first_difference walks like a difference but builds nothing: it
 stops at the first canonical breakpoint where the difference is nonzero.
+Both walks order breakpoints by integer cross products; _on_piece reads
+a value on a piece with one normalization.
 """
 
 from __future__ import annotations
@@ -89,6 +91,13 @@ def _merged(bps, vals, slopes):
             tuple([slopes[k] for k in keep]))
 
 
+def _on_piece(v, s, b, t):
+    """v + s (t - b): the value at t of a piece, normalized once."""
+    vd, bd, td = v.denominator, b.denominator, t.denominator
+    dt = t.numerator * bd - b.numerator * td
+    return Fraction(v.numerator * bd * td + s * vd * dt, vd * bd * td)
+
+
 def _slopes(bps, vals):
     """The integer slopes of raw Fraction pieces on [0, 2], validated."""
     if len(bps) != len(vals) or len(bps) < 2:
@@ -139,10 +148,9 @@ class PLFunction:
         t = Fraction(t)
         if not 0 <= t <= 2:
             raise ValueError("argument %s outside [0, 2]" % t)
-        k = bisect_right(self.breakpoints, t) - 1
-        if k == len(self.slopes):
-            k -= 1
-        return self.values[k] + self.slopes[k] * (t - self.breakpoints[k])
+        k = min(bisect_right(self.breakpoints, t), len(self.slopes)) - 1
+        return _on_piece(self.values[k], self.slopes[k],
+                         self.breakpoints[k], t)
 
     def __eq__(self, other):
         if not isinstance(other, PLFunction):
@@ -170,9 +178,10 @@ class PLFunction:
         while i < len(fs):
             slopes.append(fs[i] + sign * gs[j])
             b, c = fb[i + 1], gb[j + 1]
-            if b < c:
+            x = b.numerator * c.denominator - c.numerator * b.denominator
+            if x < 0:
                 i += 1
-            elif c < b:
+            elif x > 0:
                 j += 1
                 b = c
             else:
@@ -192,9 +201,9 @@ class PLFunction:
         self - other where it is nonzero, or None when the two are equal.
 
         t is 0 when the values there differ, else the end of the first
-        canonical piece of nonzero slope.  This is _merge's walk, comparing
-        integer slope differences only and reading both values off the
-        pieces it stops on; no difference function is built.
+        canonical piece of nonzero slope.  This is _merge's walk over
+        integer slope differences and cross products; _on_piece reads both
+        values off the pieces it stops on.  No difference is built.
         """
         fb, fv, fs, gb, gv, gs = (self.breakpoints, self.values, self.slopes,
                                   other.breakpoints, other.values, other.slopes)
@@ -208,9 +217,10 @@ class PLFunction:
                     break
                 d = s
             b, c = fb[i + 1], gb[j + 1]
-            if b < c:
+            x = b.numerator * c.denominator - c.numerator * b.denominator
+            if x < 0:
                 i, t = i + 1, b
-            elif c < b:
+            elif x > 0:
                 j, t = j + 1, c
             else:
                 i, j, t = i + 1, j + 1, b
@@ -218,8 +228,9 @@ class PLFunction:
             return (fb[-1], fv[-1], gv[-1]) if d else None
         # t is the breakpoint object of the side that reached it, whose
         # value is stored; the other side is read off the piece it is on
-        return (t, fv[i] if fb[i] is t else fv[i] + fs[i] * (t - fb[i]),
-                gv[j] if gb[j] is t else gv[j] + gs[j] * (t - gb[j]))
+        f = fv[i] if fb[i] is t else _on_piece(fv[i], fs[i], fb[i], t)
+        g = gv[j] if gb[j] is t else _on_piece(gv[j], gs[j], gb[j], t)
+        return t, f, g
 
     def __add__(self, other):
         if not isinstance(other, PLFunction):

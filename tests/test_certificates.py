@@ -1,13 +1,16 @@
 """Certificates: right-veering, tightness, concordance, ribbon minimality."""
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import knotupsilon as ku
 from knotupsilon import KnotRecord, PLFunction
+from knotupsilon.plfunction import _on_piece
 
 from helpers import (corpus, mismatch_detail, random_staircase,
                      slice_cable_record)
@@ -80,9 +83,10 @@ def test_slice_cable_shows_converse_fails():
     assert rec.monodromy_right_veering is True
 
 
-def slopes_from_zero(bps, slopes):
-    """The PL function that starts at 0 with these slopes."""
-    values = [F(0)]
+def slopes_from_zero(bps, slopes, start=F(0)):
+    """The PL function that starts at start, 0 by default, with these
+    slopes."""
+    values = [start]
     for a, b, s in zip(bps, bps[1:], slopes):
         values.append(values[-1] + s * (b - a))
     return PLFunction(bps, values)
@@ -259,6 +263,77 @@ def test_mismatch_names_the_first_difference_on_random_pairs():
     assert len(seen) > 6
 
 
+# pairwise coprime denominators up to 97, mixed within one function
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def coprime_cuts(draw):
+    """Interior breakpoints of (0, 2), each over a prime up to 97."""
+    cuts = set()
+    for d in draw(st.lists(st.sampled_from(PRIMES), max_size=5)):
+        cuts.add(F(draw(st.integers(1, 2 * d - 1)), d))
+    return sorted(cuts)
+
+
+@st.composite
+def first_difference_pairs(draw):
+    """Two PL functions with coprime breakpoints and fractional values at
+    0.  The second keeps some of the first's breakpoints, rebuilt as
+    distinct but equal Fraction objects, and often the first's slopes
+    and value at 0 up to one of them."""
+    cuts0 = draw(coprime_cuts())
+    bps0 = [F(0)] + cuts0 + [F(2)]
+    slopes0 = draw(st.lists(st.integers(-3, 3), min_size=len(bps0) - 1,
+                            max_size=len(bps0) - 1))
+    start = st.fractions(-2, 2, max_denominator=97)
+    v0 = draw(start)
+    shared = [F(b.numerator, b.denominator) for b in cuts0
+              if draw(st.booleans())]
+    bps1 = [F(0)] + sorted(set(shared + draw(coprime_cuts()))) + [F(2)]
+    slopes1 = draw(st.lists(st.integers(-3, 3), min_size=len(bps1) - 1,
+                            max_size=len(bps1) - 1))
+    # agree on the pieces before the k-th breakpoint of the second
+    k = draw(st.integers(0, len(bps1) - 1))
+    f0 = slopes_from_zero(bps0, slopes0, v0)
+    for m in range(k):
+        slopes1[m] = f0.slopes[bisect_right(f0.breakpoints, bps1[m]) - 1]
+    v1 = v0 if draw(st.booleans()) else draw(start)
+    return f0, slopes_from_zero(bps1, slopes1, v1)
+
+
+def plain_value(f, t):
+    """f(t) by plain Fraction arithmetic on the first piece holding t."""
+    bps = f.breakpoints
+    k = next(k for k in range(len(f.slopes)) if bps[k] <= t <= bps[k + 1])
+    return f.values[k] + f.slopes[k] * (t - bps[k])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pair=first_difference_pairs(),
+       ts=st.lists(st.fractions(0, 2, max_denominator=97), max_size=4))
+# the first difference on a breakpoint both functions hold as distinct
+# objects: the difference has slope 1 on [0, 1/3] and -1 after it
+@example(pair=(slopes_from_zero([0, F(1, 3), 2], (1, 0), F(1, 7)),
+               slopes_from_zero([0, F(1, 3), 2], (0, 1), F(1, 7))), ts=[])
+# a fractional value at 0 that differs
+@example(pair=(slopes_from_zero([0, 2], (1,), F(2, 97)),
+               slopes_from_zero([0, F(5, 89), 2], (1, 1), F(3, 97))),
+         ts=[F(5, 89)])
+def test_first_difference_on_coprime_pairs(pair, ts):
+    f0, f1 = pair
+    assert not {id(b) for b in f0.breakpoints} & {
+        id(b) for b in f1.breakpoints}
+    assert mismatch(f0, f1) == mismatch_detail(f0, f1)
+    assert mismatch(f1, f0) == mismatch_detail(f1, f0)
+    for f in pair:
+        for t in ts + list(f0.breakpoints + f1.breakpoints):
+            value = f(t)
+            assert value == plain_value(f, t) and type(value) is F
+            for v, s, b in zip(f.values, f.slopes, f.breakpoints):
+                assert _on_piece(v, s, b, t) == v + s * (t - b)
+
+
 def test_mismatch_at_end_of_first_nonzero_piece():
     # f0 - f1 is 0 on [0, 1/2] and has slope -1 on [1/2, 2]: the two
     # differ from 1/2 on, yet the detail names 2, the end of that piece
@@ -291,6 +366,45 @@ def test_obstruct_builds_no_difference(monkeypatch):
     fs[0] - fs[1]  # the counters see both methods
     fs[0](1)
     assert calls == Counter({"_merge": 1, "__call__": 1})
+
+
+# the Fraction operations a concordance check would pay for: each goes
+# through the numbers.Rational check and builds or compares a Fraction
+FRACTION_OPS = ("__lt__", "__le__", "__gt__", "__ge__", "__add__",
+                "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+def test_concordance_checks_do_no_fraction_arithmetic(monkeypatch):
+    # a machine-independent guard on the concordance path: breakpoints are
+    # ordered and values read in integers, so once upsilon is cached no
+    # Fraction is compared or combined
+    records = [ku.builtin_record(name) for name in
+               ("trefoil", "trefoil-left", "figure8", "torus:3,4",
+                "torus:2,5", "chen-cable:8", "chen-cable:12")]
+    for rec in records:
+        rec.upsilon_function()  # cached from here on
+    calls = Counter()
+    for name in FRACTION_OPS:
+        real = getattr(F, name)
+
+        def counted(a, b, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(a, b)
+
+        monkeypatch.setattr(F, name, counted)
+    verdicts = [ku.obstruct_concordance(a, b)
+                for a in records for b in records]
+    certs = [ku.certify_right_veering(rec.upsilon_function(), rec.genus)
+             for rec in records]
+    reports = [ku.ribbon_minimality_report(rec) for rec in records]
+    assert calls == Counter()
+    assert Counter(v.reason for v in verdicts) == Counter(
+        {"upsilon_mismatch": 42, None: 7})
+    assert sum(c.certified for c in certs) == 5
+    assert sum(r.uniqueness_hypothesis_holds for r in reports) == 5
+    x = F(1, 2)  # the counters see every operation
+    x < x, x <= x, x > x, x >= x, x + x, 1 + x, x - x, 1 - x, x * x, 2 * x
+    assert calls == Counter(dict.fromkeys(FRACTION_OPS, 1))
 
 
 # -- ribbon minimality

@@ -35,7 +35,8 @@ RECORD_FIELDS = [
     (LatticePoint, dict(generator="a", i=1, j=2), {}),
     (ku.ValidationReport, dict(ok=True, violations=()), {}),
     (ku.NuCertificate, dict(t=Fraction(1, 2), nu=Fraction(1, 4),
-                            realizing_points=(POINT,), cycle=(POINT,)), {}),
+                            realizing_points=(POINT,), cycle=(POINT,),
+                            cocycle=(POINT,)), {}),
     (ku.JumpCheck, dict(t0=Fraction(2, 3), left_point=(0, 3),
                         right_point=(1, 1), slope_before=-3, slope_after=0,
                         expected_jump=Fraction(3), passed=True,
@@ -91,7 +92,9 @@ def test_record_repr():
     assert (repr(ku.nu_at(T, Fraction(1, 2)))
             == "NuCertificate(t=Fraction(1, 2), nu=Fraction(1, 4), "
             "realizing_points=(LatticePoint(generator='x0', i=0, j=1),), "
-            "cycle=(LatticePoint(generator='x0', i=0, j=1),))")
+            "cycle=(LatticePoint(generator='x0', i=0, j=1),), "
+            "cocycle=(LatticePoint(generator='x0', i=0, j=1), "
+            "LatticePoint(generator='x2', i=1, j=0)))")
     t34 = ku.torus_knot_complex(3, 4)
     assert (repr(ku.jump_report(t34, ku.upsilon(t34))[0])
             == "JumpCheck(t0=Fraction(2, 3), left_point=(0, 3), "

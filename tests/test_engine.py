@@ -79,6 +79,10 @@ def test_nu_certificate_invariants():
             for p in cert.cycle:
                 g = c.generator(p.generator)
                 assert g.maslov + 2 * p.i == c.ambient_d
+            # and the cocycle proves nu from below
+            assert check_segment_certificate(c, (t, t),
+                                             cert.realizing_points[0],
+                                             cert.cycle, cert.cocycle)
 
 
 def test_nu_three_routes_agree_spot_check():
@@ -233,6 +237,42 @@ def test_upsilon_additivity_spot_check():
     f8 = ku.figure_eight_complex()
     assert ku.upsilon(ku.tensor(t, t)) == ku.upsilon(t) + ku.upsilon(t)
     assert ku.upsilon(ku.tensor(t, f8)) == ku.upsilon(t)
+
+
+# the sum-tower workload's chains as (summands, acyclic boxes): a pair
+# (p, q) is T(p, q) and "F" the figure eight
+F8 = "F"
+SUM_TOWER = [
+    ([(2, 3)] * 6, 0), ([F8] * 4, 0), ([(3, 4), (2, -3), F8, F8], 0),
+    ([(2, 5), F8, F8, F8], 1), ([(3, 7), (3, -5), (2, 3)], 0),
+    ([(3, 5), (2, -3)], 0), ([(2, 3)] * 5, 0), ([(2, 3), (2, 5), (2, 7)], 0),
+    ([(4, 5), (2, -3), (2, 3)], 0), ([(3, -4), (2, 5), (2, 3)], 0),
+    ([(2, 5), (2, -3), F8], 2), ([(3, 4), (3, 4)], 1), ([(3, 7), (3, -7)], 0),
+    ([(2, -3)] * 4, 0), ([(3, 5), (3, 4)], 0), ([(2, 3), (2, 3), (2, -5)], 0),
+    ([(2, 7), (2, -3), (2, -3)], 0), ([(4, 5), (3, -4)], 1),
+    ([(3, 5), (2, -5), F8], 0), ([(4, 5), (2, -3), F8], 0),
+]
+
+
+def test_upsilon_additive_on_sum_tower_chains():
+    # each chain bare and with its boxes, one where it lists none: the
+    # boxes enter the slice but leave upsilon alone, and the summands'
+    # upsilon add through PLFunction.__add__
+    def summand(token):
+        if token == F8:
+            return ku.figure_eight_complex()
+        return ku.torus_knot_complex(*token)
+
+    assert len(SUM_TOWER) == 20
+    for tokens, boxes in SUM_TOWER:
+        want = reduce(PLFunction.__add__,
+                      [ku.upsilon(summand(t)) for t in tokens])
+        c = reduce(ku.tensor, map(summand, tokens))
+        assert ku.upsilon(c) == want, tokens
+        for k in range(boxes or 1):
+            c = ku.direct_sum(c, ku.box_complex("box%d." % k, k % 2, 0),
+                              c.label)
+        assert ku.upsilon(c) == want, (tokens, boxes)
 
 
 def test_upsilon_tensor_brute_force_value():

@@ -52,6 +52,9 @@ def test_golden_nu_certificates(admissible):
                        for p in cert.realizing_points), case
             assert all(filtration_value(t, p) <= cert.nu
                        for p in cert.cycle), case
+            assert check_segment_certificate(
+                c, (t, t), cert.realizing_points[0], cert.cycle,
+                cert.cocycle), case
 
 
 def test_views_rebuild_the_same_complex():
