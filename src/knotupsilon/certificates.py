@@ -30,14 +30,12 @@ _ONE = Fraction(1)
 
 
 def _witness_below_one(f: PLFunction, slope: int):
-    """The first segment of this slope starting in [0, 1), cut off at 1."""
-    # breakpoints increase: only the first segment of this slope can
-    # start below 1
-    if slope in f.slopes:
-        k = f.slopes.index(slope)
-        a, b = f.breakpoints[k:k + 2]
-        if a.numerator < a.denominator:
-            return a, (b if b.numerator < b.denominator else _ONE)
+    """The first segment of this slope starting in [0, 1), cut off at 1.
+    Only a slope's first can start there: one lookup in f's slope profile,
+    where an absent slope reads as starting at 1, and integer comparisons."""
+    a, b = f._first_segments().get(slope, (_ONE, _ONE))
+    if a.numerator < a.denominator:
+        return a, (b if b.numerator < b.denominator else _ONE)
     return None
 
 
@@ -215,15 +213,15 @@ def ribbon_minimality_report(k: KnotRecord) -> RibbonMinimalityReport:
         raise MissingDataError("record %r has no genus" % k.name)
     g = k.genus
     f = k.upsilon_function()
-    anywhere = f.slope_intervals(-g)
+    first = f._first_segments().get(-g)
     below_one = _witness_below_one(f, -g)
-    holds = bool(anywhere)
+    holds = first is not None
     return RibbonMinimalityReport(
         knot=k.name,
         genus=g,
         slope_target=-g,
         hypothesis_holds=holds,
-        witness_interval=anywhere[0] if anywhere else None,
+        witness_interval=first,
         hypothesis_interval="[0,2]",
         minimal_among_fibered=holds,
         mirror_minimal_among_fibered=holds,

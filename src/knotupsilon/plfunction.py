@@ -13,7 +13,10 @@ integer slopes), negation, integer multiples, reflection and upsilon's
 sweep.  _first_difference walks like a difference but builds nothing: it
 stops at the first canonical breakpoint where the difference is nonzero.
 Both walks order breakpoints by integer cross products; _on_piece reads
-a value on a piece with one normalization.
+a value on a piece with one normalization.  _first_segments, the slope
+profile the certificates read, maps each slope to its first segment: one
+scan on first use, kept in a slot outside equality, hashing, repr and
+JSON.  format_rational is Fraction's str, which prints "p/q" or "p".
 """
 
 from __future__ import annotations
@@ -29,11 +32,7 @@ from .errors import FormatError
 
 def format_rational(x: Fraction) -> str:
     """Canonical string: "p/q" reduced with q >= 1, plain "p" for integers."""
-    if not isinstance(x, (Fraction, int)):
-        x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 # a decimal with an exponent, which Fraction would expand with 10**exponent;
@@ -124,13 +123,14 @@ class PLFunction:
     Slopes are derived and must be integers.
     """
 
-    __slots__ = ("breakpoints", "values", "slopes")
+    __slots__ = ("breakpoints", "values", "slopes", "_profile")
 
     def __init__(self, breakpoints, values):
         bps = [Fraction(b) for b in breakpoints]
         vals = [Fraction(v) for v in values]
         self.breakpoints, self.values, self.slopes = _merged(
             bps, vals, _slopes(bps, vals))
+        self._profile = None
 
     @classmethod
     def _canonical(cls, breakpoints, values, slopes) -> "PLFunction":
@@ -138,6 +138,7 @@ class PLFunction:
         collinear pieces; no checks."""
         f = object.__new__(cls)
         f.breakpoints, f.values, f.slopes = _merged(breakpoints, values, slopes)
+        f._profile = None
         return f
 
     @classmethod
@@ -200,15 +201,16 @@ class PLFunction:
         """(t, self(t), other(t)) at the first breakpoint t of the canonical
         self - other where it is nonzero, or None when the two are equal.
 
-        t is 0 when the values there differ, else the end of the first
-        canonical piece of nonzero slope.  This is _merge's walk over
-        integer slope differences and cross products; _on_piece reads both
-        values off the pieces it stops on.  No difference is built.
+        t is 0 when the values there differ in numerator or denominator,
+        else the end of the first canonical piece of nonzero slope, found by
+        _merge's walk over integer slope differences and cross products;
+        _on_piece reads both values there.  No difference is built.
         """
         fb, fv, fs, gb, gv, gs = (self.breakpoints, self.values, self.slopes,
                                   other.breakpoints, other.values, other.slopes)
-        if fv[0] != gv[0]:
-            return fb[0], fv[0], gv[0]
+        v, w = fv[0], gv[0]
+        if v.numerator != w.numerator or v.denominator != w.denominator:
+            return fb[0], v, w
         i = j = d = 0
         while i < len(fs):
             s = fs[i] - gs[j]
@@ -269,6 +271,16 @@ class PLFunction:
         """List of (start, end, slope) triples covering [0, 2]."""
         return [(self.breakpoints[k], self.breakpoints[k + 1], self.slopes[k])
                 for k in range(len(self.slopes))]
+
+    def _first_segments(self) -> dict:
+        """{slope: (start, end) of its first segment}, built once."""
+        p = self._profile
+        if p is None:
+            bps = self.breakpoints
+            p = self._profile = {}
+            for s, a, b in zip(self.slopes, bps, bps[1:]):
+                p.setdefault(s, (a, b))
+        return p
 
     def slope_intervals(self, slope: int):
         """Open intervals (as (start, end) pairs) where the slope is attained."""

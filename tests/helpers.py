@@ -12,7 +12,9 @@ slice's boundary matrices point by point off the differential list, then
 one grows the subcomplex below each weight level and the other
 enumerates every essential cycle.  sampled_realizers samples nu_at beside
 a breakpoint, apart from upsilon's sweep.  torus_upsilon is a closed form
-that needs no complex at all, so it reaches slices far past brute force.
+that needs no complex at all, so it reaches slices far past brute force;
+staircase_upsilon applies the same semigroup formula to the S read off any
+palindromic staircase's steps.
 check_segment_certificate proves one segment of upsilon from the cycle and
 cocycle the sweep kept, using only the boundary routines here, so it
 reaches any slice size too; swept_segments reads those witnesses, kept
@@ -232,17 +234,39 @@ def sampled_realizers(c, t0):
             for t in (t0 - delta, t0 + delta)]
 
 
-def torus_upsilon(p, q, t):
-    """Upsilon of T(p, q) at t from the semigroup S generated by |p| and |q|
-    (Ozsvath-Stipsicz-Szabo 2017): with g the genus, the maximum over m in
-    0..2g of -2 #(S n [0, m)) - t (g - m).  T(p, -q) is the mirror."""
-    a, b = abs(p), abs(q)
-    g = (a - 1) * (b - 1) // 2
+def _semigroup_upsilon(member, t):
+    """Upsilon at t of the L-space knot whose semigroup S has these
+    membership flags over [0, 2g) (Ozsvath-Stipsicz-Szabo 2017): the
+    maximum over m in 0..2g of -2 #(S n [0, m)) - t (g - m)."""
+    g = len(member) // 2
     values, below = [], 0
     for m in range(2 * g + 1):
         values.append(-2 * below - t * (g - m))
-        below += any((m - k * b) % a == 0 for k in range(m // b + 1))
-    return max(values) if q > 0 else -max(values)
+        below += m < 2 * g and member[m]
+    return max(values)
+
+
+def torus_upsilon(p, q, t):
+    """Upsilon of T(p, q) at t from the semigroup S generated by |p| and
+    |q|, with g the genus.  T(p, -q) is the mirror."""
+    a, b = abs(p), abs(q)
+    g = (a - 1) * (b - 1) // 2
+    v = _semigroup_upsilon(
+        [any((m - k * b) % a == 0 for k in range(m // b + 1))
+         for m in range(2 * g)], t)
+    return v if q > 0 else -v
+
+
+def staircase_upsilon(steps, t):
+    """Upsilon at t of the staircase with these steps, by the semigroup
+    formula torus_upsilon applies: S is read off the steps as runs of
+    members and gaps alternating from the member 0 over [0, 2g).  The
+    steps of an L-space knot's staircase are a palindrome, whose steps
+    sum to 2g."""
+    member = []
+    for k, s in enumerate(steps):
+        member += [k % 2 == 0] * s
+    return _semigroup_upsilon(member, t)
 
 
 def pl_pointwise(f, g, op):

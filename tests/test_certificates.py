@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import knotupsilon as ku
 from knotupsilon import KnotRecord, PLFunction
+from knotupsilon.certificates import _witness_below_one
 from knotupsilon.plfunction import _on_piece
 
 from helpers import (corpus, mismatch_detail, random_staircase,
@@ -320,6 +321,9 @@ def plain_value(f, t):
 @example(pair=(slopes_from_zero([0, 2], (1,), F(2, 97)),
                slopes_from_zero([0, F(5, 89), 2], (1, 1), F(3, 97))),
          ts=[F(5, 89)])
+# values at 0 that share a numerator, on otherwise equal functions
+@example(pair=(slopes_from_zero([0, 2], (1,), F(1, 3)),
+               slopes_from_zero([0, 2], (1,), F(1, 5))), ts=[])
 def test_first_difference_on_coprime_pairs(pair, ts):
     f0, f1 = pair
     assert not {id(b) for b in f0.breakpoints} & {
@@ -370,14 +374,15 @@ def test_obstruct_builds_no_difference(monkeypatch):
 
 # the Fraction operations a concordance check would pay for: each goes
 # through the numbers.Rational check and builds or compares a Fraction
-FRACTION_OPS = ("__lt__", "__le__", "__gt__", "__ge__", "__add__",
+FRACTION_OPS = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__add__",
                 "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
 
 
 def test_concordance_checks_do_no_fraction_arithmetic(monkeypatch):
     # a machine-independent guard on the concordance path: breakpoints are
-    # ordered and values read in integers, so once upsilon is cached no
-    # Fraction is compared or combined
+    # ordered, values at 0 compared, witnesses read off the slope profile
+    # and values read in integers, so once upsilon is cached no Fraction
+    # is compared or combined
     records = [ku.builtin_record(name) for name in
                ("trefoil", "trefoil-left", "figure8", "torus:3,4",
                 "torus:2,5", "chen-cable:8", "chen-cable:12")]
@@ -402,9 +407,73 @@ def test_concordance_checks_do_no_fraction_arithmetic(monkeypatch):
         {"upsilon_mismatch": 42, None: 7})
     assert sum(c.certified for c in certs) == 5
     assert sum(r.uniqueness_hypothesis_holds for r in reports) == 5
-    x = F(1, 2)  # the counters see every operation
-    x < x, x <= x, x > x, x >= x, x + x, 1 + x, x - x, 1 - x, x * x, 2 * x
-    assert calls == Counter(dict.fromkeys(FRACTION_OPS, 1))
+    x = F(1, 2)  # the counters see every operation; != calls __eq__ too
+    (x < x, x <= x, x > x, x >= x, x == x, x != x, x + x, 1 + x, x - x,
+     1 - x, x * x, 2 * x)
+    assert calls == Counter(FRACTION_OPS + ("__eq__",))
+
+
+# -- the slope profile the certificates read
+
+
+def naive_reads(f, slope):
+    """The first segment of this slope and the first one starting in
+    [0, 1), cut off at 1, read off f.segments() in Fraction arithmetic."""
+    segs = [(a, b) for a, b, s in f.segments() if s == slope]
+    below = [(a, min(b, F(1))) for a, b in segs if a < 1]
+    return (segs[0] if segs else None), (below[0] if below else None)
+
+
+def profile_reads(f, slope):
+    """The same two, as the certificates read them off f's profile; the
+    ribbon report and the right-veering test only for a genus, slope <= 0."""
+    first, below = f._first_segments().get(slope), _witness_below_one(f, slope)
+    if slope <= 0:
+        rep = ku.ribbon_minimality_report(
+            KnotRecord("k", genus=-slope, fibered=True, upsilon_override=f))
+        assert rep.hypothesis_holds == (rep.witness_interval is not None)
+        assert rep.uniqueness_hypothesis_holds == (below is not None)
+        assert rep.uniqueness_witness == below
+        assert rep.witness_interval == first
+        cert = ku.certify_right_veering(f, -slope)
+        assert cert.certified == (below is not None)
+        assert cert.witness_interval == below
+    return first, below
+
+
+@st.composite
+def profile_pairs(draw):
+    """Two PL functions from 0 with breakpoints over primes up to 97 and
+    slopes in -3..3, so that a slope often recurs on segments apart."""
+    def function():
+        bps = [F(0)] + draw(coprime_cuts()) + [F(2)]
+        return slopes_from_zero(bps, draw(st.lists(
+            st.integers(-3, 3), min_size=len(bps) - 1,
+            max_size=len(bps) - 1)))
+    return function(), function()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pair=profile_pairs())
+# slope -2 on two segments apart: the first, inside [0, 1), is read;
+# slope -1 is absent; slope -2 of the second starts exactly at 1
+@example(pair=(slopes_from_zero([0, F(1, 3), F(1, 2), 2], (-2, 1, -2)),
+               slopes_from_zero([0, 1, 2], (0, -2))))
+# a segment of slope -2 that ends exactly at 1, and one that crosses 1
+@example(pair=(slopes_from_zero([0, F(1, 3), 1, 2], (0, -2, 1)),
+               slopes_from_zero([0, F(1, 2), F(3, 2), 2], (0, -2, 1))))
+def test_slope_profile_matches_segments(pair):
+    f, g = pair
+    for h in pair:
+        for slope in range(-8, 9):
+            assert profile_reads(h, slope) == naive_reads(h, slope), (h, slope)
+        assert h._first_segments() is h._first_segments()  # built once
+    # built after f's profile, each builds its own and carries none over
+    for h in (-f, f.reflected(), f + g, 2 * f):
+        assert h._profile is None
+        for slope in range(-8, 9):
+            assert profile_reads(h, slope) == naive_reads(h, slope), (h, slope)
+        assert h._first_segments() is not f._first_segments()
 
 
 # -- ribbon minimality

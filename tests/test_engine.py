@@ -19,7 +19,8 @@ from helpers import (brute_force_nu, chain_boundary, check_flip,
                      check_segment_certificate, check_symmetry, corpus,
                      filtration_value, nu_at_halfplane,
                      random_admissible_complex, sampled_realizers,
-                     swept_segments, torus_upsilon, vertical_tau)
+                     staircase_upsilon, swept_segments, torus_upsilon,
+                     vertical_tau)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
 
@@ -298,6 +299,13 @@ def test_upsilon_slope_bound_on_corpus():
         assert all(abs(s) <= bound for s in ku.upsilon(c).slopes)
 
 
+def breakpoints_and_midpoints(f):
+    """Where a convex oracle must agree with the PL function f to equal
+    it: on each segment it then touches the chord at an inner point."""
+    bps = f.breakpoints
+    return bps + tuple((a + b) / 2 for a, b in zip(bps, bps[1:]))
+
+
 @pytest.mark.parametrize("knots", [
     [(8, 23)], [(11, 23)], [(10, 21)], [(6, 23)], [(4, 21)], [(13, 29)],
     [(17, 31)],
@@ -310,9 +318,44 @@ def test_upsilon_torus_semigroup_formula(knots):
     for pq in knots[1:]:
         c = ku.tensor(c, ku.torus_knot_complex(*pq))
     f = ku.upsilon(c)
-    bps = f.breakpoints
-    for t in bps + tuple((a + b) / 2 for a, b in zip(bps, bps[1:])):
+    for t in breakpoints_and_midpoints(f):
         assert f(t) == sum(torus_upsilon(p, q, t) for p, q in knots), t
+
+
+def staircase_steps(c):
+    """The steps of a staircase complex, read off its Alexander gradings."""
+    alex = [g.alexander for g in c.generators]
+    return [a - b for a, b in zip(alex, alex[1:])]
+
+
+def test_staircase_oracle_on_torus_ladder():
+    # the torus-ladder benchmark's pool: both oracles read S, one off the
+    # semigroup <p, q>, one off the library's staircase steps, and both
+    # equal the sweep, so each other
+    pool = [(p, q) for p in range(2, 12) for q in range(p + 1, 24)
+            if gcd(p, q) == 1
+            and len(ku.torus_knot_complex(p, q).generators) <= 41]
+    assert len(pool) == 77
+    for p, q in pool:
+        c = ku.torus_knot_complex(p, q)
+        steps, f = staircase_steps(c), ku.upsilon(c)
+        for t in breakpoints_and_midpoints(f):
+            assert staircase_upsilon(steps, t) == torus_upsilon(p, q, t) \
+                == f(t), (p, q, t)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(half=st.lists(st.integers(1, 4), min_size=1, max_size=4))
+@example(half=[2])  # S n [0, 4) = {0, 1}: no semigroup, no torus knot
+@example(half=[4, 1, 3, 2])  # the longest halves drawn, 2g = 20
+def test_staircase_oracle_on_palindromes(half):
+    # a palindromic staircase is swept by halves through its flip
+    steps = half + half[::-1]
+    c = ku.staircase(steps)
+    assert c._flip is not None
+    f = ku.upsilon(c)
+    for t in breakpoints_and_midpoints(f):
+        assert f(t) == staircase_upsilon(steps, t), t
 
 
 def _torus_upsilon_function(p, q):

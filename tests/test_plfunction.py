@@ -124,6 +124,13 @@ def test_format_rational_inputs():
     assert format_rational(0.5) == "1/2"
     assert format_rational("3/6") == "1/2"
     assert format_rational(0.1) == "3602879701896397/36028797018963968"
+    # each written out: reduced "p/q" with q >= 1, plain "p" for integers
+    cases = [(0, "0"), (12, "12"), (-10 ** 20, "-100000000000000000000"),
+             (False, "0"), (F(0), "0"), (F(-1, 3), "-1/3"),
+             (F(10, -4), "-5/2"), (F(-9, 3), "-3"), (F(97, 89), "97/89"),
+             (-0.125, "-1/8"), (2.0, "2"), (-0.5, "-1/2"),
+             ("1e-3", "1/1000"), ("-4/2", "-2"), ("2.5", "5/2")]
+    assert [format_rational(x) for x, _ in cases] == [s for _, s in cases]
 
 
 # -- the PL JSON reader
