@@ -18,15 +18,15 @@ violation messages and LatticePoints.
 
 ambient_d is the Maslov grading of the distinguished homology class (the
 correction term of the ambient three-manifold; 0 for the three-sphere).  A
-complex whose homology in grading ambient_d is not one-dimensional is
-refused by the upsilon machinery.  require_admissible alone decides this,
-and builds once per complex the record of that slice, or the refusal:
-all of a complex the engine reads, with the builder's flip screened on
-the slice's generators; the engine cites the slice's points by position.
-Each grading slice has one point per generator of its Maslov parity, so
-the differential between adjacent slices is one GF(2) matrix: a column
-per generator, a mask over the positions of the other parity.  A complex
-builds that matrix once; the d^2 check and require_admissible read it.
+complex whose homology in grading ambient_d is not one-dimensional is refused
+by the upsilon machinery.  require_admissible alone decides this, and builds
+once per complex the record of that slice, or the refusal: all of a complex
+the engine reads, with the builder's flip screened on the slice's generators;
+the engine cites the slice's points by position.  Each grading slice has one
+point per generator of its Maslov parity, so the differential between
+adjacent slices is one GF(2) matrix: a column per generator, a mask over the
+positions of the other parity.  One walk over a complex's entries builds that
+matrix once and screens them; the d^2 check and require_admissible read it.
 
 Complexes are immutable once built; all operations here are pure.  The
 records (Generator, DiffEntry, LatticePoint, ValidationReport, and those of
@@ -75,17 +75,20 @@ class ValidationReport(NamedTuple):
 
 
 class _Matrix(NamedTuple):
-    """The differential of a complex whose entries pass the per-entry checks.
+    """The differential of a complex, indexed in one walk over its entries.
 
-    Each list is indexed by generator position.  out[x] lists x's terms as
-    (target position, upower) pairs; pos[x] is x's position among the
-    generators of its Maslov parity; cols[p][pos[x]], for x of parity p, is
-    the differential out of x as a mask over the parity-(1 - p) positions.
-    cols[p] is then the matrix between any two adjacent grading slices, as
-    each has one point per generator of its parity.
+    Each list is indexed by generator position.  out[x] lists the entries
+    out of x themselves; pos[x] is x's position among the generators of its
+    parity; cols[p][pos[x]], for x of Maslov parity p, XORs the bits of x's
+    targets, a mask over the parity-(1 - p) positions, so cols[p] is the
+    matrix between any two adjacent grading slices.  The walk screens each
+    entry too.  A column weighs less than its entries just when a target
+    repeats, and the Maslov rule fixes k from (source, target): the complex
+    is _screened, with no fault and no repeated entry, when every entry
+    passes and the column weights sum to the number of entries.
     """
 
-    out: list[list[tuple[int, int]]]
+    out: list[list[tuple[int, int, int]]]
     pos: list[int]
     cols: tuple[list[int], list[int]]
 
@@ -162,21 +165,27 @@ class BifilteredComplex:
                                      self._entries, self.ambient_d, label,
                                      self._dup, self._flip)
 
-    # -- internal structure; built only once the per-entry checks pass
+    # -- internal structure; built once every entry cites a generator
 
     def _matrix(self) -> _Matrix:
-        """The differential, built once: see _Matrix."""
+        """The differential and the screen, built once: see _Matrix."""
         if self._mat is None:
-            out = [[] for _ in self._alex]
-            for s, t, k in self._entries:
-                out[s].append((t, k))
+            alex, maslov, entries = self._alex, self._maslov, self._entries
             counters = (count(), count())
-            pos = [next(counters[m % 2]) for m in self._maslov]
+            pos = [next(counters[m % 2]) for m in maslov]
+            bit = [1 << p for p in pos]
+            out, col, ok = [[] for _ in alex], [0] * len(alex), True
+            for e in entries:
+                s, t, k = e
+                out[s].append(e)
+                col[s] ^= bit[t]
+                if (k < 0 or maslov[t] != maslov[s] - 1 + 2 * k
+                        or alex[t] - alex[s] > k):
+                    ok = False
+            self._screened = ok and (
+                sum(map(int.bit_count, col)) == len(entries))
             cols = ([], [])
-            for m, terms in zip(self._maslov, out):
-                v = 0
-                for t, _ in terms:
-                    v ^= 1 << pos[t]
+            for m, v in zip(maslov, col):
                 cols[m % 2].append(v)
             self._mat = _Matrix(out, pos, cols)
         return self._mat
@@ -193,17 +202,20 @@ def _repeats(names) -> list:
 
 
 def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
+    """Every structural fault of c in order, found once.  The walk that
+    builds the matrix screens the entries (see _Matrix); they are walked
+    again only to name a fault.  Under the Maslov rule a path x -> y -> z
+    has total U-power (M(z) - M(x))/2 + 1, so d^2 = 0 asks that z's bit in
+    the XOR of the columns of x's targets y be 0; where it is not, x's
+    paths are walked in y-then-z order to report each odd z once."""
     if c._violations is not None:
         return c._violations
     names, alex, maslov = c._names, c._alex, c._maslov
     n = len(alex)
     v = ["duplicate generator name %r" % name
          for name in (_repeats(names[:n]) if c._dup else ())]
-
-    # entries are tracked one by one only when some entry repeats
-    entries = c._entries
-    repeats, seen = len(set(entries)) < len(entries), set()
-    for e in entries:
+    mat, seen = c._matrix() if len(names) == n else None, set()
+    for e in () if mat and c._screened else c._entries:
         s, t, k = e
         if s >= n or t >= n:
             v.append("entry (%s -> %s) references unknown generator %r"
@@ -212,7 +224,7 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
         if k < 0:
             v.append("entry (%s -> %s) has negative U-power %d"
                      % (names[s], names[t], k))
-        if repeats and (e in seen or seen.add(e)):
+        if e in seen or seen.add(e):
             v.append("duplicate differential entry (%s -> %s, U^%d)"
                      % (names[s], names[t], k))
         if maslov[t] != maslov[s] - 1 + 2 * k:
@@ -225,22 +237,15 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
                      "arrow points up or right" % (names[s], names[t], k))
 
     if not v:
-        # d^2 = 0 over F2[U]: two-step path counts must be even for every
-        # (source, target, total U-power) triple.  Every entry obeys the
-        # Maslov rule here, so a path x -> y -> z has total U-power
-        # (M(z) - M(x))/2 + 1 whatever y is, and z has x's parity: the
-        # parity per (x, z, k) is the bit of z in the XOR of the columns of
-        # x's targets y.  Where that XOR is nonzero, x's paths are walked
-        # in y-then-z order to report each odd z once.
-        out, pos, cols = c._matrix()
+        out, pos, cols = mat
         for x, m in enumerate(maslov):
             ys, odd = cols[1 - m % 2], 0
-            for y, _ in out[x]:
+            for _, y, _ in out[x]:
                 odd ^= ys[pos[y]]
             if not odd:
                 continue
-            for y, k1 in out[x]:
-                for z, k2 in out[y]:
+            for _, y, k1 in out[x]:
+                for _, z, k2 in out[y]:
                     if odd >> pos[z] & 1:
                         odd ^= 1 << pos[z]
                         v.append("d^2 != 0: odd number of two-step paths "
@@ -349,12 +354,12 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
     append = entries.append
     for x1, terms1 in enumerate(out1):
         base = x1 * n2
-        left = [(t * n2, k) for t, k in terms1]
+        left = [(t * n2, k) for _, t, k in terms1]
         for x2, terms2 in enumerate(out2):
             src = base + x2
             for t, k in left:
                 append((src, t + x2, k))
-            for t, k in terms2:
+            for _, t, k in terms2:
                 append((src, base + t, k))
     label = "%s # %s" % (c1.label, c2.label) if c1.label and c2.label else None
     f1, f2 = c1._flip, c2._flip

@@ -91,10 +91,11 @@ def _legal_entry(rng, gens, present):
     return None
 
 
-def _break(rng, gens, diff):
-    """One structural fault other than d^2, drawn from the kinds validate
-    reports; gens and diff are lists, changed in place."""
-    kind = rng.randrange(6)
+def _break(rng, gens, diff, kind=None):
+    """One structural fault other than d^2, of the given kind (0-5) or one
+    drawn from the kinds validate reports; gens and diff are lists, changed
+    in place."""
+    kind = rng.randrange(6) if kind is None else kind
     if kind == 0:       # an entry to a generator that is not there
         x = rng.choice(gens)
         diff.insert(rng.randrange(len(diff) + 1),

@@ -30,7 +30,9 @@ mismatch_detail finds where two functions first differ by building their
 difference and evaluating both functions there; obstruct_concordance's
 walk, which builds no difference, is checked against it.  check_flip
 checks the flip symmetry a builder hands the sweep, entry by entry off
-the differential list.
+the differential list.  reference_violations is validate rebuilt from the
+views: the per-entry checks one entry at a time with a set of entries,
+d_squared_lines, and the homology dimension by rank-nullity.
 """
 
 from collections import Counter
@@ -336,6 +338,55 @@ def d_squared_lines(c):
                 counts[(x.name, e2.target, e1.upower + e2.upower)] += 1
     return ["d^2 != 0: odd number of two-step paths %s -> %s with total "
             "U-power %d" % key for key, n in counts.items() if n % 2]
+
+
+def reference_violations(c):
+    """What validate must report on c, rebuilt from the views: repeated
+    names, then each entry's faults in list order, repeats tracked with a
+    set of entries; if there are none, d_squared_lines(c); if there are
+    still none, the refusal of a homology dimension other than 1 in grading
+    ambient_d, by rank-nullity over columns read off the entry list."""
+    v, seen, gen = [], set(), {}
+    for g in c.generators:
+        if g.name in gen:
+            v.append("duplicate generator name %r" % g.name)
+        gen[g.name] = g
+    for e in c.differential:
+        s, t, k = e
+        if s not in gen or t not in gen:
+            v.append("entry (%s -> %s) references unknown generator %r"
+                     % (s, t, t if s in gen else s))
+            continue
+        if k < 0:
+            v.append("entry (%s -> %s) has negative U-power %d" % e)
+        if e in seen or seen.add(e):
+            v.append("duplicate differential entry (%s -> %s, U^%d)" % e)
+        expected = gen[s].maslov - 1 + 2 * k
+        if gen[t].maslov != expected:
+            v.append("Maslov constraint violated by (%s -> %s, U^%d): "
+                     "M(%s)=%d, expected %d"
+                     % (s, t, k, t, gen[t].maslov, expected))
+        if gen[s].alexander - gen[t].alexander + k < 0:
+            v.append("Alexander constraint violated by (%s -> %s, U^%d): "
+                     "arrow points up or right" % e)
+    v = v or d_squared_lines(c)
+    if not v:
+        # each generator has one point per slice of its parity, so the
+        # slice map out of parity p has a column per parity-p generator
+        index, sizes = {}, [0, 0]
+        for g in c.generators:
+            index[g.name] = sizes[g.maslov % 2]
+            sizes[g.maslov % 2] += 1
+        cols = [[0] * sizes[0], [0] * sizes[1]]
+        for s, t, k in c.differential:
+            cols[gen[s].maslov % 2][index[s]] ^= 1 << index[t]
+        p = c.ambient_d % 2
+        dim = (sizes[p] - BitEchelon(cols[p]).rank
+               - BitEchelon(cols[1 - p]).rank)
+        if dim != 1:
+            v.append("non-admissible: homology has dimension %d != 1 in "
+                     "grading %d" % (dim, c.ambient_d))
+    return tuple(v)
 
 
 def naive_tensor(c1, c2):

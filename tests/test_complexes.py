@@ -5,15 +5,16 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import knotupsilon as ku
 import knotupsilon.complexes
 from knotupsilon import BifilteredComplex, DiffEntry, Generator, LatticePoint
 
+from golden import _break
 from helpers import (brute_d_squared_even, corpus, d_squared_lines,
                      enumerated_homology_dim, naive_tensor, positionally_equal,
-                     renamed)
+                     reference_violations, renamed)
 
 
 def trefoil_by_hand():
@@ -170,6 +171,15 @@ def test_negative_upower_reported():
     assert any("negative U-power" in v for v in ku.validate(c).violations)
 
 
+def test_negative_upower_alone_is_reported():
+    # the entry obeys the Maslov and Alexander rules; only k < 0 is wrong
+    c = BifilteredComplex(
+        [Generator("a", 1, 0), Generator("b", 0, -3)],
+        [DiffEntry("a", "b", -1)], 0)
+    assert ku.validate(c).violations == (
+        "entry (a -> b) has negative U-power -1",)
+
+
 def test_duplicate_entry_reported():
     c = BifilteredComplex(
         [Generator("a", 1, 0), Generator("b", 0, -1)],
@@ -221,6 +231,50 @@ def test_d_squared_report_matches_path_count_oracle(seed, names, drops, adds):
     lines = [v for v in ku.validate(c).violations if v.startswith("d^2")]
     assert lines == d_squared_lines(c)
     assert bool(lines) != brute_d_squared_even(c)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1),
+       names=st.lists(st.sampled_from(SMALL_KNOTS), min_size=1, max_size=4),
+       drops=st.integers(0, 2), adds=st.integers(0, 2),
+       faults=st.lists(st.integers(0, 5), max_size=3), tripled=st.booleans())
+# sum-tower size: the trefoil^#5, whole, with a tripled entry, and with two
+# faults and a tripled entry
+@example(seed=0, names=["trefoil"] * 5, drops=0, adds=0, faults=[],
+         tripled=False)
+@example(seed=1, names=["trefoil"] * 5, drops=0, adds=0, faults=[],
+         tripled=True)
+@example(seed=2, names=["trefoil"] * 5, drops=1, adds=1, faults=[3, 5],
+         tripled=True)
+def test_validate_matches_reference_validator(seed, names, drops, adds,
+                                              faults, tripled):
+    # d^2 faults from dropped and added entries, then faults of the given
+    # kinds (unknown target, dropped generator, doubled entry, doubled
+    # name, any pair and U-power), then maybe one entry three times over,
+    # which XOR leaves with one bit
+    knots = dict(corpus())
+    rng = random.Random(seed)
+    c = _mutated(reduce(ku.tensor, [knots[n] for n in names]), rng, drops,
+                 adds)
+    gens, diff = list(c.generators), list(c.differential)
+    for kind in faults:
+        _break(rng, gens, diff, kind)
+    if tripled and diff:
+        e = rng.choice(diff)
+        for _ in range(2):
+            diff.insert(rng.randrange(len(diff) + 1), e)
+    c = BifilteredComplex(gens, diff, c.ambient_d, c.label)
+    assert ku.validate(c).violations == reference_violations(c)
+
+
+def test_tripled_entry_is_reported_twice():
+    # XOR leaves one bit for three copies; the weights then fall short
+    t = ku.torus_knot_complex(2, 3)
+    e = t.differential[0]
+    c = BifilteredComplex(t.generators, t.differential + (e, e))
+    line = "duplicate differential entry (%s -> %s, U^%d)" % e
+    assert ku.validate(c).violations == (line, line)
+    assert c._matrix().cols == t._matrix().cols and not c._screened
 
 
 def test_non_admissible_reported():
@@ -346,6 +400,53 @@ def test_tensor_matches_reference():
         assert c.generators == ref.generators
         assert c.differential == ref.differential
         assert (c.ambient_d, c.label) == (ref.ambient_d, ref.label)
+
+
+def test_broken_tensor_is_caught(monkeypatch):
+    # a tensor that raises the U-power of its first entry by one: validate
+    # names exactly that entry, and the reference comparison fails
+    real = ku.tensor
+
+    def raised(c1, c2):
+        c = real(c1, c2)
+        if not c._entries:
+            return c
+        (s, t, k), *rest = c._entries
+        return BifilteredComplex._of(c._names, c._alex, c._maslov,
+                                     [(s, t, k + 1)] + rest, c.ambient_d,
+                                     c.label, c._dup, c._flip)
+
+    monkeypatch.setattr(ku, "tensor", raised)
+    t = ku.torus_knot_complex(2, 3)
+    assert ku.validate(ku.tensor(t, t)).violations == (
+        "Maslov constraint violated by (x0*x1 -> x0*x0, U^2): M(x0*x0)=0, "
+        "expected 2",)
+    with pytest.raises(AssertionError):
+        test_tensor_matches_reference()
+
+
+class CountingList(list):
+    """A list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_validate_walks_the_entries_once():
+    # one walk indexes, screens and feeds the d^2 check; the rows of the
+    # index hold the entries themselves
+    t = ku.torus_knot_complex(2, 3)
+    c = reduce(ku.tensor, [t, t, ku.torus_knot_complex(2, -5)])
+    c._entries = entries = CountingList(c._entries)
+    assert ku.validate(c).ok
+    assert entries.walks == 1
+    ids = {id(e) for e in entries}
+    rows = c._matrix().out
+    assert sum(map(len, rows)) == len(entries)
+    assert all(id(e) in ids for row in rows for e in row)
 
 
 def test_tensor_associative_up_to_renaming():

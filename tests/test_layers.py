@@ -1,17 +1,22 @@
-"""Layering lint: the engine reads a complex only through its slice record.
+"""Layering lint: the engine reads a complex only through its slice record,
+and a complex reaches its matrix by one route.
 
-engine.py is parsed, not imported.  The only private attribute it reads
-off a complex argument c is its own cache, _sweep; everything else comes
-from require_admissible's record.  Parity arithmetic belongs to that
-record's builder, so the engine takes no value modulo 2.
+engine.py and complexes.py are parsed, not imported.  The only private
+attribute the engine reads off a complex argument c is its own cache,
+_sweep; everything else comes from require_admissible's record.  Parity
+arithmetic belongs to that record's builder, so the engine takes no value
+modulo 2.  complexes.py builds a _Matrix at one call site, the walk that
+indexes and screens the entries.
 """
 
 import ast
 from pathlib import Path
 
+import knotupsilon.complexes
 import knotupsilon.engine
 
 TREE = ast.parse(Path(knotupsilon.engine.__file__).read_text())
+COMPLEXES = ast.parse(Path(knotupsilon.complexes.__file__).read_text())
 
 
 def test_engine_reads_no_private_attribute_of_a_complex_but_its_sweep():
@@ -27,3 +32,10 @@ def test_engine_takes_nothing_modulo_two():
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
             and isinstance(node.right, ast.Constant) and node.right.value == 2]
     assert mod2 == []
+
+
+def test_one_call_site_builds_the_matrix():
+    sites = [node.lineno for node in ast.walk(COMPLEXES)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_Matrix"]
+    assert len(sites) == 1
