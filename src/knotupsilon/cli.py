@@ -28,6 +28,8 @@ from .plfunction import PLFunction, parse_rational
 
 # sample refuses a step that would print more rows
 _MAX_SAMPLE_ROWS = 10**6
+# tensor refuses two complexes whose product has more generators
+_MAX_TENSOR_GENERATORS = 100_001
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,6 +134,11 @@ def _dispatch(args) -> tuple[str, int]:
     if cmd == "tensor":
         a = _require_complex(_load_record(args.input0, args.file))
         b = _require_complex(_load_record(args.input1, args.file))
+        n1, n2 = len(a._alex), len(b._alex)
+        if n1 * n2 > _MAX_TENSOR_GENERATORS:
+            raise FormatError("tensor of %d and %d generators gives %d, more "
+                              "than %d" % (n1, n2, n1 * n2,
+                                           _MAX_TENSOR_GENERATORS))
         return complex_to_json(tensor(a, b)), 0
 
     if cmd == "obstruct":

@@ -253,7 +253,7 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
     the slice point at its witness's top.
     """
     upsilon(c)
-    own, grid, witnesses = c._sweep
+    _, grid, witnesses = c._sweep
     pts = require_admissible(c).points
     coords = {(q.i, q.j) for q in pts}
     checks = []
@@ -269,8 +269,9 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
                   and s_before == left.i - left.j
                   and s_after == right.i - right.j)
         # three or more lattice positions tying at the singular level
+        # 2b nu(t0), the left realizer's weight, which its witness proves
         a, b = t0.numerator, t0.denominator
-        level = -own(t0) * b  # 2b nu(t0)
+        level = (2 * b - a) * left.i + a * left.j
         tying = [(i, j) for i, j in coords if (2 * b - a) * i + a * j == level]
         checks.append(JumpCheck(t0=t0, left_point=(left.i, left.j),
                                 right_point=(right.i, right.j),

@@ -18,7 +18,7 @@ from math import gcd
 
 from . import engine
 from .complexes import BifilteredComplex, dual
-from .errors import MissingDataError
+from .errors import FormatError, MissingDataError
 from .plfunction import PLFunction
 
 
@@ -170,6 +170,9 @@ class KnotRecord(namedtuple("KnotRecord", [
 # builtin names (the CLI vocabulary)
 
 
+# builtin_record refuses a torus knot whose semigroup walk takes more steps
+_MAX_TORUS_STEPS = 100_000
+
 # name -> (complex builder, right-veering), all fibered; a builder looks its
 # constructor up when called, so a wrapper put on it sees the call
 _FIXED = {
@@ -185,8 +188,8 @@ _FIXED = {
 def builtin_record(name: str) -> KnotRecord:
     """Resolve a CLI-facing builtin name to a KnotRecord.
 
-    Raises KeyError for names outside the builtin vocabulary and
-    ValueError for malformed parameters.
+    Raises KeyError for unknown names, FormatError for a torus knot past
+    _MAX_TORUS_STEPS and ValueError for malformed parameters.
     """
     if name in _FIXED:
         build, rv = _FIXED[name]
@@ -203,6 +206,11 @@ def builtin_record(name: str) -> KnotRecord:
             if len(args) != 2:
                 raise ValueError("torus:p,q takes two integers")
             p, q = args
+            steps = (p - 1) * (abs(q) - 1)
+            if p > 1 and steps > _MAX_TORUS_STEPS:
+                raise FormatError("%s needs (p-1)(|q|-1) = %d semigroup "
+                                  "steps, more than %d"
+                                  % (name, steps, _MAX_TORUS_STEPS))
             c = torus_knot_complex(p, q)
             return KnotRecord(name, complex=c, genus=max(c._alex),
                               fibered=True, monodromy_right_veering=q > 0)
@@ -216,4 +224,4 @@ def builtin_record(name: str) -> KnotRecord:
             return KnotRecord(name, genus=n + 2, fibered=True,
                               monodromy_right_veering=True,
                               upsilon_override=chen_cable_upsilon(n))
-    raise KeyError(name)
+    raise KeyError("unknown builtin name %r" % name)

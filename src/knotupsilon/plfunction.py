@@ -8,15 +8,16 @@ equal functions always compare equal as data.
 One function, _merged, makes that form.  _slopes validates raw pieces
 and derives their slopes once; the public constructor and from_json_dict
 pass those to _merged.  _canonical, which wraps raw pieces unchecked, calls
-it for sums and differences (one walk over both breakpoint lists, adding
-integer slopes), negation, integer multiples, reflection and upsilon's
-sweep.  _first_difference walks like a difference but builds nothing: it
-stops at the first canonical breakpoint where the difference is nonzero.
-Both walks order breakpoints by integer cross products; _on_piece reads
-a value on a piece with one normalization.  _first_segments, the slope
-profile the certificates read, maps each slope to its first segment: one
-scan on first use, kept in a slot outside equality, hashing, repr and
-JSON.  format_rational is Fraction's str, which prints "p/q" or "p".
+it for negation, integer multiples, reflection and upsilon's sweep.  Sums
+and differences go by value: both sides are read at the union of their
+breakpoints and the constructor derives the slopes.  _first_difference is
+the one walk over two breakpoint lists, by integer cross products: it
+stops at the first canonical breakpoint where the difference is nonzero
+and builds nothing.  _on_piece reads a value on a piece with one
+normalization.  _first_segments, the slope profile the certificates read,
+maps each slope to its first segment: one scan on first use, kept in a
+slot outside equality, hashing, repr and JSON.  format_rational is
+Fraction's str, which prints "p/q" or "p".
 """
 
 from __future__ import annotations
@@ -149,6 +150,10 @@ class PLFunction:
         t = Fraction(t)
         if not 0 <= t <= 2:
             raise ValueError("argument %s outside [0, 2]" % t)
+        return self._value(t)
+
+    def _value(self, t: Fraction) -> Fraction:
+        """The value at a Fraction t in [0, 2], unchecked."""
         k = min(bisect_right(self.breakpoints, t), len(self.slopes)) - 1
         return _on_piece(self.values[k], self.slopes[k],
                          self.breakpoints[k], t)
@@ -169,41 +174,18 @@ class PLFunction:
         return "<PLFunction %s>" % pieces
 
     def _merge(self, other, sign):
-        """self + sign * other in one walk over both breakpoint lists: on
-        each piece between consecutive breakpoints of the union the slopes
-        add as integers."""
-        fb, fs, gb, gs = (self.breakpoints, self.slopes,
-                          other.breakpoints, other.slopes)
-        bps, slopes = [fb[0]], []
-        i = j = 0
-        while i < len(fs):
-            slopes.append(fs[i] + sign * gs[j])
-            b, c = fb[i + 1], gb[j + 1]
-            x = b.numerator * c.denominator - c.numerator * b.denominator
-            if x < 0:
-                i += 1
-            elif x > 0:
-                j += 1
-                b = c
-            else:
-                i += 1
-                j += 1
-            bps.append(b)
-        v = self.values[0] + sign * other.values[0]
-        vals = [v]
-        for k, s in enumerate(slopes):
-            if s:
-                v += s * (bps[k + 1] - bps[k])
-            vals.append(v)
-        return PLFunction._canonical(bps, vals, slopes)
+        """self + sign * other, by value at both sides' breakpoints."""
+        bps = sorted(set(self.breakpoints).union(other.breakpoints))
+        return PLFunction(bps, [self._value(t) + sign * other._value(t)
+                                for t in bps])
 
     def _first_difference(self, other):
         """(t, self(t), other(t)) at the first breakpoint t of the canonical
         self - other where it is nonzero, or None when the two are equal.
 
         t is 0 when the values there differ in numerator or denominator,
-        else the end of the first canonical piece of nonzero slope, found by
-        _merge's walk over integer slope differences and cross products;
+        else the end of the first canonical piece of nonzero slope, found in
+        one walk over integer slope differences and cross products;
         _on_piece reads both values there.  No difference is built.
         """
         fb, fv, fs, gb, gv, gs = (self.breakpoints, self.values, self.slopes,

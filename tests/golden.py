@@ -235,6 +235,8 @@ CLI_RUNS = [
     ["sample", "trefoil", "1/4"], ["sample", "chen-cable:8", "1/3"],
     ["sample", "trefoil", "0"], ["sample", "trefoil", "-1/2"],
     [], ["upsilon", "trefoil", "--bogus"],
+    ["upsilon", "torus:2,999999999999"],
+    ["tensor", "torus:2,1001", "torus:2,1001"],
 ]
 # runs reading stdin: (argv, the file whose text is fed in)
 STDIN_RUNS = [(["upsilon", "-"], "trefoil.json"),

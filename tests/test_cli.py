@@ -43,7 +43,7 @@ def test_build_chen_cable_emits_plfunction(capsys):
 def test_build_unknown_name(capsys):
     rc, _, err = run(capsys, ["build", "granny"])
     assert rc == 2
-    assert "granny" in err
+    assert err == "error: unknown builtin name 'granny'\n"
 
 
 def test_upsilon_trefoil(capsys):
@@ -133,6 +133,68 @@ def test_sampling_step_row_limit(capsys, monkeypatch, argv):
     assert out == ""
     assert err == ("error: sampling step %s gives %d rows, more than 1000000\n"
                    % (step, rows))
+
+
+@pytest.mark.parametrize("name, steps", [("torus:2,100002", 100001),
+                                         ("torus:2,999999999999",
+                                          999999999998),
+                                         ("torus:3,-50002", 100002)])
+def test_torus_past_the_step_limit_is_refused(capsys, monkeypatch, name,
+                                              steps):
+    def refuse(p, q):
+        raise AssertionError("semigroup walked before the limit was checked")
+
+    monkeypatch.setattr(ku.knots, "torus_knot_complex", refuse)
+    for command in ("build", "upsilon"):
+        start = perf_counter()
+        rc, out, err = run(capsys, [command, name])
+        assert perf_counter() - start < 1
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: %s needs (p-1)(|q|-1) = %d semigroup steps, "
+                       "more than 100000\n" % (name, steps))
+
+
+def test_torus_at_the_step_limit_is_built(capsys, monkeypatch):
+    built = []
+
+    def stub(p, q):
+        built.append((p, q))
+        return ku.torus_knot_complex(2, 3)
+
+    monkeypatch.setattr(ku.knots, "torus_knot_complex", stub)
+    rc, _, _ = run(capsys, ["tau", "torus:2,100001"])
+    assert (rc, built) == (0, [(2, 100001)])
+
+
+def test_tensor_past_the_generator_limit_is_refused(capsys, monkeypatch):
+    def refuse(c1, c2):
+        raise AssertionError("tensor built before the limit was checked")
+
+    monkeypatch.setattr("knotupsilon.cli.tensor", refuse)
+    for argv, sizes in ((["trefoil", "torus:2,33335"], (3, 33335, 100005)),
+                        (["torus:2,1001", "torus:2,1001"],
+                         (1001, 1001, 1002001))):
+        start = perf_counter()
+        rc, out, err = run(capsys, ["tensor"] + argv)
+        assert perf_counter() - start < 1
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: tensor of %d and %d generators gives %d, more "
+                       "than 100001\n" % sizes)
+
+
+def test_tensor_at_the_generator_limit_is_built(capsys, monkeypatch):
+    sizes = []
+
+    def stub(c1, c2):
+        sizes.append((len(c1.generators), len(c2.generators)))
+        return ku.unknot_complex()
+
+    monkeypatch.setattr("knotupsilon.cli.tensor", stub)
+    rc, _, _ = run(capsys, ["tensor", "unknot",
+                            "staircase:" + ",".join(["1"] * 100000)])
+    assert (rc, sizes) == (0, [(1, 100001)])
 
 
 def test_tau_subcommand(capsys):
@@ -396,6 +458,32 @@ def test_complex_field_not_a_list_is_parse_error(capsys, tmp_path, key, value):
         assert rc == 2
         assert out == ""
         assert err == "error: %r must be a list\n" % key
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"label": 5}, "label must be a string or null"),
+    ({"label": ["T(2,3)"]}, "label must be a string or null"),
+    ({"generators": [{"name": "x", "alexander": "0", "maslov": 0}]},
+     "generator alexander must be an integer"),
+    ({"generators": [{"name": "x", "alexander": 0, "maslov": 0.0}]},
+     "generator maslov must be an integer"),
+    ({"generators": [{"name": "x", "alexander": True, "maslov": 0}]},
+     "generator alexander must be an integer"),
+    ({"generators": [{"name": "x", "alexander": 0, "maslov": False}]},
+     "generator maslov must be an integer"),
+])
+def test_complex_field_of_wrong_type_is_parse_error(capsys, tmp_path, edit,
+                                                    message):
+    obj = {"label": None, "ambient_d": 0,
+           "generators": [{"name": "x", "alexander": 0, "maslov": 0}],
+           "differential": []}
+    obj.update(edit)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, ["validate", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
 
 
 def test_pl_oversized_rational_is_parse_error(capsys, tmp_path):

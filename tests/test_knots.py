@@ -318,8 +318,12 @@ def test_builtin_torus_genus_is_the_closed_form():
 
 
 def test_builtin_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="^\"unknown builtin name 'granny'\"$"):
         ku.builtin_record("granny")
+    # the step limit reads p <= 1 as no steps: the builder refuses it
+    for name in ("torus:-1000000,0", "torus:1,999999999999"):
+        with pytest.raises(ValueError, match=r"^need p, \|q\| >= 2$"):
+            ku.builtin_record(name)
     with pytest.raises(ValueError):
         ku.builtin_record("torus:2")
     with pytest.raises(ValueError):

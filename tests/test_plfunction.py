@@ -63,6 +63,38 @@ def test_arithmetic_matches_pointwise_oracle(f, g, n):
     assert (f != g) == (not (f - g).is_zero())
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(f=pl_functions(), g=pl_functions())
+def test_sums_agree_pointwise_and_are_canonical(f, g):
+    # every breakpoint and every midpoint of both functions
+    ts = set(f.breakpoints) | set(g.breakpoints) | {
+        (a + b) / 2 for h in (f, g)
+        for a, b in zip(h.breakpoints, h.breakpoints[1:])}
+    for h, op in ((f + g, operator.add), (f - g, operator.sub)):
+        assert all(h(t) == op(f(t), g(t)) for t in ts)
+        bps, vals, slopes = data(h)
+        assert len(bps) == len(vals) == len(slopes) + 1
+        assert all((v1 - v0) / (b1 - b0) == s for b0, b1, v0, v1, s
+                   in zip(bps, bps[1:], vals, vals[1:], slopes))
+        assert all(s0 != s1 for s0, s1 in zip(slopes, slopes[1:]))
+    assert (f - g) + g == f
+
+
+def test_operators_refuse_other_types():
+    f = PLFunction([0, 1, 2], [0, -1, 0])
+    assert (f == 1) is False
+    for op in (lambda: f + 1, lambda: f - 1, lambda: 0.5 * f):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_slope_intervals():
+    f = PLFunction([0, F(1, 2), 1, F(3, 2), 2], [0, -1, 0, -1, 0])
+    assert f.slope_intervals(-2) == [(0, F(1, 2)), (1, F(3, 2))]
+    assert f.slope_intervals(2) == [(F(1, 2), 1), (F(3, 2), 2)]
+    assert f.slope_intervals(0) == []
+
+
 def test_merge_of_collinear_pieces():
     # the kinks of f and g at 1 cancel, so [1/2, 1] and [1, 2] merge
     f = PLFunction([0, 1, 2], [0, -1, 0])
