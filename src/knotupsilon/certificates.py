@@ -15,6 +15,10 @@ literature, never re-proved here:
 * with the slope hypothesis anywhere on [0, 2], a fibered knot and its
   mirror are minimal under homotopy ribbon concordance, which upgrades a
   ribbon-cancelling partner to equality.
+
+Each record holds only its evidence (witnesses, genus, reason tag) and
+reads its verdict off it as a property; what it restates is derived in
+to_json_dict, so no record can contradict itself.
 """
 
 from __future__ import annotations
@@ -53,20 +57,19 @@ def _interval_json(iv):
 
 
 class RVCertificate(NamedTuple):
-    """Outcome of the right-veering slope test.
+    """The right-veering slope test's witness: an open rational interval
+    inside [0, 1) on which the slope equals -genus_used, or None."""
 
-    verdict is "right_veering_certified" or "inconclusive";
-    witness_interval is an open rational interval inside [0, 1) on which
-    the slope equals -genus_used.
-    """
-
-    verdict: str
     witness_interval: tuple[Fraction, Fraction] | None
     genus_used: int
 
     @property
     def certified(self) -> bool:
-        return self.verdict == "right_veering_certified"
+        return self.witness_interval is not None
+
+    @property
+    def verdict(self) -> str:
+        return "right_veering_certified" if self.certified else "inconclusive"
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,11 +88,8 @@ def certify_right_veering(upsilon_fn: PLFunction, genus: int) -> RVCertificate:
     Breakpoints themselves are excluded as singular points.  Never returns
     a negative verdict: a failed test is only inconclusive.
     """
-    _check_genus(genus)
-    witness = _witness_below_one(upsilon_fn, -genus)
-    if witness is None:
-        return RVCertificate("inconclusive", None, genus)
-    return RVCertificate("right_veering_certified", witness, genus)
+    return RVCertificate(_witness_below_one(upsilon_fn, -_check_genus(genus)),
+                         genus)
 
 
 def classify_tightness(tau: int, genus: int) -> str:
@@ -99,16 +99,19 @@ def classify_tightness(tau: int, genus: int) -> str:
 
 
 class ConcordanceVerdict(NamedTuple):
-    """Either "obstructed" with the reason tag that fired, or
-    "no_obstruction_found"."""
+    """The reason tag of the obstruction that fired and its detail, or
+    neither when no obstruction was found."""
 
-    verdict: str
     reason: str | None = None
     detail: str | None = None
 
     @property
     def obstructed(self) -> bool:
-        return self.verdict == "obstructed"
+        return self.reason is not None
+
+    @property
+    def verdict(self) -> str:
+        return "obstructed" if self.obstructed else "no_obstruction_found"
 
     def to_json_dict(self) -> dict:
         return {"verdict": self.verdict, "reason": self.reason,
@@ -131,7 +134,7 @@ def obstruct_concordance(k0: KnotRecord, k1: KnotRecord) -> ConcordanceVerdict:
     first = f0._first_difference(f1)
     if first is not None:
         return ConcordanceVerdict(
-            "obstructed", "upsilon_mismatch",
+            "upsilon_mismatch",
             "upsilon functions differ at t=%s: %s vs %s"
             % tuple(map(format_rational, first)))
 
@@ -139,49 +142,47 @@ def obstruct_concordance(k0: KnotRecord, k1: KnotRecord) -> ConcordanceVerdict:
     if (holds0 and k0.fibered and k1.fibered and k1.genus is not None
             and k0.genus != k1.genus and _witness_below_one(f1, -k1.genus)):
         return ConcordanceVerdict(
-            "obstructed", "genus_mismatch_lemma72",
+            "genus_mismatch_lemma72",
             "slope hypothesis holds on both sides with genus %d vs %d"
             % (k0.genus, k1.genus))
 
     if (holds0 and k1.fibered and k1.genus == k0.genus
             and k1.monodromy_right_veering is False):
         return ConcordanceVerdict(
-            "obstructed", "rv_mismatch_prop14",
+            "rv_mismatch_prop14",
             "%r is certified right-veering by its slope, %r is fibered of "
             "equal genus with non-right-veering monodromy"
             % (k0.name, k1.name))
 
-    return ConcordanceVerdict("no_obstruction_found")
+    return ConcordanceVerdict()
 
 
 class RibbonMinimalityReport(NamedTuple):
     """What the slope hypothesis buys for homotopy ribbon concordance.
 
-    The minimality claims use the hypothesis anywhere on [0, 2]; the
-    ribbon-cancellation uniqueness claim uses [0, 1].  Each claim records
-    the interval convention it was checked against.
+    The minimality claims use the first segment of slope -genus anywhere
+    on [0, 2]; the ribbon-cancellation uniqueness claim uses the one
+    starting in [0, 1), cut off at 1.  Each witness is None when absent.
     """
 
     knot: str
     genus: int
-    slope_target: int
-    hypothesis_holds: bool
     witness_interval: tuple[Fraction, Fraction] | None
-    hypothesis_interval: str
-    minimal_among_fibered: bool
-    mirror_minimal_among_fibered: bool
-    uniqueness_hypothesis_holds: bool
     uniqueness_witness: tuple[Fraction, Fraction] | None
-    uniqueness_interval: str
+
+    @property
+    def hypothesis_holds(self) -> bool:
+        return self.witness_interval is not None
+
+    @property
+    def uniqueness_hypothesis_holds(self) -> bool:
+        return self.uniqueness_witness is not None
 
     def to_json_dict(self) -> dict:
-        conclusions = []
-        if self.minimal_among_fibered:
-            conclusions.append(
-                "minimal under homotopy ribbon concordance among fibered knots")
-            conclusions.append(
-                "mirror is minimal under homotopy ribbon concordance among "
-                "fibered knots")
+        minimal = ("minimal under homotopy ribbon concordance among fibered "
+                   "knots")
+        conclusions = ([minimal, "mirror is " + minimal]
+                       if self.hypothesis_holds else [])
         if self.uniqueness_hypothesis_holds:
             conclusions.append(
                 "any fibered partner with the same slope property whose "
@@ -189,16 +190,16 @@ class RibbonMinimalityReport(NamedTuple):
         return {
             "knot": self.knot,
             "genus": self.genus,
-            "slope_target": self.slope_target,
+            "slope_target": -self.genus,
             "hypothesis": {
                 "holds": self.hypothesis_holds,
                 "witness_interval": _interval_json(self.witness_interval),
-                "t_interval": self.hypothesis_interval,
+                "t_interval": "[0,2]",
             },
             "ribbon_uniqueness_hypothesis": {
                 "holds": self.uniqueness_hypothesis_holds,
                 "witness_interval": _interval_json(self.uniqueness_witness),
-                "t_interval": self.uniqueness_interval,
+                "t_interval": "[0,1]",
             },
             "conclusions": conclusions,
         }
@@ -211,21 +212,7 @@ def ribbon_minimality_report(k: KnotRecord) -> RibbonMinimalityReport:
         raise MissingDataError("record %r is not known to be fibered" % k.name)
     if k.genus is None:
         raise MissingDataError("record %r has no genus" % k.name)
-    g = k.genus
     f = k.upsilon_function()
-    first = f._first_segments().get(-g)
-    below_one = _witness_below_one(f, -g)
-    holds = first is not None
-    return RibbonMinimalityReport(
-        knot=k.name,
-        genus=g,
-        slope_target=-g,
-        hypothesis_holds=holds,
-        witness_interval=first,
-        hypothesis_interval="[0,2]",
-        minimal_among_fibered=holds,
-        mirror_minimal_among_fibered=holds,
-        uniqueness_hypothesis_holds=below_one is not None,
-        uniqueness_witness=below_one,
-        uniqueness_interval="[0,1]",
-    )
+    return RibbonMinimalityReport(k.name, k.genus,
+                                  f._first_segments().get(-k.genus),
+                                  _witness_below_one(f, -k.genus))

@@ -28,7 +28,7 @@ from .plfunction import PLFunction, parse_rational
 
 # sample refuses a step that would print more rows
 _MAX_SAMPLE_ROWS = 10**6
-# tensor refuses two complexes whose product has more generators
+# tensor refuses a product past this many generators or twice as many entries
 _MAX_TENSOR_GENERATORS = 100_001
 
 
@@ -139,6 +139,11 @@ def _dispatch(args) -> tuple[str, int]:
             raise FormatError("tensor of %d and %d generators gives %d, more "
                               "than %d" % (n1, n2, n1 * n2,
                                            _MAX_TENSOR_GENERATORS))
+        # d(x*y) = dx*y + x*dy: each entry of a meets every generator of b
+        e = len(a._entries) * n2 + n1 * len(b._entries)
+        if e > 2 * _MAX_TENSOR_GENERATORS:
+            raise FormatError("tensor gives %d differential entries, more "
+                              "than %d" % (e, 2 * _MAX_TENSOR_GENERATORS))
         return complex_to_json(tensor(a, b)), 0
 
     if cmd == "obstruct":

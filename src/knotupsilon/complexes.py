@@ -32,6 +32,8 @@ Complexes are immutable once built; all operations here are pure.  The
 records (Generator, DiffEntry, LatticePoint, ValidationReport, and those of
 engine, certificates and knots) are named tuples: hashable and equal by
 value, so also equal to a plain tuple holding the same fields.
+ValidationReport and the certificates' records hold evidence only, and
+read each verdict off it as a property.
 """
 
 from __future__ import annotations
@@ -70,8 +72,13 @@ class LatticePoint(NamedTuple):
 
 
 class ValidationReport(NamedTuple):
-    ok: bool
+    """Every violation found, in order; ok when there are none."""
+
     violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 class _Matrix(NamedTuple):
@@ -261,13 +268,13 @@ def validate(c: BifilteredComplex) -> ValidationReport:
 
     Report-style: never raises, lists all violations found.
     """
-    v = list(_structural_violations(c))
+    v = _structural_violations(c)
     if not v:
         try:
             require_admissible(c)
         except NonAdmissibleError as exc:
-            v.append(str(exc))
-    return ValidationReport(ok=not v, violations=tuple(v))
+            v = (str(exc),)
+    return ValidationReport(v)
 
 
 def require_valid(c: BifilteredComplex) -> None:

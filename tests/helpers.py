@@ -18,7 +18,10 @@ palindromic staircase's steps.
 check_segment_certificate proves one segment of upsilon from the cycle and
 cocycle the sweep kept, using only the boundary routines here, so it
 reaches any slice size too; swept_segments reads those witnesses, kept
-as slice positions, as lattice points.  vertical_tau computes tau from its
+as slice positions, as lattice points.  product_witnesses and
+dual_witnesses carry those witnesses through tensor and dual without
+running the engine on the result, and witnessed_upsilon reads the
+function they prove.  vertical_tau computes tau from its
 definition on the vertical complex, apart from upsilon, which the library
 reads tau off.  torus_alexander, cable_alexander and top_degree are the
 Alexander-polynomial algebra the torus staircases and the cable genera are
@@ -407,13 +410,21 @@ def naive_tensor(c1, c2):
     return ku.BifilteredComplex(gens, diff, c1.ambient_d + c2.ambient_d, label)
 
 
+@lru_cache(maxsize=128)
+def _entries_from(c):
+    """The differential list grouped by source name: (target, upower)
+    pairs, repeats kept."""
+    out = {}
+    for e in c.differential:
+        out.setdefault(e.source, []).append((e.target, e.upower))
+    return out
+
+
 def _point_boundary(c, point):
     """Boundary of one lattice point as a frozenset of (name, i) pairs,
     computed straight off the differential list."""
-    terms = Counter()
-    for e in c.differential:
-        if e.source == point[0]:
-            terms[(e.target, point[1] - e.upower)] += 1
+    terms = Counter((t, point[1] - k) for t, k in _entries_from(c).get(
+        point[0], ()))
     return frozenset(k for k, n in terms.items() if n % 2 == 1)
 
 
@@ -488,6 +499,57 @@ def swept_segments(c):
     for k, (top, r, phi) in enumerate(sweep.witnesses):
         yield ((sweep.grid[k], sweep.grid[k + 1]), pts[top],
                tuple(pts[x] for x in r), tuple(pts[x] for x in phi))
+
+
+def _times(p1, p2):
+    """The point p1 (x) p2 of a tensor product: names join as tensor's do,
+    coordinates add."""
+    return ku.LatticePoint("%s*%s" % (p1.generator, p2.generator),
+                           p1.i + p2.i, p1.j + p2.j)
+
+
+def product_witnesses(c1, c2):
+    """Witnesses for tensor(c1, c2), as swept_segments gives them, built
+    from the factors' sweeps alone, one per segment of the merged grid.
+
+    Weights add under p1 (x) p2.  r1 (x) r2 is a cycle of the class
+    (Kunneth), and phi1 (x) phi2, extended by zero, vanishes on every
+    boundary and meets it once, so the product of the realizers proves
+    nu = nu1 + nu2 where both factors' witnesses hold."""
+    s1, s2 = list(swept_segments(c1)), list(swept_segments(c2))
+    grid = sorted({t for ends, _, _, _ in s1 + s2 for t in ends})
+    k1 = k2 = 0
+    for a, b in zip(grid, grid[1:]):
+        while s1[k1][0][1] <= a:
+            k1 += 1
+        while s2[k2][0][1] <= a:
+            k2 += 1
+        (_, p1, r1, phi1), (_, p2, r2, phi2) = s1[k1], s2[k2]
+        yield ((a, b), _times(p1, p2),
+               tuple(_times(x, y) for x in r1 for y in r2),
+               tuple(_times(x, y) for x in phi1 for y in phi2))
+
+
+def dual_witnesses(c):
+    """Witnesses for dual(c), as swept_segments gives them, from c's
+    sweep: each point [x, i, j] becomes [x, -i, -j], so weights negate,
+    and the cocycle and cycle swap roles."""
+    def negated(points):
+        return tuple(ku.LatticePoint(p.generator, -p.i, -p.j) for p in points)
+
+    for ends, p, r, phi in swept_segments(c):
+        yield ends, negated((p,))[0], negated(phi), negated(r)
+
+
+def witnessed_upsilon(segments):
+    """Upsilon = -2 nu read off witnesses: each realizer's weight at its
+    segment's ends, through the validating constructor, which merges
+    collinear segments."""
+    bps, values = [], []
+    for (a, b), p, _, _ in segments:
+        bps.append(a)
+        values.append(-2 * filtration_value(a, p))
+    return ku.PLFunction(bps + [b], values + [-2 * filtration_value(b, p)])
 
 
 def check_flip(c):

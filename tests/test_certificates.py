@@ -481,11 +481,14 @@ def test_slope_profile_matches_segments(pair):
 
 def test_ribbon_trefoil():
     rep = ku.ribbon_minimality_report(trefoil_record())
-    assert rep.hypothesis_holds
-    assert rep.minimal_among_fibered and rep.mirror_minimal_among_fibered
-    assert rep.uniqueness_hypothesis_holds
-    assert rep.hypothesis_interval == "[0,2]"
-    assert rep.uniqueness_interval == "[0,1]"
+    assert rep.hypothesis_holds and rep.uniqueness_hypothesis_holds
+    data = rep.to_json_dict()
+    assert data["slope_target"] == -1
+    assert data["hypothesis"]["t_interval"] == "[0,2]"
+    assert data["ribbon_uniqueness_hypothesis"]["t_interval"] == "[0,1]"
+    # the minimality claims for the knot and its mirror, then uniqueness
+    assert len(data["conclusions"]) == 3
+    assert data["conclusions"][1].startswith("mirror is minimal")
 
 
 def test_ribbon_mirror_trefoil():
@@ -500,7 +503,8 @@ def test_ribbon_figure_eight_fails():
     rep = ku.ribbon_minimality_report(ku.builtin_record("figure8"))
     assert not rep.hypothesis_holds
     assert rep.witness_interval is None
-    assert not rep.minimal_among_fibered
+    # no minimality claim, for the knot or its mirror
+    assert rep.to_json_dict()["conclusions"] == []
 
 
 def test_ribbon_chen_cable():

@@ -197,6 +197,60 @@ def test_tensor_at_the_generator_limit_is_built(capsys, monkeypatch):
     assert (rc, sizes) == (0, [(1, 100001)])
 
 
+def complex_file(path, n, entries):
+    """A complex JSON file of n generators x0, x1, ... and the given
+    (source, target, upower) entries, valid or not; tensor is stubbed."""
+    path.write_text(json.dumps({
+        "label": path.stem, "ambient_d": 0,
+        "generators": [{"name": "x%d" % x, "alexander": 0, "maslov": 0}
+                       for x in range(n)],
+        "differential": [{"from": "x%d" % s, "to": "x%d" % t, "upower": k}
+                         for s, t, k in entries]}))
+    return str(path)
+
+
+def test_tensor_past_the_entry_limit_is_refused(capsys, monkeypatch,
+                                                tmp_path):
+    def refuse(c1, c2):
+        raise AssertionError("tensor built before the limit was checked")
+
+    monkeypatch.setattr("knotupsilon.cli.tensor", refuse)
+    # 3 entries * 40001 generators + 2 generators * 40000 entries
+    small = complex_file(tmp_path / "small.json", 2,
+                         [(0, 1, k) for k in range(3)])
+    # 100 sources each mapped to all of 100 targets, with itself: 40000
+    # generators, under their limit, and 10000 * 200 * 2 entries
+    full = complex_file(tmp_path / "full.json", 200,
+                        [(s, t, 0) for s in range(100)
+                         for t in range(100, 200)])
+    for argv, entries in (
+            ([small, "staircase:" + ",".join(["1"] * 40000)], 200003),
+            ([full, full], 4000000)):
+        start = perf_counter()
+        rc, out, err = run(capsys, ["tensor"] + argv)
+        assert perf_counter() - start < 1
+        assert (rc, out) == (2, "")
+        assert err == ("error: tensor gives %d differential entries, more "
+                       "than 200002\n" % entries)
+
+
+def test_tensor_at_the_entry_limit_is_built(capsys, monkeypatch, tmp_path):
+    sizes = []
+
+    def stub(c1, c2):
+        sizes.append((len(c1.generators), len(c1.differential),
+                      len(c2.generators), len(c2.differential)))
+        return ku.unknot_complex()
+
+    monkeypatch.setattr("knotupsilon.cli.tensor", stub)
+    # 10 * 16667 + 2 * 16666 = 200002 entries
+    small = complex_file(tmp_path / "small.json", 2,
+                         [(0, 1, k) for k in range(10)])
+    rc, _, _ = run(capsys, ["tensor", small,
+                            "staircase:" + ",".join(["1"] * 16666)])
+    assert (rc, sizes) == (0, [(2, 10, 16667, 16666)])
+
+
 def test_tau_subcommand(capsys):
     rc, out, _ = run(capsys, ["tau", "torus:2,7"])
     assert rc == 0

@@ -34,7 +34,7 @@ RECORD_FIELDS = [
     (Generator, dict(name="a", alexander=1, maslov=2), {}),
     (DiffEntry, dict(source="a", target="b", upower=1), {}),
     (LatticePoint, dict(generator="a", i=1, j=2), {}),
-    (ku.ValidationReport, dict(ok=True, violations=()), {}),
+    (ku.ValidationReport, dict(violations=()), {}),
     (ku.NuCertificate, dict(t=Fraction(1, 2), nu=Fraction(1, 4),
                             realizing_points=(POINT,), cycle=(POINT,),
                             cocycle=(POINT,)), {}),
@@ -42,17 +42,12 @@ RECORD_FIELDS = [
                         right_point=(1, 1), slope_before=-3, slope_after=0,
                         expected_jump=Fraction(3), passed=True,
                         degenerate=False), {}),
-    (ku.RVCertificate, dict(verdict="inconclusive", witness_interval=None,
-                            genus_used=2), {}),
-    (ku.ConcordanceVerdict, dict(verdict="no_obstruction_found"),
-     dict(reason=None, detail=None)),
+    (ku.RVCertificate, dict(witness_interval=None, genus_used=2), {}),
+    (ku.ConcordanceVerdict, dict(reason="upsilon_mismatch"),
+     dict(detail=None)),
     (ku.RibbonMinimalityReport, dict(
-        knot="trefoil", genus=1, slope_target=-1, hypothesis_holds=True,
-        witness_interval=(Fraction(0), Fraction(1)),
-        hypothesis_interval="[0,2]", minimal_among_fibered=True,
-        mirror_minimal_among_fibered=True, uniqueness_hypothesis_holds=True,
-        uniqueness_witness=(Fraction(0), Fraction(1)),
-        uniqueness_interval="[0,1]"), {}),
+        knot="trefoil", genus=1, witness_interval=(Fraction(0), Fraction(1)),
+        uniqueness_witness=(Fraction(0), Fraction(1))), {}),
 ]
 
 
@@ -89,7 +84,7 @@ def test_record_repr():
             == "DiffEntry(source='a', target='b', upower=0)")
     assert (repr(LatticePoint("a", 1, 2))
             == "LatticePoint(generator='a', i=1, j=2)")
-    assert repr(ku.validate(T)) == "ValidationReport(ok=True, violations=())"
+    assert repr(ku.validate(T)) == "ValidationReport(violations=())"
     assert (repr(ku.nu_at(T, Fraction(1, 2)))
             == "NuCertificate(t=Fraction(1, 2), nu=Fraction(1, 4), "
             "realizing_points=(LatticePoint(generator='x0', i=0, j=1),), "
@@ -102,25 +97,48 @@ def test_record_repr():
             "right_point=(1, 1), slope_before=-3, slope_after=0, "
             "expected_jump=Fraction(3, 1), passed=True, degenerate=False)")
     assert (repr(ku.certify_right_veering(ku.upsilon(T), 1))
-            == "RVCertificate(verdict='right_veering_certified', "
-            "witness_interval=(Fraction(0, 1), Fraction(1, 1)), genus_used=1)")
+            == "RVCertificate(witness_interval=(Fraction(0, 1), "
+            "Fraction(1, 1)), genus_used=1)")
     trefoil = ku.builtin_record("trefoil")
     assert (repr(ku.obstruct_concordance(trefoil, ku.builtin_record("unknot")))
-            == "ConcordanceVerdict(verdict='obstructed', "
-            "reason='upsilon_mismatch', "
+            == "ConcordanceVerdict(reason='upsilon_mismatch', "
             "detail='upsilon functions differ at t=1: -1 vs 0')")
     assert (repr(ku.obstruct_concordance(trefoil, trefoil))
-            == "ConcordanceVerdict(verdict='no_obstruction_found', "
-            "reason=None, detail=None)")
+            == "ConcordanceVerdict(reason=None, detail=None)")
     assert (repr(ku.ribbon_minimality_report(trefoil))
             == "RibbonMinimalityReport(knot='trefoil', genus=1, "
-            "slope_target=-1, hypothesis_holds=True, "
             "witness_interval=(Fraction(0, 1), Fraction(1, 1)), "
-            "hypothesis_interval='[0,2]', minimal_among_fibered=True, "
-            "mirror_minimal_among_fibered=True, "
-            "uniqueness_hypothesis_holds=True, "
-            "uniqueness_witness=(Fraction(0, 1), Fraction(1, 1)), "
-            "uniqueness_interval='[0,1]')")
+            "uniqueness_witness=(Fraction(0, 1), Fraction(1, 1)))")
+
+
+def test_records_read_their_verdicts_off_their_evidence():
+    unit = (Fraction(0), Fraction(1))
+    assert ku.ValidationReport(()).ok
+    assert not ku.ValidationReport(("d^2 != 0",)).ok
+    cert = ku.RVCertificate(unit, 3)
+    assert cert.certified and cert.verdict == "right_veering_certified"
+    cert = ku.RVCertificate(None, 3)
+    assert not cert.certified and cert.verdict == "inconclusive"
+    verdict = ku.ConcordanceVerdict("upsilon_mismatch")
+    assert verdict.obstructed and verdict.verdict == "obstructed"
+    verdict = ku.ConcordanceVerdict()
+    assert not verdict.obstructed
+    assert verdict.verdict == "no_obstruction_found"
+    report = ku.RibbonMinimalityReport("k", 2, unit, None)
+    assert report.hypothesis_holds and not report.uniqueness_hypothesis_holds
+    report = ku.RibbonMinimalityReport("k", 2, None, None)
+    assert not report.hypothesis_holds
+    assert report.to_json_dict() == {
+        "knot": "k", "genus": 2, "slope_target": -2,
+        "hypothesis": {"holds": False, "witness_interval": None,
+                       "t_interval": "[0,2]"},
+        "ribbon_uniqueness_hypothesis": {
+            "holds": False, "witness_interval": None, "t_interval": "[0,1]"},
+        "conclusions": []}
+    # nine fields in all, each a piece of evidence
+    records = (ku.ValidationReport, ku.RVCertificate, ku.ConcordanceVerdict,
+               ku.RibbonMinimalityReport)
+    assert sum(len(cls._fields) for cls in records) == 9
 
 
 # -- validation

@@ -15,12 +15,14 @@ import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 from knotupsilon.gf2 import BitEchelon
 
-from helpers import (brute_force_nu, chain_boundary, check_flip,
-                     check_segment_certificate, check_symmetry, corpus,
-                     filtration_value, nu_at_halfplane,
+from helpers import (brute_force_nu, cable_alexander, chain_boundary,
+                     check_flip, check_segment_certificate, check_symmetry,
+                     corpus, dual_witnesses, filtration_value,
+                     nu_at_halfplane, product_witnesses,
                      random_admissible_complex, sampled_realizers,
-                     staircase_upsilon, swept_segments, torus_upsilon,
-                     vertical_tau)
+                     staircase_upsilon, swept_segments, top_degree,
+                     torus_alexander, torus_upsilon, vertical_tau,
+                     witnessed_upsilon)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
 
@@ -255,15 +257,16 @@ SUM_TOWER = [
 ]
 
 
+def summand(token):
+    if token == F8:
+        return ku.figure_eight_complex()
+    return ku.torus_knot_complex(*token)
+
+
 def test_upsilon_additive_on_sum_tower_chains():
     # each chain bare and with its boxes, one where it lists none: the
     # boxes enter the slice but leave upsilon alone, and the summands'
     # upsilon add through PLFunction.__add__
-    def summand(token):
-        if token == F8:
-            return ku.figure_eight_complex()
-        return ku.torus_knot_complex(*token)
-
     assert len(SUM_TOWER) == 20
     for tokens, boxes in SUM_TOWER:
         want = reduce(PLFunction.__add__,
@@ -274,6 +277,61 @@ def test_upsilon_additive_on_sum_tower_chains():
             c = ku.direct_sum(c, ku.box_complex("box%d." % k, k % 2, 0),
                               c.label)
         assert ku.upsilon(c) == want, (tokens, boxes)
+
+
+def proved_upsilon(c, segments):
+    """The upsilon the witnesses prove on c, each segment re-proved off
+    c's differential list, and the number of segments."""
+    segments = list(segments)
+    for ends, p, cycle, cocycle in segments:
+        assert check_segment_certificate(c, ends, p, cycle, cocycle), ends
+    return witnessed_upsilon(segments), len(segments)
+
+
+def test_witnesses_travel_through_tensor_and_dual():
+    # every intermediate product of the sum-tower chains, without their
+    # boxes, and a product of torus knots of 1,205 generators; then each
+    # one's mirror.  The engine sweeps the factors and the products, never
+    # the mirrors, and no witness on a result comes from its own sweep.
+    grids, proved = {}, 0
+    for tokens in [tokens for tokens, _ in SUM_TOWER] + [[(17, 31), (2, 5)]]:
+        c = summand(tokens[0])
+        for k in range(1, len(tokens)):
+            factor = summand(tokens[k])
+            product = ku.tensor(c, factor)
+            want = ku.upsilon(c) + ku.upsilon(factor)
+            f, n = proved_upsilon(product, product_witnesses(c, factor))
+            assert f == want == ku.upsilon(product), tokens[:k + 1]
+            swept, proved = len(product._sweep.witnesses), proved + 1
+            grids[tuple(tokens[:k + 1])] = n, swept, len(f.slopes)
+            mirror, m = proved_upsilon(ku.dual(product),
+                                       dual_witnesses(product))
+            assert mirror == -want and m == swept
+            c = product
+    # (merged grid, sweep, function) segment counts: the merged grid can
+    # be finer or coarser than the sweep's, and either finer than the
+    # function, so functions are compared, not grids
+    assert grids[(3, 7), (3, -5), (2, 3)] == (6, 6, 3)
+    assert grids[(3, 7), (3, -7)] == (3, 6, 1)
+    assert proved == 45
+
+
+def test_a_moved_witness_point_is_refused():
+    t = ku.torus_knot_complex(2, 3)
+    c = ku.tensor(ku.tensor(t, t), ku.figure_eight_complex())
+    segments = list(product_witnesses(ku.tensor(t, t),
+                                      ku.figure_eight_complex()))
+    points = ku.grading_slice(c, c.ambient_d)
+    for ends, p, cycle, cocycle in segments:
+        assert check_segment_certificate(c, ends, p, cycle, cocycle)
+        for k in range(len(cycle)):
+            moved = next(q for q in points if q not in cycle)
+            assert not check_segment_certificate(
+                c, ends, p, cycle[:k] + (moved,) + cycle[k + 1:], cocycle)
+        for k in range(len(cocycle)):
+            moved = next(q for q in points if q not in cocycle)
+            assert not check_segment_certificate(
+                c, ends, p, cycle, cocycle[:k] + (moved,) + cocycle[k + 1:])
 
 
 def test_upsilon_tensor_brute_force_value():
@@ -356,6 +414,41 @@ def test_staircase_oracle_on_palindromes(half):
     f = ku.upsilon(c)
     for t in breakpoints_and_midpoints(f):
         assert f(t) == staircase_upsilon(steps, t), t
+
+
+def l_space_cables():
+    """C(r, s) of T(p, q) for s >= r(2g - 1), an L-space knot (Hedden 2009,
+    Hom 2011): the first ten s coprime to r for each of five companions
+    and r = 2, 3, as (p, q, r, s)."""
+    cables = []
+    for p, q in [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5)]:
+        g = (p - 1) * (q - 1) // 2
+        for r in (2, 3):
+            coprime = [s for s in range(r * (2 * g - 1), 40 * r)
+                       if gcd(r, s) == 1]
+            cables += [(p, q, r, s) for s in coprime[:10]]
+    return cables
+
+
+def test_staircase_oracle_on_l_space_cables():
+    # each staircase is built by the tests from the cable's Alexander
+    # polynomial: its steps are the gaps between the exponents
+    cables = l_space_cables()
+    assert len(cables) == 100
+    for p, q, r, s in cables:
+        delta = cable_alexander(torus_alexander(p, q), r, s)
+        exponents = sorted(delta, reverse=True)
+        assert [delta[e] for e in exponents] == [
+            (-1) ** k for k in range(len(exponents))], (p, q, r, s)
+        genus = r * (p - 1) * (q - 1) // 2 + (r - 1) * (s - 1) // 2
+        assert top_degree(delta) == genus
+        steps = [a - b for a, b in zip(exponents, exponents[1:])]
+        c = ku.staircase(steps)
+        f = ku.upsilon(c)
+        for t in breakpoints_and_midpoints(f):
+            assert f(t) == staircase_upsilon(steps, t), (p, q, r, s, t)
+        assert ku.tau(c) == genus
+        assert ku.require_admissible(c).flip is not None
 
 
 def _torus_upsilon_function(p, q):
