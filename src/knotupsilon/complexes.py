@@ -19,14 +19,15 @@ violation messages and LatticePoints.
 ambient_d is the Maslov grading of the distinguished homology class (the
 correction term of the ambient three-manifold; 0 for the three-sphere).  A
 complex whose homology in grading ambient_d is not one-dimensional is refused
-by the upsilon machinery.  require_admissible alone decides this, and builds
-once per complex the record of that slice, or the refusal: all of a complex
-the engine reads, with the builder's flip screened on the slice's generators;
-the engine cites the slice's points by position.  Each grading slice has one
-point per generator of its Maslov parity, so the differential between
-adjacent slices is one GF(2) matrix: a column per generator, a mask over the
-positions of the other parity.  One walk over a complex's entries builds that
-matrix once and screens them; the d^2 check and require_admissible read it.
+by the upsilon machinery.  require_admissible alone decides this, by
+rank-nullity, and builds once per complex the record of that slice, or the
+refusal: all of a complex the engine reads, in integer lists by position,
+with the builder's flip screened on the slice's generators.  Each grading
+slice has one point per generator of its Maslov parity, so the
+differential between adjacent slices is one GF(2) matrix: a column per
+generator, a mask over the positions of the other parity.  One walk over a
+complex's entries builds that matrix once and screens them; the d^2 check
+and require_admissible read it.
 
 Complexes are immutable once built; all operations here are pure.  The
 records (Generator, DiffEntry, LatticePoint, ValidationReport, and those of
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import count
+from itertools import compress, count
 from typing import NamedTuple
 
 from .errors import FormatError, InvalidComplexError, NonAdmissibleError
@@ -285,12 +286,15 @@ def require_valid(c: BifilteredComplex) -> None:
 
 
 class _Slice(NamedTuple):
-    """The slice in grading ambient_d: its points, the supports over them
-    of the boundary columns its echelon found independent (a basis of every
-    boundary), that echelon, a mask of a cycle for the class, and the
-    builder's flip [x, i, j] -> [flip x, j, i] on positions, or None."""
+    """The slice in grading ambient_d, by position: the generators' names,
+    the points' coordinates i and j, the supports of the boundary columns
+    its echelon found independent (a basis of every boundary), that
+    echelon, a mask of a cycle for the class, and the builder's flip
+    [x, i, j] -> [flip x, j, i] on positions, or None."""
 
-    points: tuple[LatticePoint, ...]
+    names: list[str]
+    i: list[int]
+    j: list[int]
     boundaries: list[list[int]]
     echelon: BitEchelon
     cycle: int
@@ -305,9 +309,10 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
     if c._slice is None:
         p = c.ambient_d % 2
         _, pos, cols = c._matrix()
-        cycles, ech = kernel_basis(cols[p]), BitEchelon()
+        ech = BitEchelon()
         boundaries = [bits(w) for w in cols[1 - p] if ech.add(w)]
-        dim = len(cycles) - ech.rank
+        # rank-nullity: n_p - rank d_p cycles, rank B of them boundaries
+        dim = len(cols[p]) - BitEchelon(cols[p]).rank - ech.rank
         if dim != 1:
             c._slice = ("non-admissible: homology has dimension %d != 1 in "
                         "grading %d" % (dim, c.ambient_d))
@@ -318,22 +323,29 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
             alex, maslov = c._alex, c._maslov
             flip = [pos[y] for y, a, m in zip(c._flip or (), alex, maslov)
                     if m % 2 == p and alex[y] == -a and maslov[y] == m - 2 * a]
-            points = tuple(grading_slice(c, c.ambient_d))
-            if sorted(flip) != list(range(len(points))):
-                flip = None
-            c._slice = _Slice(points, boundaries, ech,
-                              next(z for z in cycles if ech.reduce(z)), flip)
+            flip = flip if sorted(flip) == list(range(len(cols[p]))) else None
+            # the class's cycle: the kernel's first vector off the boundaries
+            c._slice = _Slice(*_coordinates(c, c.ambient_d), boundaries, ech,
+                              next(z for z in kernel_basis(cols[p])
+                                   if ech.reduce(z)), flip)
     if isinstance(c._slice, str):
         raise NonAdmissibleError(c._slice)
     return c._slice
 
 
+def _coordinates(c: BifilteredComplex, d: int):
+    """The grading-d slice as three lists, position by position: the name
+    of each generator of Maslov parity d and its point's i and j."""
+    keep = [(d - m) % 2 == 0 for m in c._maslov]
+    i = [(d - m) // 2 for m in compress(c._maslov, keep)]
+    return (list(compress(c._names, keep)), i,
+            [a + k for a, k in zip(compress(c._alex, keep), i)])
+
+
 def grading_slice(c: BifilteredComplex, d: int) -> list[LatticePoint]:
     """Lattice points of total Maslov grading d: one per generator of Maslov
     parity d, its unique U-translate with that grading."""
-    return [LatticePoint(name, (d - m) // 2, a + (d - m) // 2)
-            for name, a, m in zip(c._names, c._alex, c._maslov)
-            if m % 2 == d % 2]
+    return list(map(LatticePoint, *_coordinates(c, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +364,8 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
     require_valid(c2)
     tails = ["*" + b for b in c2._names]
     names = [a + tail for a in c1._names for tail in tails]
-    if len(set(names)) < len(names):
+    # names are unique per factor; a*b splits at its last * unless b has one
+    if "*" in "".join(c2._names) and len(set(names)) < len(names):
         raise ValueError("tensor name clash: %s"
                          % sorted(set(_repeats(names))))
     n2 = len(c2._alex)

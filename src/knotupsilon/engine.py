@@ -8,15 +8,16 @@ of a summand, and upsilon(t) = -2 nu(t).
 Everything happens on the finite grading-d slice: each generator of the
 right Maslov parity contributes exactly one lattice point per homological
 grading, so cycles, boundaries, and the filtered minimum are all finite
-exact linear algebra over GF(2).  Every entry point reads that slice from
-the one record require_admissible builds per complex: the engine reads a
-complex through that record and its own cache only.  At t = a/b every
-weight times 2b is the integer (2b - a) i + a j, which orders the points
-exactly as the weights do.  One scan, _filtered_scan, reduces the
+exact linear algebra over GF(2).  Every entry point reads that slice, as
+integer lists by position, from the one record require_admissible builds
+per complex, and nothing else of a complex but its own cache.  At t = a/b
+every weight times 2b is the integer (2b - a) i + a j, which orders the
+points exactly as the weights do.  One scan, _filtered_scan, reduces the
 record's cycle representing the class against the boundaries in that
 order: the result tops out at weight nu, and a cocycle read off the same
 echelon shows that no cycle of the class tops out lower.  nu_at, the
-public route to nu at one t, is one scan; two test oracles check it.
+public route to nu at one t, is one scan, and the one place LatticePoints
+are built, for its certificate; two test oracles check it.
 upsilon sweeps t with one scan per segment: the cycle and the cocycle
 hold nu to the realizing point's line up to the next tie parameter where
 a point of either crosses it.  Past t = 1 it scans only where the slice's
@@ -103,17 +104,16 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     if not 0 <= t <= 2:
         raise ValueError("parameter %s outside [0, 2]" % t)
     s = require_admissible(c)
-    pts = s.points
     a, b = t.numerator, t.denominator
-    keys = [(2 * b - a) * p.i + a * p.j for p in pts]
+    keys = [(2 * b - a) * i + a * j for i, j in zip(s.i, s.j)]
     top, witness, phi = _filtered_scan(bits(s.cycle), s.boundaries, keys)
-    level = keys[top]
-    support = sorted(witness)
-    cycle = tuple(pts[k] for k in support)
-    realizing = tuple(pts[k] for k in support if keys[k] == level)
-    return NuCertificate(t=t, nu=Fraction(level, 2 * b),
-                         realizing_points=realizing, cycle=cycle,
-                         cocycle=tuple(pts[k] for k in sorted(phi)))
+    level, support = keys[top], sorted(witness)
+    def points(ks):  # the certificate's LatticePoints, at these positions
+        return tuple([LatticePoint(s.names[k], s.i[k], s.j[k]) for k in ks])
+    return NuCertificate(
+        t=t, nu=Fraction(level, 2 * b), cycle=points(support),
+        realizing_points=points([k for k in support if keys[k] == level]),
+        cocycle=points(sorted(phi)))
 
 
 def _proves_segment(s, top, r, phi, ends):
@@ -122,23 +122,22 @@ def _proves_segment(s, top, r, phi, ends):
     are positions in the slice s.  As masks, r is s's cycle plus boundaries,
     phi vanishes on the echelon's rows, a basis of the boundaries, and meets
     that cycle once; at both ends r tops out and phi bottoms out at top."""
-    pts, e = s.points, s.echelon
+    e, si, sj = s.echelon, s.i, s.j
     rm, pm = sum([1 << x for x in r]), sum([1 << x for x in phi])
     ok = (not e.reduce(rm ^ s.cycle) and (pm & s.cycle).bit_count() & 1
           and not any([(pm & w).bit_count() & 1 for w in e.pivots.values()]))
-    p, cycle, cocycle = pts[top], [pts[x] for x in r], [pts[x] for x in phi]
     for a, b in ends:
         u = 2 * b - a
-        level = u * p.i + a * p.j
-        ok = (ok and max([u * q.i + a * q.j for q in cycle]) == level
-              and min([u * q.i + a * q.j for q in cocycle]) == level)
+        level = u * si[top] + a * sj[top]
+        ok = (ok and max([u * si[x] + a * sj[x] for x in r]) == level
+              and min([u * si[x] + a * sj[x] for x in phi]) == level)
     return bool(ok)
 
 
 class _Sweep(NamedTuple):
     """upsilon's result, segment ends and witnesses (top, r, phi): each
     segment's realizer, cycle and cocycle as slice positions.  This is all
-    the sweep keeps; a realizer is read as the slice point at top."""
+    the sweep keeps; a realizer is read as the slice's coordinates at top."""
 
     function: PLFunction
     grid: list[Fraction]
@@ -165,10 +164,10 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     if c._sweep is not None:
         return c._sweep.function
     s = require_admissible(c)
-    pts, z = s.points, bits(s.cycle)
-    ijd = [(q.i, q.j, q.j - q.i) for q in pts]
-    ids = list(range(len(pts)))  # kept supports share these ints
-    ends, realizers, witnesses = [(0, 1)], [], []
+    si, sj, z = s.i, s.j, bits(s.cycle)
+    ijd = [(i, j, j - i) for i, j in zip(si, sj)]
+    ids = list(range(len(si)))  # kept supports share these ints
+    ends, witnesses = [(0, 1)], []
     flip = k = None  # k: the scanned segment to mirror, once t reaches 1
     a, b = 0, 1
     while a < 2 * b:
@@ -206,12 +205,10 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
                 continue
             raise AssertionError("nu not linear on [%s, %s]: its certificate "
                                  "fails" % (Fraction(a, b), Fraction(*t1)))
-        p = pts[top]
-        q = realizers[-1] if realizers else p
-        if u * (p.i - q.i) + a * (p.j - q.j):
+        q = witnesses[-1][0] if witnesses else top  # the last realizer
+        if u * (si[top] - si[q]) + a * (sj[top] - sj[q]):
             raise AssertionError("nu jumps at %s" % Fraction(a, b))
         ends.append(t1)
-        realizers.append(p)
         witnesses.append((top, rs, ps))
         a, b = t1
     grid = [Fraction(a, b) for a, b in ends]
@@ -219,10 +216,10 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     # -((2b - a) i + a j) / b at a/b, the end of p's segment and the start
     # of the next one's, whose realizer weighs the same there
     f = PLFunction._canonical(
-        grid, [Fraction(-2 * realizers[0].i)]
-        + [Fraction(-(2 * b - a) * p.i - a * p.j, b)
-           for (a, b), p in zip(ends[1:], realizers)],
-        [p.i - p.j for p in realizers])
+        grid, [Fraction(-2 * si[witnesses[0][0]])]
+        + [Fraction(-(2 * b - a) * si[p] - a * sj[p], b)
+           for (a, b), (p, _, _) in zip(ends[1:], witnesses)],
+        [si[p] - sj[p] for p, _, _ in witnesses])
     c._sweep = _Sweep(f, grid, witnesses)
     return f
 
@@ -250,31 +247,30 @@ def jump_report(c: BifilteredComplex, f: PLFunction) -> list[JumpCheck]:
 
     f must be upsilon(c); a failed check indicates an engine bug, not a
     property of the knot.  It reads the realizers upsilon(c) recorded, each
-    the slice point at its witness's top.
+    the slice's coordinates at its witness's top.
     """
     upsilon(c)
     _, grid, witnesses = c._sweep
-    pts = require_admissible(c).points
-    coords = {(q.i, q.j) for q in pts}
-    checks = []
-    bps = f.breakpoints
+    s = require_admissible(c)
+    coords = set(zip(s.i, s.j))
+    checks, bps = [], f.breakpoints
     for k in range(1, len(bps) - 1):
         t0 = bps[k]
         # off c's grid, t0 lies inside one interval: both sides agree
-        left = pts[witnesses[bisect_left(grid, t0) - 1][0]]
-        right = pts[witnesses[bisect_right(grid, t0) - 1][0]]
+        left = witnesses[bisect_left(grid, t0) - 1][0]
+        right = witnesses[bisect_right(grid, t0) - 1][0]
+        li, lj, ri, rj = s.i[left], s.j[left], s.i[right], s.j[right]
         s_before, s_after = f.slopes[k - 1], f.slopes[k]
-        expected = Fraction(2, 1) / t0 * (right.i - left.i)
+        expected = Fraction(2, 1) / t0 * (ri - li)
         passed = (s_after - s_before == expected
-                  and s_before == left.i - left.j
-                  and s_after == right.i - right.j)
+                  and s_before == li - lj and s_after == ri - rj)
         # three or more lattice positions tying at the singular level
         # 2b nu(t0), the left realizer's weight, which its witness proves
         a, b = t0.numerator, t0.denominator
-        level = (2 * b - a) * left.i + a * left.j
+        level = (2 * b - a) * li + a * lj
         tying = [(i, j) for i, j in coords if (2 * b - a) * i + a * j == level]
-        checks.append(JumpCheck(t0=t0, left_point=(left.i, left.j),
-                                right_point=(right.i, right.j),
+        checks.append(JumpCheck(t0=t0, left_point=(li, lj),
+                                right_point=(ri, rj),
                                 slope_before=s_before, slope_after=s_after,
                                 expected_jump=expected, passed=passed,
                                 degenerate=len(tying) > 2))

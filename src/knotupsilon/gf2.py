@@ -10,6 +10,8 @@ touches.  Everything is exact and deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 
 class BitEchelon:
     """Growing echelon basis with pivots on highest set bits."""
@@ -40,14 +42,14 @@ class BitEchelon:
         return len(self.pivots)
 
 
-def kernel_basis(columns) -> list[int]:
+def kernel_basis(columns) -> Iterator[int]:
     """Kernel of the linear map sending basis vector j to columns[j].
 
-    columns are bitmask vectors in the target space; the result is a list
-    of bitmasks over the column indices, in deterministic order.
+    columns are bitmask vectors in the target space; the kernel vectors,
+    bitmasks over the column indices, are yielded lazily in deterministic
+    order: each as soon as its column is found dependent.
     """
     echelon: dict[int, tuple[int, int]] = {}
-    kernel: list[int] = []
     for j, col in enumerate(columns):
         v, combo = col, 1 << j
         while v:
@@ -59,8 +61,7 @@ def kernel_basis(columns) -> list[int]:
         if v:
             echelon[v.bit_length() - 1] = (v, combo)
         else:
-            kernel.append(combo)
-    return kernel
+            yield combo
 
 
 def bits(v: int) -> list[int]:

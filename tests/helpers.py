@@ -16,13 +16,13 @@ that needs no complex at all, so it reaches slices far past brute force;
 staircase_upsilon applies the same semigroup formula to the S read off any
 palindromic staircase's steps.
 check_segment_certificate proves one segment of upsilon from the cycle and
-cocycle the sweep kept, using only the boundary routines here, so it
-reaches any slice size too; swept_segments reads those witnesses, kept
-as slice positions, as lattice points.  product_witnesses and
-dual_witnesses carry those witnesses through tensor and dual without
-running the engine on the result, and witnessed_upsilon reads the
-function they prove.  vertical_tau computes tau from its
-definition on the vertical complex, apart from upsilon, which the library
+cocycle the sweep kept, using only the boundary routines here and
+integer weights, so it reaches any slice size too; swept_segments reads
+those witnesses, kept as slice positions, as lattice points.
+product_witnesses and dual_witnesses carry those witnesses through
+tensor and dual without running the engine on the result, and
+witnessed_upsilon reads the function they prove.  vertical_tau computes
+tau from its definition on the vertical complex, apart from upsilon, which the library
 reads tau off.  torus_alexander, cable_alexander and top_degree are the
 Alexander-polynomial algebra the torus staircases and the cable genera are
 checked against.  pl_pointwise is piecewise-linear arithmetic by
@@ -134,7 +134,7 @@ def vertical_tau(c):
     at0, below = positions(0), positions(-1)
     cols = [image(g.name, below) for g in zero]
     bound = BitEchelon(image(name, at0) for name in positions(1))
-    if len(kernel_basis(cols)) - bound.rank != 1:
+    if len(list(kernel_basis(cols))) - bound.rank != 1:
         raise ku.NonAdmissibleError("vertical homology is not "
                                     "one-dimensional in grading 0")
     for level in sorted({g.alexander for g in zero}):
@@ -482,10 +482,13 @@ def check_segment_certificate(c, ends, p, cycle, cocycle):
             or any(len(b & phi) % 2 for b in _upper_boundaries(c))
             or len(r & phi) % 2 == 0):
         return False
-    for t in ends:
-        level = filtration_value(t, p)
-        if (max(filtration_value(t, q) for q in cycle) != level
-                or min(filtration_value(t, q) for q in cocycle) != level):
+    for t in map(Fraction, ends):
+        # 2b times the weight at t = a/b, an integer
+        a, b = t.numerator, t.denominator
+        u = 2 * b - a
+        level = u * p.i + a * p.j
+        if (max(u * q.i + a * q.j for q in cycle) != level
+                or min(u * q.i + a * q.j for q in cocycle) != level):
             return False
     return True
 
@@ -493,9 +496,10 @@ def check_segment_certificate(c, ends, p, cycle, cocycle):
 def swept_segments(c):
     """Each segment of upsilon(c)'s sweep as (ends, realizer, cycle,
     cocycle): the kept witness's slice positions read as LatticePoints
-    through require_admissible(c).points."""
+    off require_admissible(c)'s names and coordinates."""
     ku.upsilon(c)
-    pts, sweep = ku.require_admissible(c).points, c._sweep
+    s, sweep = ku.require_admissible(c), c._sweep
+    pts = list(map(ku.LatticePoint, s.names, s.i, s.j))
     for k, (top, r, phi) in enumerate(sweep.witnesses):
         yield ((sweep.grid[k], sweep.grid[k + 1]), pts[top],
                tuple(pts[x] for x in r), tuple(pts[x] for x in phi))

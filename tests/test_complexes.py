@@ -10,11 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 import knotupsilon as ku
 import knotupsilon.complexes
 from knotupsilon import BifilteredComplex, DiffEntry, Generator, LatticePoint
+from knotupsilon.gf2 import BitEchelon, kernel_basis
 
 from golden import _break
 from helpers import (brute_d_squared_even, corpus, d_squared_lines,
                      enumerated_homology_dim, naive_tensor, positionally_equal,
-                     reference_violations, renamed)
+                     random_admissible_complex, reference_violations, renamed)
 
 
 def trefoil_by_hand():
@@ -391,6 +392,56 @@ def test_box_is_acyclic_but_valid():
         "non-admissible: homology has dimension 0 != 1 in grading 0",)
 
 
+def _record_cases():
+    """The corpus, 200 random admissible complexes, and refused complexes
+    of homology dimension 0 and 2 in grading ambient_d."""
+    rng = random.Random(25)
+    tref = ku.torus_knot_complex(2, 3)
+    other = renamed(tref, ["p", "q", "r"])
+    return ([c for _, c in corpus()]
+            + [random_admissible_complex(rng, "r%d" % k) for k in range(200)]
+            + [ku.box_complex(), BifilteredComplex([], []),
+               ku.direct_sum(ku.box_complex(maslov=1), ku.box_complex("b")),
+               BifilteredComplex(tref.generators + (Generator("e", 0, 0),),
+                                 tref.differential),
+               ku.direct_sum(tref, other),
+               BifilteredComplex(tref.generators, tref.differential, 2)])
+
+
+def test_slice_record_is_integers_with_rank_nullity_dimension():
+    # the record holds the grading slice as names and i, j lists; its
+    # dimension is rank-nullity's, which a full kernel walk, enumeration on
+    # small slices, and the refusal message agree on; its class cycle is
+    # the first kernel vector outside the boundary span
+    dims, small = [], 0
+    for c in _record_cases():
+        d, p = c.ambient_d, c.ambient_d % 2
+        cols = c._matrix().cols
+        bound = BitEchelon(cols[1 - p])
+        kernel = list(kernel_basis(cols[p]))
+        dim = len(kernel) - bound.rank
+        dims.append(dim)
+        pts = ku.grading_slice(c, d)
+        if len(pts) <= 10 and len(ku.grading_slice(c, d + 1)) <= 10:
+            small += 1
+            assert enumerated_homology_dim(c, d) == dim
+        if dim != 1:
+            msg = ("non-admissible: homology has dimension %d != 1 in "
+                   "grading %d" % (dim, d))
+            assert ku.validate(c).violations == reference_violations(c) == (
+                msg,)
+            with pytest.raises(ku.NonAdmissibleError) as exc:
+                ku.require_admissible(c)
+            assert str(exc.value) == msg
+            continue
+        s = ku.require_admissible(c)
+        assert list(zip(s.names, s.i, s.j)) == [tuple(q) for q in pts]
+        assert all(type(x) is int for x in s.i + s.j)
+        assert s.cycle == next(z for z in kernel if bound.reduce(z))
+    assert dims.count(0) == 3 and dims.count(2) == 2
+    assert dims.count(1) == len(dims) - 5 and small >= 100
+
+
 # -- tensor
 
 
@@ -492,6 +543,34 @@ def test_tensor_name_clash():
     with pytest.raises(ValueError, match=r"^tensor name clash: \['a\*b\*c'\]$"):
         ku.tensor(a, b)
     assert ku.validate(ku.tensor(b, a)).ok
+
+
+# every name over {a, b, *} of length 1 or 2: short names clash often
+NAMES_OVER_AB_STAR = st.lists(
+    st.sampled_from([x + y for x in "ab*" for y in ["", "a", "b", "*"]]),
+    min_size=1, max_size=6, unique=True)
+
+
+@given(NAMES_OVER_AB_STAR, NAMES_OVER_AB_STAR)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@example(["a", "a*b"], ["b*c", "c"])
+@example(["a*", "a"], ["b", "*b"])
+def test_tensor_clash_shortcut_misses_no_clash(left, right):
+    # tensor skips its set of product names when no name of the right
+    # factor holds "*"; on names over {a, b, *} it refuses exactly when
+    # the full set of products finds a repeat
+    def gens(names):
+        return BifilteredComplex([Generator(n, 0, 0) for n in names], [])
+
+    products = ["%s*%s" % (a, b) for a in left for b in right]
+    clash = len(set(products)) < len(products)
+    try:
+        ku.tensor(gens(left), gens(right))
+    except ValueError as exc:
+        assert clash and str(exc) == "tensor name clash: %s" % sorted(
+            {p for p in products if products.count(p) > 1})
+    else:
+        assert not clash
 
 
 def test_tensor_ambient_d_adds():

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import knotupsilon as ku
-import knotupsilon.complexes
 import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 from knotupsilon.gf2 import BitEchelon
@@ -134,31 +133,38 @@ def test_nu_rejects_non_admissible():
 def test_slice_is_built_once_per_complex(monkeypatch):
     # require_admissible builds the ambient slice, its boundaries and the
     # distinguished cycle once, or its refusal; every later entry point
-    # reads that record.  The d^2 check and require_admissible, which
-    # screens the flip too, read one matrix, built once.
-    calls, reads = [], []
-    real = knotupsilon.complexes.kernel_basis
+    # reads that record.  A build is counted where a complex's _slice
+    # leaves None, which a refusal's message does too.  The d^2 check and
+    # require_admissible, which screens the flip too, read one matrix,
+    # built once.
+    builds, reads = [], []
     real_matrix = BifilteredComplex._matrix
 
-    def counted(columns):
-        calls.append(1)
-        return real(columns)
+    def get_slice(self):
+        return self.__dict__["_slice"]
+
+    def set_slice(self, value):
+        if self.__dict__.get("_slice") is None and value is not None:
+            builds.append(self)
+        self.__dict__["_slice"] = value
 
     def counted_matrix(self):
         reads.append((self, real_matrix(self)))
         return reads[-1][1]
 
-    monkeypatch.setattr(knotupsilon.complexes, "kernel_basis", counted)
+    monkeypatch.setattr(BifilteredComplex, "_slice",
+                        property(get_slice, set_slice), raising=False)
     monkeypatch.setattr(BifilteredComplex, "_matrix", counted_matrix)
     c = ku.tensor(ku.torus_knot_complex(3, 4), ku.torus_knot_complex(2, 3))
     reads.clear()
+    builds.clear()
     assert ku.validate(c).ok
     f = ku.upsilon(c)
     assert ku.tau(c) == 4
     for t in (F(1, 3), F(1), F(5, 3)):
         assert ku.nu_at(c, t).nu == -f(t) / 2
     assert all(check.passed for check in ku.jump_report(c, f))
-    assert len(calls) == 1
+    assert builds == [c]
     assert len(reads) == 2
     assert all(d is c and m is reads[0][1] for d, m in reads)
 
@@ -167,13 +173,13 @@ def test_slice_is_built_once_per_complex(monkeypatch):
     extra = BifilteredComplex(tref.generators + (Generator("e", 0, 0),),
                               tref.differential)
     msg = "non-admissible: homology has dimension 2 != 1 in grading 0"
-    calls.clear()
+    builds.clear()
     assert ku.validate(extra).violations == (msg,)
     for route in [lambda t=t: ku.nu_at(extra, t) for t in (0, 1, 2)] + [
             lambda: ku.upsilon(extra)]:
         with pytest.raises(ku.NonAdmissibleError, match="^%s$" % msg):
             route()
-    assert len(calls) == 1
+    assert builds == [extra]
 
 
 def test_slice_keeps_independent_boundaries():

@@ -5,7 +5,10 @@ engine.py and complexes.py are parsed, not imported.  The only private
 attribute the engine reads off a complex argument c is its own cache,
 _sweep; everything else comes from require_admissible's record.  Parity
 arithmetic belongs to that record's builder, so the engine takes no value
-modulo 2.  complexes.py builds a _Matrix at one call site, the walk that
+modulo 2.  The record holds the slice as integer lists, and the engine
+builds a LatticePoint only inside nu_at, for the certificate it hands out,
+and reads no .points attribute, so no per-point tuple returns to the
+sweep.  complexes.py builds a _Matrix at one call site, the walk that
 indexes and screens the entries.
 """
 
@@ -39,3 +42,19 @@ def test_one_call_site_builds_the_matrix():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "_Matrix"]
     assert len(sites) == 1
+
+
+def test_engine_builds_lattice_points_only_in_nu_at():
+    def named(tree):  # each mention of LatticePoint in tree
+        return {node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "LatticePoint"}
+
+    functions = {node.name: node for node in TREE.body
+                 if isinstance(node, ast.FunctionDef)}
+    in_nu_at = named(functions.pop("nu_at"))
+    called = named(TREE) & {node.func for node in ast.walk(TREE)
+                            if isinstance(node, ast.Call)}
+    assert in_nu_at and called == in_nu_at
+    assert not any(named(f) for f in functions.values())
+    assert not [node.lineno for node in ast.walk(TREE)
+                if isinstance(node, ast.Attribute) and node.attr == "points"]
