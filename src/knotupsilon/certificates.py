@@ -31,13 +31,15 @@ from .knots import KnotRecord
 from .plfunction import PLFunction, format_rational
 
 _ONE = Fraction(1)
+_AT_ONE = (_ONE, _ONE)  # the (start, end) an absent slope reads as
 
 
 def _witness_below_one(f: PLFunction, slope: int):
     """The first segment of this slope starting in [0, 1), cut off at 1.
-    Only a slope's first can start there: one lookup in f's slope profile,
+    Only a slope's first can start there: one read of f.slope_intervals,
     where an absent slope reads as starting at 1, and integer comparisons."""
-    a, b = f._first_segments().get(slope, (_ONE, _ONE))
+    iv = f.slope_intervals(slope)
+    a, b = iv[0] if iv else _AT_ONE
     if a.numerator < a.denominator:
         return a, (b if b.numerator < b.denominator else _ONE)
     return None
@@ -213,6 +215,6 @@ def ribbon_minimality_report(k: KnotRecord) -> RibbonMinimalityReport:
     if k.genus is None:
         raise MissingDataError("record %r has no genus" % k.name)
     f = k.upsilon_function()
-    return RibbonMinimalityReport(k.name, k.genus,
-                                  f._first_segments().get(-k.genus),
+    iv = f.slope_intervals(-k.genus)
+    return RibbonMinimalityReport(k.name, k.genus, iv[0] if iv else None,
                                   _witness_below_one(f, -k.genus))

@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .certificates import (certify_right_veering, classify_tightness,
                            obstruct_concordance, ribbon_minimality_report)
@@ -78,19 +79,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_record(name: str, force_file: bool) -> KnotRecord:
     """Resolve an input to a KnotRecord (builtins first unless --file)."""
-    if name == "-":
-        return _record_from_text(sys.stdin.read(), "<stdin>")
-    if not force_file:
+    if not force_file and name != "-":
         try:
             return builtin_record(name)
         except KeyError:
             pass
-    try:
-        with open(name, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError("cannot read %r: %s" % (name, exc)) from exc
-    return _record_from_text(text, name)
+    origin = "<stdin>" if name == "-" else name
+    try:  # bytes that are not UTF-8 are unreadable too
+        text = (sys.stdin.read() if name == "-"
+                else Path(name).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError("cannot read %r: %s" % (origin, exc)) from exc
+    return _record_from_text(text, origin)
 
 
 def _record_from_text(text: str, origin: str) -> KnotRecord:

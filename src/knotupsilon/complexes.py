@@ -91,14 +91,15 @@ class _Matrix(NamedTuple):
     targets, a mask over the parity-(1 - p) positions, so cols[p] is the
     matrix between any two adjacent grading slices.  The walk screens each
     entry too.  A column weighs less than its entries just when a target
-    repeats, and the Maslov rule fixes k from (source, target): the complex
-    is _screened, with no fault and no repeated entry, when every entry
-    passes and the column weights sum to the number of entries.
+    repeats, and the Maslov rule fixes k from (source, target): screened
+    holds, with no fault and no repeated entry, when every entry passes
+    and the column weights sum to the number of entries.
     """
 
     out: list[list[tuple[int, int, int]]]
     pos: list[int]
     cols: tuple[list[int], list[int]]
+    screened: bool
 
 
 class BifilteredComplex:
@@ -181,21 +182,19 @@ class BifilteredComplex:
             alex, maslov, entries = self._alex, self._maslov, self._entries
             counters = (count(), count())
             pos = [next(counters[m % 2]) for m in maslov]
-            bit = [1 << p for p in pos]
             out, col, ok = [[] for _ in alex], [0] * len(alex), True
             for e in entries:
                 s, t, k = e
                 out[s].append(e)
-                col[s] ^= bit[t]
+                col[s] ^= 1 << pos[t]
                 if (k < 0 or maslov[t] != maslov[s] - 1 + 2 * k
                         or alex[t] - alex[s] > k):
                     ok = False
-            self._screened = ok and (
-                sum(map(int.bit_count, col)) == len(entries))
+            screened = ok and sum(map(int.bit_count, col)) == len(entries)
             cols = ([], [])
             for m, v in zip(maslov, col):
                 cols[m % 2].append(v)
-            self._mat = _Matrix(out, pos, cols)
+            self._mat = _Matrix(out, pos, cols, screened)
         return self._mat
 
 
@@ -223,7 +222,7 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
     v = ["duplicate generator name %r" % name
          for name in (_repeats(names[:n]) if c._dup else ())]
     mat, seen = c._matrix() if len(names) == n else None, set()
-    for e in () if mat and c._screened else c._entries:
+    for e in () if mat and mat.screened else c._entries:
         s, t, k = e
         if s >= n or t >= n:
             v.append("entry (%s -> %s) references unknown generator %r"
@@ -245,7 +244,7 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
                      "arrow points up or right" % (names[s], names[t], k))
 
     if not v:
-        out, pos, cols = mat
+        out, pos, cols, _ = mat
         for x, m in enumerate(maslov):
             ys, odd = cols[1 - m % 2], 0
             for _, y, _ in out[x]:
@@ -308,7 +307,7 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
     require_valid(c)
     if c._slice is None:
         p = c.ambient_d % 2
-        _, pos, cols = c._matrix()
+        _, pos, cols, _ = c._matrix()
         ech = BitEchelon()
         boundaries = [bits(w) for w in cols[1 - p] if ech.add(w)]
         # rank-nullity: n_p - rank d_p cycles, rank B of them boundaries

@@ -26,18 +26,17 @@ at 2 - t, so flipped witnesses of a segment below 1 are candidates for
 its mirror image.  Each segment is proved from its certificate before it
 is kept.  The sweep, kept on the complex for tau and jump_report, holds
 the segment ends and each segment's realizer, cycle and cocycle once, as
-slice positions.  The sweep carries t = a/b as two integers; on a segment
-upsilon follows -2 times its realizer's weight, so its slope is the
-realizer's i - j.  Fractions are built only for the values at the segment
-ends, which PLFunction._canonical brings to canonical form.  tau is minus
-the slope of the first segment, since upsilon'(0) = -tau.
+slice positions.  The sweep carries t = a/b as two integers as found,
+since its every use is scale-invariant; Fractions are built only for the
+grid and the values at the segment ends.  On a segment upsilon follows -2
+times its realizer's weight, so its slope is the realizer's i - j.  tau is
+minus the slope of the first segment, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .complexes import BifilteredComplex, LatticePoint, require_admissible
@@ -197,8 +196,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
             for n, m in ties:
                 if a * m < n * b and n * m1 < n1 * m:
                     n1, m1 = n, m
-            g = gcd(n1, m1)  # lowest terms keep the next scan's keys small
-            t1 = (n1 // g, m1 // g)
+            t1 = (n1, m1)
         if not _proves_segment(s, top, rs, ps, ((a, b), t1)):
             if flip:  # not a flip of c after all: scan from t on
                 flip = None

@@ -14,10 +14,10 @@ breakpoints and the constructor derives the slopes.  _first_difference is
 the one walk over two breakpoint lists, by integer cross products: it
 stops at the first canonical breakpoint where the difference is nonzero
 and builds nothing.  _on_piece reads a value on a piece with one
-normalization.  _first_segments, the slope profile the certificates read,
-maps each slope to its first segment: one scan on first use, kept in a
-slot outside equality, hashing, repr and JSON.  format_rational is
-Fraction's str, which prints "p/q" or "p".
+normalization.  slope_intervals, the slope profile the certificates read,
+maps each slope to the tuple of its segments: one scan on first use,
+kept in a slot outside equality, hashing, repr and JSON.  format_rational
+is Fraction's str, which prints "p/q" or "p".
 """
 
 from __future__ import annotations
@@ -254,21 +254,16 @@ class PLFunction:
         return [(self.breakpoints[k], self.breakpoints[k + 1], self.slopes[k])
                 for k in range(len(self.slopes))]
 
-    def _first_segments(self) -> dict:
-        """{slope: (start, end) of its first segment}, built once."""
+    def slope_intervals(self, slope: int) -> tuple:
+        """The (start, end) pairs, in order, of the segments of this slope,
+        or ().  The first call builds every slope's tuple in one scan."""
         p = self._profile
         if p is None:
-            bps = self.breakpoints
-            p = self._profile = {}
+            bps, p = self.breakpoints, {}
             for s, a, b in zip(self.slopes, bps, bps[1:]):
-                p.setdefault(s, (a, b))
-        return p
-
-    def slope_intervals(self, slope: int):
-        """Open intervals (as (start, end) pairs) where the slope is attained."""
-        bps = self.breakpoints
-        return [(bps[k], bps[k + 1])
-                for k, s in enumerate(self.slopes) if s == slope]
+                p.setdefault(s, []).append((a, b))
+            p = self._profile = {s: tuple(v) for s, v in p.items()}
+        return p.get(slope, ())
 
     # -- serialization
 

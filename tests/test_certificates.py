@@ -417,28 +417,30 @@ def test_concordance_checks_do_no_fraction_arithmetic(monkeypatch):
 
 
 def naive_reads(f, slope):
-    """The first segment of this slope and the first one starting in
-    [0, 1), cut off at 1, read off f.segments() in Fraction arithmetic."""
-    segs = [(a, b) for a, b, s in f.segments() if s == slope]
+    """Every segment of this slope, and the first one starting in [0, 1),
+    cut off at 1, read off f.segments() in Fraction arithmetic."""
+    segs = tuple((a, b) for a, b, s in f.segments() if s == slope)
     below = [(a, min(b, F(1))) for a, b in segs if a < 1]
-    return (segs[0] if segs else None), (below[0] if below else None)
+    return segs, (below[0] if below else None)
 
 
 def profile_reads(f, slope):
-    """The same two, as the certificates read them off f's profile; the
-    ribbon report and the right-veering test only for a genus, slope <= 0."""
-    first, below = f._first_segments().get(slope), _witness_below_one(f, slope)
+    """The same two, as f.slope_intervals gives them and the certificates
+    read them; the ribbon report and the right-veering test only for a
+    genus, slope <= 0."""
+    segs, below = f.slope_intervals(slope), _witness_below_one(f, slope)
+    assert type(segs) is tuple
     if slope <= 0:
         rep = ku.ribbon_minimality_report(
             KnotRecord("k", genus=-slope, fibered=True, upsilon_override=f))
         assert rep.hypothesis_holds == (rep.witness_interval is not None)
         assert rep.uniqueness_hypothesis_holds == (below is not None)
         assert rep.uniqueness_witness == below
-        assert rep.witness_interval == first
+        assert rep.witness_interval == (segs[0] if segs else None)
         cert = ku.certify_right_veering(f, -slope)
         assert cert.certified == (below is not None)
         assert cert.witness_interval == below
-    return first, below
+    return segs, below
 
 
 @st.composite
@@ -467,13 +469,17 @@ def test_slope_profile_matches_segments(pair):
     for h in pair:
         for slope in range(-8, 9):
             assert profile_reads(h, slope) == naive_reads(h, slope), (h, slope)
-        assert h._first_segments() is h._first_segments()  # built once
+        # built once, on the first read, with a tuple for every slope
+        profile = h._profile
+        assert set(profile) == set(h.slopes)
+        assert h.slope_intervals(h.slopes[0]) is profile[h.slopes[0]]
+        assert h._profile is profile
     # built after f's profile, each builds its own and carries none over
     for h in (-f, f.reflected(), f + g, 2 * f):
         assert h._profile is None
         for slope in range(-8, 9):
             assert profile_reads(h, slope) == naive_reads(h, slope), (h, slope)
-        assert h._first_segments() is not f._first_segments()
+        assert h._profile is not f._profile
 
 
 # -- ribbon minimality

@@ -358,6 +358,25 @@ def test_malformed_json_is_parse_error(capsys, tmp_path):
     assert "JSON" in err
 
 
+def test_bytes_that_are_not_utf8_are_a_parse_error(capsys, monkeypatch,
+                                                   tmp_path):
+    # a UTF-16 byte-order mark: unreadable as UTF-8, from a file and from a
+    # stdin that decodes strictly, as it does under a UTF-8 locale
+    data = b"\xff\xfe{}"
+    codec = ("'utf-8' codec can't decode byte 0xff in position 0: invalid "
+             "start byte")
+    path = tmp_path / "utf16.json"
+    path.write_bytes(data)
+    rc, out, err = run(capsys, ["upsilon", "--file", str(path)])
+    assert (rc, out) == (2, "")
+    assert err == "error: cannot read %r: %s\n" % (str(path), codec)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                      encoding="utf-8"))
+    rc, out, err = run(capsys, ["tau", "-"])
+    assert (rc, out) == (2, "")
+    assert err == "error: cannot read '<stdin>': %s\n" % codec
+
+
 def test_unknown_keys_rejected(capsys, tmp_path):
     obj = ku.complex_to_json_dict(ku.unknot_complex())
     obj["surprise"] = True

@@ -293,7 +293,8 @@ def test_tripled_entry_is_reported_twice():
     c = BifilteredComplex(t.generators, t.differential + (e, e))
     line = "duplicate differential entry (%s -> %s, U^%d)" % e
     assert ku.validate(c).violations == (line, line)
-    assert c._matrix().cols == t._matrix().cols and not c._screened
+    assert c._matrix().cols == t._matrix().cols
+    assert t._matrix().screened and not c._matrix().screened
 
 
 def test_non_admissible_reported():
@@ -600,8 +601,8 @@ def test_positions_are_the_identity(monkeypatch):
         with pytest.raises(AssertionError, match="named record"):
             getattr(c, view)
     monkeypatch.undo()
-    out, pos, _ = c._matrix()
-    assert type(out) is list and type(pos) is list
+    mat = c._matrix()
+    assert type(mat.out) is list and type(mat.pos) is list and mat.screened
     assert c.generators is c.generators
     assert c.differential is c.differential
     assert c.generator("qz") == Generator("qz", 0, 0)

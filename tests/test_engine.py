@@ -272,17 +272,19 @@ def summand(token):
 def test_upsilon_additive_on_sum_tower_chains():
     # each chain bare and with its boxes, one where it lists none: the
     # boxes enter the slice but leave upsilon alone, and the summands'
-    # upsilon add through PLFunction.__add__
+    # upsilon add through PLFunction.__add__.  Each witness of the bare
+    # chain, extended by zero, proves its segment on the boxed one too.
     assert len(SUM_TOWER) == 20
     for tokens, boxes in SUM_TOWER:
         want = reduce(PLFunction.__add__,
                       [ku.upsilon(summand(t)) for t in tokens])
-        c = reduce(ku.tensor, map(summand, tokens))
+        bare = c = reduce(ku.tensor, map(summand, tokens))
         assert ku.upsilon(c) == want, tokens
         for k in range(boxes or 1):
             c = ku.direct_sum(c, ku.box_complex("box%d." % k, k % 2, 0),
                               c.label)
         assert ku.upsilon(c) == want, (tokens, boxes)
+        assert proved_upsilon(c, swept_segments(bare))[0] == want, tokens
 
 
 def proved_upsilon(c, segments):

@@ -9,17 +9,23 @@ modulo 2.  The record holds the slice as integer lists, and the engine
 builds a LatticePoint only inside nu_at, for the certificate it hands out,
 and reads no .points attribute, so no per-point tuple returns to the
 sweep.  complexes.py builds a _Matrix at one call site, the walk that
-indexes and screens the entries.
+indexes and screens the entries.  certificates.py is parsed too: the one
+private attribute it reads is PLFunction._first_difference, so every
+certificate finds where a slope is attained through the public
+slope_intervals alone.
 """
 
 import ast
 from pathlib import Path
 
+import knotupsilon.certificates
 import knotupsilon.complexes
 import knotupsilon.engine
 
 TREE = ast.parse(Path(knotupsilon.engine.__file__).read_text())
 COMPLEXES = ast.parse(Path(knotupsilon.complexes.__file__).read_text())
+CERTIFICATES = ast.parse(
+    Path(knotupsilon.certificates.__file__).read_text())
 
 
 def test_engine_reads_no_private_attribute_of_a_complex_but_its_sweep():
@@ -58,3 +64,13 @@ def test_engine_builds_lattice_points_only_in_nu_at():
     assert not any(named(f) for f in functions.values())
     assert not [node.lineno for node in ast.walk(TREE)
                 if isinstance(node, ast.Attribute) and node.attr == "points"]
+
+
+def test_certificates_read_slopes_through_slope_intervals():
+    private = {node.attr for node in ast.walk(CERTIFICATES)
+               if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_")}
+    assert private == {"_first_difference"}
+    read = {node.attr for node in ast.walk(CERTIFICATES)
+            if isinstance(node, ast.Attribute)}
+    assert "slope_intervals" in read

@@ -90,9 +90,9 @@ def test_operators_refuse_other_types():
 
 def test_slope_intervals():
     f = PLFunction([0, F(1, 2), 1, F(3, 2), 2], [0, -1, 0, -1, 0])
-    assert f.slope_intervals(-2) == [(0, F(1, 2)), (1, F(3, 2))]
-    assert f.slope_intervals(2) == [(F(1, 2), 1), (F(3, 2), 2)]
-    assert f.slope_intervals(0) == []
+    assert f.slope_intervals(-2) == ((0, F(1, 2)), (1, F(3, 2)))
+    assert f.slope_intervals(2) == ((F(1, 2), 1), (F(3, 2), 2))
+    assert f.slope_intervals(0) == ()
 
 
 def test_merge_of_collinear_pieces():
