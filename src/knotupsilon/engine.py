@@ -24,12 +24,14 @@ a point of either crosses it.  Past t = 1 it scans only where the slice's
 flip fails: [x, i, j] -> [flip x, j, i] turns weights at t into weights
 at 2 - t, so flipped witnesses of a segment below 1 are candidates for
 its mirror image.  Each segment is proved from its certificate before it
-is kept.  The sweep, kept on the complex for tau and jump_report, holds
-the segment ends and each segment's realizer, cycle and cocycle once, as
-slice positions.  The sweep carries t = a/b as two integers as found,
-since its every use is scale-invariant; Fractions are built only for the
-grid and the values at the segment ends.  On a segment upsilon follows -2
-times its realizer's weight, so its slope is the realizer's i - j.  tau is
+is kept; a proof's cocycle half reads the cocycle alone, so it runs once
+per distinct cocycle of a sweep.  The sweep, kept on the complex for tau
+and jump_report, holds the segment ends and each segment's realizer, cycle
+and cocycle once, as slice positions.  It carries t = a/b as two integers
+as found, since its every use is scale-invariant, and builds the weight
+list at each t once: the scan's keys, the checks of both segments meeting
+at t and upsilon(t) all read it.  On a segment upsilon follows -2 times
+its realizer's weight, so its slope is the realizer's i - j.  tau is
 minus the slope of the first segment, since upsilon'(0) = -tau.
 """
 
@@ -67,8 +69,9 @@ def _filtered_scan(z, boundaries, keys):
 
     z and the boundaries are supports, lists of positions 0..n-1, with z
     outside the boundary span, and keys[k] is the sort key of position k:
-    the weight scaled by 2b for nu_at, that paired with j - i for upsilon;
-    ties go by position.  Once the positions are reindexed so keys grow
+    the weight scaled by 2b for nu_at; for upsilon that times a span
+    wider than the range of j - i, plus j - i, which orders as the pair
+    does; ties go by position.  Once the positions are reindexed so keys grow
     with the bit index, z reduced against the boundaries tops out at a
     position p where no boundary has its pivot, so adding any boundary can
     only raise that top.  The cocycle phi starts at p and, walking up the
@@ -76,7 +79,7 @@ def _filtered_scan(z, boundaries, keys):
     odd number of times: it then vanishes on every boundary, meets z once
     and lies at or above p, so every cycle in the class reaches p's level.
     Returns (p, r, phi) with r the reduced z, as supports over the original
-    positions, in key order.
+    positions, in key order; phi's is recorded as the walk takes each row.
     """
     order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties by k
     newpos = [0] * len(keys)
@@ -90,12 +93,12 @@ def _filtered_scan(z, boundaries, keys):
         b_ech.add(v)
     r = b_ech.reduce(sum([1 << newpos[b] for b in z]))
     top = r.bit_length() - 1
-    phi, pivots = 1 << top, b_ech.pivots
+    phi, pivots, support = 1 << top, b_ech.pivots, [order[top]]
     for q in sorted(pivots):
         if q > top and (pivots[q] & phi).bit_count() & 1:
             phi |= 1 << q
-    return (order[top], [order[k] for k in bits(r)],
-            [order[k] for k in bits(phi)])
+            support.append(order[q])
+    return order[top], [order[k] for k in bits(r)], support
 
 def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     """nu at one parameter, with a minimizing cycle as certificate."""
@@ -115,22 +118,25 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
         cocycle=points(sorted(phi)))
 
 
-def _proves_segment(s, top, r, phi, ends):
+def _proves_segment(s, top, r, phi, w0, w1, proved):
     """Whether the supports r and phi prove that nu follows the line of the
-    point at top between the two ends, each t = a/b given as (a, b); all
-    are positions in the slice s.  As masks, r is s's cycle plus boundaries,
-    phi vanishes on the echelon's rows, a basis of the boundaries, and meets
-    that cycle once; at both ends r tops out and phi bottoms out at top."""
-    e, si, sj = s.echelon, s.i, s.j
-    rm, pm = sum([1 << x for x in r]), sum([1 << x for x in phi])
-    ok = (not e.reduce(rm ^ s.cycle) and (pm & s.cycle).bit_count() & 1
-          and not any([(pm & w).bit_count() & 1 for w in e.pivots.values()]))
-    for a, b in ends:
-        u = 2 * b - a
-        level = u * si[top] + a * sj[top]
-        ok = (ok and max([u * si[x] + a * sj[x] for x in r]) == level
-              and min([u * si[x] + a * sj[x] for x in phi]) == level)
-    return bool(ok)
+    point at top between two ends, w0 and w1 the slice's weight lists
+    there, each scaled by its own 2b; all are positions in the slice s.  As
+    masks, r is s's cycle plus boundaries, phi vanishes on the echelon's
+    rows, a basis of the boundaries, and meets that cycle once; at both
+    ends r tops out and phi bottoms out at top.  proved holds the phi masks
+    of this sweep that passed their half already: it reads phi alone."""
+    e = s.echelon
+    if e.reduce(sum([1 << x for x in r]) ^ s.cycle):
+        return False
+    pm = sum([1 << x for x in phi])
+    if pm not in proved:
+        if not ((pm & s.cycle).bit_count() & 1 and not any(
+                [(pm & v).bit_count() & 1 for v in e.pivots.values()])):
+            return False
+        proved.add(pm)
+    return all([max(map(w.__getitem__, r)) == w[top]
+                == min(map(w.__getitem__, phi)) for w in (w0, w1)])
 
 
 class _Sweep(NamedTuple):
@@ -154,7 +160,8 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     first tie parameter t1 where a point of r overtakes p or a point of
     phi drops below it (or t1 = 2), and the next scan starts at t1.  Each
     segment is checked from its certificate before it is kept, and
-    consecutive realizers must weigh the same where they meet.  From t = 1
+    consecutive realizers must weigh the same where they meet; the weights
+    at each t, scaled by 2b, are one list that all of these read.  From t = 1
     on, the slice's flip, if it has one, maps the witness of the scanned
     segment holding 2 - t to a segment ending where that one mirrors its
     start; once one fails its check, the sweep scans again from there.
@@ -164,59 +171,62 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         return c._sweep.function
     s = require_admissible(c)
     si, sj, z = s.i, s.j, bits(s.cycle)
-    ijd = [(i, j, j - i) for i, j in zip(si, sj)]
+    ds = [j - i for i, j in zip(si, sj)]
+    span = max(ds) - min(ds) + 1  # w * span + d orders as (w, d) does
     ids = list(range(len(si)))  # kept supports share these ints
-    ends, witnesses = [(0, 1)], []
+    ends, witnesses, values, proved = [(0, 1)], [], [], set()
     flip = k = None  # k: the scanned segment to mirror, once t reaches 1
+
+    def weights(a, b):  # 2b times the weight at a/b, by position
+        return [(2 * b - a) * i + a * j for i, j in zip(si, sj)]
+
     a, b = 0, 1
+    w = weights(a, b)
     while a < 2 * b:
-        u = 2 * b - a
         if k is None and a >= b:
             flip, k = s.flip, len(witnesses) - 1
         if flip:
             # the flipped witness of the scanned segment [t_k, t_k+1]
             # holding 2 - t is a candidate on [t, 2 - t_k]
-            while ends[k][0] * b >= u * ends[k][1]:
+            while ends[k][0] * b >= (2 * b - a) * ends[k][1]:
                 k -= 1
             top, rs, ps = witnesses[k]
             top, rs, ps = flip[top], [flip[x] for x in rs], [flip[x] for x in ps]
             t1 = (2 * ends[k][1] - ends[k][0], ends[k][1])
         else:
             top, rs, ps = _filtered_scan(
-                z, s.boundaries, [(u * i + a * j, d) for i, j, d in ijd])
+                z, s.boundaries, [x * span + d for x, d in zip(w, ds)])
             rs, ps = [ids[x] for x in rs], [ids[x] for x in ps]
             # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with
             # d = j - i; t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
-            i0, _, d0 = ijd[top]
-            ties = [(2 * (i0 - i), d - d0)
-                    for i, _, d in map(ijd.__getitem__, rs) if d > d0]
-            ties += [(2 * (i - i0), d0 - d)
-                     for i, _, d in map(ijd.__getitem__, ps) if d < d0]
+            i0, d0 = si[top], ds[top]
+            ties = [(2 * (i0 - si[x]), ds[x] - d0) for x in rs if ds[x] > d0]
+            ties += [(2 * (si[x] - i0), d0 - ds[x]) for x in ps if ds[x] < d0]
             n1, m1 = 2, 1
             for n, m in ties:
                 if a * m < n * b and n * m1 < n1 * m:
                     n1, m1 = n, m
             t1 = (n1, m1)
-        if not _proves_segment(s, top, rs, ps, ((a, b), t1)):
+        w1 = weights(*t1)
+        if not _proves_segment(s, top, rs, ps, w, w1, proved):
             if flip:  # not a flip of c after all: scan from t on
                 flip = None
                 continue
             raise AssertionError("nu not linear on [%s, %s]: its certificate "
                                  "fails" % (Fraction(a, b), Fraction(*t1)))
         q = witnesses[-1][0] if witnesses else top  # the last realizer
-        if u * (si[top] - si[q]) + a * (sj[top] - sj[q]):
+        if w[top] != w[q]:
             raise AssertionError("nu jumps at %s" % Fraction(a, b))
         ends.append(t1)
         witnesses.append((top, rs, ps))
-        a, b = t1
+        values.append(Fraction(-w1[top], t1[1]))
+        (a, b), w = t1, w1
     grid = [Fraction(a, b) for a, b in ends]
-    # on p's segment upsilon = -2 w_p: slope i - j, value
-    # -((2b - a) i + a j) / b at a/b, the end of p's segment and the start
-    # of the next one's, whose realizer weighs the same there
+    # on p's segment upsilon = -2 w_p: slope i - j, value -w[p] / b at
+    # a/b, the end of p's segment and the start of the next one's, whose
+    # realizer weighs the same there
     f = PLFunction._canonical(
-        grid, [Fraction(-2 * si[witnesses[0][0]])]
-        + [Fraction(-(2 * b - a) * si[p] - a * sj[p], b)
-           for (a, b), (p, _, _) in zip(ends[1:], witnesses)],
+        grid, [Fraction(-2 * si[witnesses[0][0]])] + values,
         [si[p] - sj[p] for p, _, _ in witnesses])
     c._sweep = _Sweep(f, grid, witnesses)
     return f

@@ -36,6 +36,10 @@ checks the flip symmetry a builder hands the sweep, entry by entry off
 the differential list.  reference_violations is validate rebuilt from the
 views: the per-entry checks one entry at a time with a set of entries,
 d_squared_lines, and the homology dimension by rank-nullity.
+reference_scan is the engine's filtered scan as it was before the sweep
+keyed it by one int per point: it sorts on whatever keys it is given,
+such as (weight, j - i) pairs, and reads the cocycle's support back off
+its mask; the sweep's scans are checked against it.
 """
 
 from collections import Counter
@@ -105,6 +109,31 @@ def nu_at_halfplane(c, t):
                 return level
     raise ku.NonAdmissibleError("no essential cycle in the distinguished "
                                 "grading")
+
+
+def reference_scan(z, boundaries, keys):
+    """(top, r, phi) of the cycle z reduced against the boundaries in key
+    order, as the engine's _filtered_scan gives them: z and the boundaries
+    are supports, lists of positions, keys[k] the sort key of position k,
+    ties by position; phi is read off its mask."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    newpos = [0] * len(keys)
+    for new, old in enumerate(order):
+        newpos[old] = new
+    b_ech = BitEchelon()
+    for support in boundaries:
+        v = 0
+        for b in support:
+            v |= 1 << newpos[b]
+        b_ech.add(v)
+    r = b_ech.reduce(sum([1 << newpos[b] for b in z]))
+    top = r.bit_length() - 1
+    phi, pivots = 1 << top, b_ech.pivots
+    for q in sorted(pivots):
+        if q > top and (pivots[q] & phi).bit_count() & 1:
+            phi |= 1 << q
+    return (order[top], [order[k] for k in bits(r)],
+            [order[k] for k in bits(phi)])
 
 
 def vertical_tau(c):

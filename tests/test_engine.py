@@ -18,7 +18,8 @@ from helpers import (brute_force_nu, cable_alexander, chain_boundary,
                      check_flip, check_segment_certificate, check_symmetry,
                      corpus, dual_witnesses, filtration_value,
                      nu_at_halfplane, product_witnesses,
-                     random_admissible_complex, sampled_realizers,
+                     random_admissible_complex, reference_scan,
+                     sampled_realizers,
                      staircase_upsilon, swept_segments, top_degree,
                      torus_alexander, torus_upsilon, vertical_tau,
                      witnessed_upsilon)
@@ -269,6 +270,25 @@ def summand(token):
     return ku.torus_knot_complex(*token)
 
 
+def sum_tower_chains():
+    """The sum-tower workload's 20 complexes: each chain with its boxes."""
+    for tokens, boxes in SUM_TOWER:
+        c = reduce(ku.tensor, map(summand, tokens))
+        for k in range(boxes):
+            c = ku.direct_sum(c, ku.box_complex("box%d." % k, k % 2, 0),
+                              c.label)
+        yield c
+
+
+def torus_ladder():
+    """The torus-ladder workload's 77 torus knots (p, q)."""
+    pool = [(p, q) for p in range(2, 12) for q in range(p + 1, 24)
+            if gcd(p, q) == 1
+            and len(ku.torus_knot_complex(p, q).generators) <= 41]
+    assert len(pool) == 77
+    return pool
+
+
 def test_upsilon_additive_on_sum_tower_chains():
     # each chain bare and with its boxes, one where it lists none: the
     # boxes enter the slice but leave upsilon alone, and the summands'
@@ -388,6 +408,19 @@ def test_upsilon_torus_semigroup_formula(knots):
         assert f(t) == sum(torus_upsilon(p, q, t) for p, q in knots), t
 
 
+def test_nu_at_agrees_with_upsilon_at_benchmark_scale():
+    # nu_at sorts on plain weights, the sweep on weight * span + (j - i):
+    # at every breakpoint and midpoint of the torus-ladder knots and the
+    # sum-tower chains the two key forms give the same nu
+    complexes = [ku.torus_knot_complex(p, q) for p, q in torus_ladder()]
+    complexes += list(sum_tower_chains())
+    assert len(complexes) == 97
+    for c in complexes:
+        f = ku.upsilon(c)
+        for t in breakpoints_and_midpoints(f):
+            assert ku.nu_at(c, t).nu == -f(t) / 2, (c.label, t)
+
+
 def staircase_steps(c):
     """The steps of a staircase complex, read off its Alexander gradings."""
     alex = [g.alexander for g in c.generators]
@@ -398,11 +431,7 @@ def test_staircase_oracle_on_torus_ladder():
     # the torus-ladder benchmark's pool: both oracles read S, one off the
     # semigroup <p, q>, one off the library's staircase steps, and both
     # equal the sweep, so each other
-    pool = [(p, q) for p in range(2, 12) for q in range(p + 1, 24)
-            if gcd(p, q) == 1
-            and len(ku.torus_knot_complex(p, q).generators) <= 41]
-    assert len(pool) == 77
-    for p, q in pool:
+    for p, q in torus_ladder():
         c = ku.torus_knot_complex(p, q)
         steps, f = staircase_steps(c), ku.upsilon(c)
         for t in breakpoints_and_midpoints(f):
@@ -682,6 +711,35 @@ def test_flip_halves_the_scans(monkeypatch):
     assert ku.require_admissible(boxed).flip is None
 
 
+def test_sweep_proves_each_cocycle_once(monkeypatch):
+    # a machine-independent guard on the proofs' cost: on T(13,29) phi is
+    # the whole slice on all 15 segments, so the cocycle half of the proof,
+    # the one reader of the echelon's rows, runs once.  The echelon's row
+    # operations over the torus-ladder pool, sweeps and slices, are pinned
+    # at their figures from before the sweep shared its weights.
+    class Rows(dict):
+        def values(self):
+            reads.append(len(self))
+            return dict.values(self)
+
+    c, reads = ku.torus_knot_complex(13, 29), []
+    s = ku.require_admissible(c)
+    monkeypatch.setattr(s.echelon, "pivots", Rows(s.echelon.pivots))
+    ku.upsilon(c)
+    cocycles = {frozenset(phi) for _, _, phi in c._sweep.witnesses}
+    assert len(c._sweep.witnesses) == 15 and len(reads) == len(cocycles) == 1
+    calls = {"add": 0, "reduce": 0}
+    for name in calls:
+        def counted(self, v, name=name, real=getattr(BitEchelon, name)):
+            calls[name] += 1
+            return real(self, v)
+
+        monkeypatch.setattr(BitEchelon, name, counted)
+    for p, q in torus_ladder():
+        ku.upsilon(ku.torus_knot_complex(p, q))
+    assert calls == {"add": 5195, "reduce": 6051}
+
+
 def test_sweep_keeps_each_witness_once():
     # a machine-independent guard on the sweep's memory: on T(43,67) the
     # kept supports, one list entry of 8 bytes per point, are most of the
@@ -783,26 +841,61 @@ def test_jump_report_flags_upsilon_of_another_knot(p, q):
 
 def test_upsilon_self_check_reads_both_ends(monkeypatch):
     # upsilon proves each segment from the scan's cycle r and cocycle phi;
-    # a scan that drops a point from either, or names another point of r
-    # as the realizer, must not get past that check at one end or the other.
-    # On T(3,-4) every r holds three coordinates, so the realizer can move.
+    # a scan that drops a point from either, or names another point as the
+    # realizer, must not get past that check at one end or the other.  On
+    # T(3,-4) every r holds three coordinates, so the realizer can move
+    # within r; on T(13,29) r is the realizer alone, and it moves into phi.
     # The scan returns r and phi as supports, lists of slice positions.
-    def drop_from_cycle(top, r, phi):
+    # Each corruption hits every scan, then only the second, then only the
+    # last: by then the sweep has proved other cocycles, and the proof's
+    # cocycle half must not pass a new one for resembling one of them.  On
+    # T(3,4)#T(2,-5) a point of phi can be traded for one off phi with the
+    # same (i, j): phi then weighs the same at both ends and keeps its size,
+    # the size of the cocycle proved before it, so only the cocycle half
+    # can refuse it.
+    def drop_from_cycle(s, top, r, phi):
         return top, [x for x in r if x != top], phi
 
-    def drop_from_cocycle(top, r, phi):
+    def drop_from_cocycle(s, top, r, phi):
         return top, r, [x for x in phi if x != top]
 
-    def move_realizer(top, r, phi):
-        return min(r), r, phi
+    def move_realizer(s, top, r, phi):
+        others = [x for x in r if x != top] or [x for x in phi if x != top]
+        return min(others), r, phi
 
+    def twin_in_cocycle(s, top, r, phi):  # phi as it is if it has no twin
+        twins = [(x, y) for x in phi if x != top for y in range(len(s.i))
+                 if y not in phi and (s.i[x], s.j[x]) == (s.i[y], s.j[y])]
+        x, y = twins[0] if twins else (None, None)
+        return top, r, [y if v == x else v for v in phi]
+
+    t = ku.torus_knot_complex
+    three = (drop_from_cycle, drop_from_cocycle, move_realizer)
+    cases = [(lambda: t(3, -4), three), (lambda: t(13, 29), three),
+             (lambda: ku.tensor(t(3, 4), t(2, -5)),
+              three + (twin_in_cocycle,))]
     real = knotupsilon.engine._filtered_scan
-    for corrupt in (drop_from_cycle, drop_from_cocycle, move_realizer):
+    for build, corruptions in cases:
         with monkeypatch.context() as m:
-            m.setattr(knotupsilon.engine, "_filtered_scan",
-                      lambda *args, corrupt=corrupt: corrupt(*real(*args)))
-            with pytest.raises(AssertionError, match="^nu not linear"):
-                ku.upsilon(ku.torus_knot_complex(3, -4))
+            scans = _counted(m, "_filtered_scan")
+            ku.upsilon(build())
+        last = len(scans)
+        assert last >= 2
+        for corrupt, hit in [(f, h) for f in corruptions
+                             for h in (None, 2, last)]:
+            c, scans = build(), []
+            s = ku.require_admissible(c)
+
+            def corrupted(*args, corrupt=corrupt, hit=hit, s=s, scans=scans):
+                scans.append(args)
+                witness = real(*args)
+                return (corrupt(s, *witness) if hit in (None, len(scans))
+                        else witness)
+
+            with monkeypatch.context() as m:
+                m.setattr(knotupsilon.engine, "_filtered_scan", corrupted)
+                with pytest.raises(AssertionError, match="^nu not linear"):
+                    ku.upsilon(c)
 
 
 def test_upsilon_one_scan_per_segment(monkeypatch):
@@ -828,7 +921,52 @@ def test_upsilon_one_scan_per_segment(monkeypatch):
     assert scans <= len(grid) - 1 <= 15
 
 
+def test_scan_on_int_keys_matches_reference_scan(monkeypatch):
+    # the sweep scans on one int per point, weight * span + (j - i); at
+    # each scanned start t it must give exactly what the scan gives on the
+    # (weight, j - i) pairs.  The start of each scan is the grid point
+    # whose pair order its keys repeat: lines cross at most once, so no
+    # two grid points share that order.
+    rng = random.Random(27)
+    complexes = [_with_flip(c, c._flip) for _, c in corpus()]  # unswept
+    complexes += [random_admissible_complex(rng, "k%d" % k)
+                  for k in range(200)]
+    complexes += [ku.torus_knot_complex(p, q) for p, q in torus_ladder()]
+    complexes += list(sum_tower_chains())
+    assert len(complexes) == 14 + 200 + 77 + 20
+    real, calls = knotupsilon.engine._filtered_scan, []
+
+    def recorded(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(knotupsilon.engine, "_filtered_scan", recorded)
+    scans = negative = tied = 0
+    for c in complexes:
+        calls.clear()
+        ku.upsilon(c)
+        s = ku.require_admissible(c)
+        grid, n = c._sweep.grid, len(s.i)
+        negative += any(j < i for i, j in zip(s.i, s.j))
+        k = 0
+        for (z, boundaries, keys), witness in calls:
+            order = sorted(range(n), key=keys.__getitem__)
+            while True:
+                a, b = grid[k].numerator, grid[k].denominator
+                pairs = [((2 * b - a) * i + a * j, j - i)
+                         for i, j in zip(s.i, s.j)]
+                k += 1
+                if sorted(range(n), key=pairs.__getitem__) == order:
+                    break
+            assert witness == reference_scan(z, boundaries, pairs), (
+                c.label, grid[k - 1])
+            tied += len({w for w, _ in pairs}) < len(set(pairs))
+            scans += 1
+    assert scans and negative and tied
+
+
 def test_segment_certificates_check_out():
+
     rng = random.Random(11)
     complexes = ([c for _, c in corpus()]
                  + [random_admissible_complex(rng, "s%d" % k)

@@ -12,7 +12,11 @@ sweep.  complexes.py builds a _Matrix at one call site, the walk that
 indexes and screens the entries.  certificates.py is parsed too: the one
 private attribute it reads is PLFunction._first_difference, so every
 certificate finds where a slope is attained through the public
-slope_intervals alone.
+slope_intervals alone.  The sweep weighs each point once per grid
+point: the slice weights (2b - a) i + a j, sums of two products, are
+built by one comprehension in upsilon and one in nu_at, _proves_segment
+multiplies nothing and reads the weight lists it is given, and
+_filtered_scan reads one mask back with bits, the reduced cycle's.
 """
 
 import ast
@@ -74,3 +78,27 @@ def test_certificates_read_slopes_through_slope_intervals():
     read = {node.attr for node in ast.walk(CERTIFICATES)
             if isinstance(node, ast.Attribute)}
     assert "slope_intervals" in read
+
+
+def test_sweep_weighs_each_point_once_per_grid_point():
+    def products(node):
+        return {n for n in ast.walk(node)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)}
+
+    def weights(node):  # each sum of two products under node
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+                and {n.left, n.right} <= products(n)]
+
+    functions = {node.name: node for node in TREE.body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("upsilon", "nu_at"):
+        found = weights(functions[name])
+        comprehensions = [n for n in ast.walk(functions[name])
+                          if isinstance(n, ast.ListComp)
+                          and set(found) & set(ast.walk(n))]
+        assert len(found) == len(comprehensions) == 1, name
+    assert not products(functions["_proves_segment"])
+    scan = functions["_filtered_scan"]
+    assert len([n for n in ast.walk(scan) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "bits"]) == 1
