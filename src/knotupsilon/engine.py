@@ -18,21 +18,23 @@ order: the result tops out at weight nu, and a cocycle read off the same
 echelon shows that no cycle of the class tops out lower.  nu_at, the
 public route to nu at one t, is one scan, and the one place LatticePoints
 are built, for its certificate; two test oracles check it.
-upsilon sweeps t with one scan per segment: the cycle and the cocycle
-hold nu to the realizing point's line up to the next tie parameter where
-a point of either crosses it.  Past t = 1 it scans only where the slice's
-flip fails: [x, i, j] -> [flip x, j, i] turns weights at t into weights
-at 2 - t, so flipped witnesses of a segment below 1 are candidates for
-its mirror image.  Each segment is proved from its certificate before it
-is kept; a proof's cocycle half reads the cocycle alone, so it runs once
-per distinct cocycle of a sweep.  The sweep, kept on the complex for tau
-and jump_report, holds the segment ends and each segment's realizer, cycle
-and cocycle once, as slice positions.  It carries t = a/b as two integers
-as found, since its every use is scale-invariant, and builds the weight
-list at each t once: the scan's keys, the checks of both segments meeting
-at t and upsilon(t) all read it.  On a segment upsilon follows -2 times
-its realizer's weight, so its slope is the realizer's i - j.  tau is
-minus the slope of the first segment, since upsilon'(0) = -tau.
+upsilon sweeps t segment by segment: the cycle and the cocycle hold nu to
+the realizing point's line up to the next tie parameter where a point of
+either crosses it.  It scans only where it has no candidate witness for
+the next segment or the candidate fails its proof.  Where only cocycle
+points cross, falling, the lowest, swapped into the cycle for the
+realizer, is one; past t = 1 the slice's flip [x, i, j] -> [flip x, j, i]
+turns weights at t into weights at 2 - t, so a segment below 1 flips to a
+candidate for its mirror image.  Each segment is proved from its
+certificate before it is kept; a proof's cocycle half reads the cocycle
+alone, so it runs once per distinct cocycle of a sweep.  The sweep, kept
+on the complex for tau and jump_report, holds the segment ends and each
+segment's realizer, cycle and cocycle once, as slice positions.  It keeps
+t = a/b as two integers, unreduced, since every use is scale-invariant,
+and builds the weight list at each t once: the scan's keys, the checks of
+both segments meeting at t and upsilon(t) all read it.  On a segment
+upsilon follows -2 times its realizer's weight, so its slope is the
+realizer's i - j; tau is minus the first slope, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
@@ -139,6 +141,20 @@ def _proves_segment(s, top, r, phi, w0, w1, proved):
                 == min(map(w.__getitem__, phi)) for w in (w0, w1)])
 
 
+def _carried(s, top, r, phi, w, ds):
+    """(q, r + top + q, phi), carried past the end of top's segment, or None.
+    w is the weight list there and ds j - i by position; q is phi's point
+    of least j - i falling below top's line there.  None if a point of r
+    rises there too, or if top + q, the r half of its proof, is no boundary."""
+    level, d0 = w[top], ds[top]
+    drops = [(ds[x], x) for x in phi if w[x] == level and ds[x] < d0]
+    if drops:
+        q = min(drops)[1]
+        if (q not in r and not any([w[x] == level and ds[x] > d0 for x in r])
+                and not s.echelon.reduce(1 << top | 1 << q)):
+            return q, [x for x in r if x != top] + [q], phi
+
+
 class _Sweep(NamedTuple):
     """upsilon's result, segment ends and witnesses (top, r, phi): each
     segment's realizer, cycle and cocycle as slice positions.  This is all
@@ -152,19 +168,16 @@ class _Sweep(NamedTuple):
 def upsilon(c: BifilteredComplex) -> PLFunction:
     """The full invariant as an exact piecewise-linear function on [0, 2].
 
-    A sweep from t = 0 with one scan per segment.  Ordered by weight and
-    then by j - i, the order just right of t, the scan gives the point p
-    realizing nu, a cycle r in the class topping out at p and a cocycle
-    phi bottoming out at p.  For t' >= t the class keeps
-    min_phi w_t' <= nu(t') <= max_r w_t', so nu follows p's line up to the
-    first tie parameter t1 where a point of r overtakes p or a point of
-    phi drops below it (or t1 = 2), and the next scan starts at t1.  Each
-    segment is checked from its certificate before it is kept, and
-    consecutive realizers must weigh the same where they meet; the weights
-    at each t, scaled by 2b, are one list that all of these read.  From t = 1
-    on, the slice's flip, if it has one, maps the witness of the scanned
-    segment holding 2 - t to a segment ending where that one mirrors its
-    start; once one fails its check, the sweep scans again from there.
+    A sweep from t = 0.  Ordered by weight and then by j - i, the order
+    just right of t, a scan gives the point p realizing nu, a cycle r in
+    the class topping out at p and a cocycle phi bottoming out at p.  For
+    t' >= t the class keeps min_phi w_t' <= nu(t') <= max_r w_t', so nu
+    follows p's line up to the first tie parameter t1 where a point of r
+    overtakes p or a point of phi drops below it (or t1 = 2).  There it
+    tries _carried's witness, or past t = 1 the flip of the one holding
+    2 - t, then scans.  Each segment is checked from its certificate before
+    it is kept, and consecutive realizers must weigh the same where they
+    meet; the weights at each t, scaled by 2b, are one list all these read.
     """
     # the sweep is kept only after require_admissible passed
     if c._sweep is not None:
@@ -175,7 +188,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     span = max(ds) - min(ds) + 1  # w * span + d orders as (w, d) does
     ids = list(range(len(si)))  # kept supports share these ints
     ends, witnesses, values, proved = [(0, 1)], [], [], set()
-    flip = k = None  # k: the scanned segment to mirror, once t reaches 1
+    flip = k = carry = None  # k: segment to mirror past 1; carry: try _carried
 
     def weights(a, b):  # 2b times the weight at a/b, by position
         return [(2 * b - a) * i + a * j for i, j in zip(si, sj)]
@@ -186,7 +199,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         if k is None and a >= b:
             flip, k = s.flip, len(witnesses) - 1
         if flip:
-            # the flipped witness of the scanned segment [t_k, t_k+1]
+            # the flipped witness of the segment [t_k, t_k+1] below 1
             # holding 2 - t is a candidate on [t, 2 - t_k]
             while ends[k][0] * b >= (2 * b - a) * ends[k][1]:
                 k -= 1
@@ -194,9 +207,11 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
             top, rs, ps = flip[top], [flip[x] for x in rs], [flip[x] for x in ps]
             t1 = (2 * ends[k][1] - ends[k][0], ends[k][1])
         else:
-            top, rs, ps = _filtered_scan(
+            held = carry and _carried(s, *witnesses[-1], w, ds)
+            top, rs, ps = held or _filtered_scan(
                 z, s.boundaries, [x * span + d for x, d in zip(w, ds)])
-            rs, ps = [ids[x] for x in rs], [ids[x] for x in ps]
+            if not held:
+                rs, ps = [ids[x] for x in rs], [ids[x] for x in ps]
             # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with
             # d = j - i; t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
             i0, d0 = si[top], ds[top]
@@ -209,8 +224,8 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
             t1 = (n1, m1)
         w1 = weights(*t1)
         if not _proves_segment(s, top, rs, ps, w, w1, proved):
-            if flip:  # not a flip of c after all: scan from t on
-                flip = None
+            if flip or held:  # not a flip of c, or no carry: scan at t
+                flip, carry = None, bool(flip)
                 continue
             raise AssertionError("nu not linear on [%s, %s]: its certificate "
                                  "fails" % (Fraction(a, b), Fraction(*t1)))
@@ -220,7 +235,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         ends.append(t1)
         witnesses.append((top, rs, ps))
         values.append(Fraction(-w1[top], t1[1]))
-        (a, b), w = t1, w1
+        (a, b), w, carry = t1, w1, True
     grid = [Fraction(a, b) for a, b in ends]
     # on p's segment upsilon = -2 w_p: slope i - j, value -w[p] / b at
     # a/b, the end of p's segment and the start of the next one's, whose

@@ -561,6 +561,12 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _no_carry(monkeypatch):
+    """Turn the carried candidate off: the sweep scans where it would
+    have tried one, so scan counts and scan faults test the scan path."""
+    monkeypatch.setattr(knotupsilon.engine, "_carried", lambda *args: None)
+
+
 def test_builders_give_flip_symmetries():
     cases = _flip_cases()
     assert len(cases) == 2 * (14 + 64) + 2 * (149 + 2)
@@ -636,7 +642,9 @@ def test_wrong_flip_costs_scans_not_answers(monkeypatch):
     # two entries of T(5,7)'s reversal swapped fail the grading screen; the
     # reversal forced onto T(3,4)#T(2,-3)#figure8#figure8 passes it, but
     # is no chain map (figure8's e <-> d).  Both give the upsilon of the
-    # right flip, with more scans, and witnesses that re-prove.
+    # right flip, with more scans, and witnesses that re-prove.  With the
+    # carried candidate on, T(5,7) takes one scan either way.
+    _no_carry(monkeypatch)
     t, fig8 = ku.torus_knot_complex, ku.figure_eight_complex()
     torus = t(5, 7)
     swapped = list(torus._flip)
@@ -664,7 +672,10 @@ def test_flip_is_screened_on_the_slice_only(monkeypatch):
     # T(5,7)'s reversal with two generators of the other parity swapped is
     # no flip symmetry, and its gradings fail off the slice, but it is the
     # reversal on the slice, which is all the sweep maps: it is kept, and
-    # gives the reversal's upsilon in as many scans, every witness proved
+    # gives the reversal's upsilon in as many scans, every witness proved.
+    # The carried candidate is off: it would sweep T(5,7) in one scan with
+    # or without the flip, so scans could not tell the flip was kept.
+    _no_carry(monkeypatch)
     right = ku.torus_knot_complex(5, 7)
     alex, maslov = right._alex, right._maslov
     wrong = list(right._flip)
@@ -688,7 +699,9 @@ def test_flip_is_screened_on_the_slice_only(monkeypatch):
 
 def test_flip_halves_the_scans(monkeypatch):
     # a machine-independent guard on the half sweep's cost, in scans, and
-    # on which complexes carry a screened flip
+    # on which complexes carry a screened flip, with the carried candidate
+    # off, since it leaves a positive torus knot one scan, flip or none
+    _no_carry(monkeypatch)
     scans = _counted(monkeypatch, "_filtered_scan")
 
     def cost(c):
@@ -716,7 +729,9 @@ def test_sweep_proves_each_cocycle_once(monkeypatch):
     # the whole slice on all 15 segments, so the cocycle half of the proof,
     # the one reader of the echelon's rows, runs once.  The echelon's row
     # operations over the torus-ladder pool, sweeps and slices, are pinned
-    # at their figures from before the sweep shared its weights.
+    # at their figures since the sweep carries each witness across its tie
+    # (5,195 and 6,051 when every segment below t = 1 was scanned); each
+    # carried candidate costs one reduce to screen and one in its proof.
     class Rows(dict):
         def values(self):
             reads.append(len(self))
@@ -737,14 +752,156 @@ def test_sweep_proves_each_cocycle_once(monkeypatch):
         monkeypatch.setattr(BitEchelon, name, counted)
     for p, q in torus_ladder():
         ku.upsilon(ku.torus_knot_complex(p, q))
-    assert calls == {"add": 5195, "reduce": 6051}
+    assert calls == {"add": 2627, "reduce": 3483}
+
+
+class _AllBoundaries:
+    """A slice record stand-in whose echelon spans every vector."""
+    class echelon:
+        reduce = staticmethod(lambda v: 0)
+
+
+def _sweep_log(monkeypatch, corrupt=None):
+    """The sweep's scans, the carried candidates it is offered (after
+    corrupt, if given), the ones _carried turned down because top + q is
+    no boundary, and each proof's witness and verdict, recorded from now
+    on."""
+    engine = knotupsilon.engine
+    real_carried, real_proves = engine._carried, engine._proves_segment
+    log = {"scans": _counted(monkeypatch, "_filtered_scan"),
+           "offered": [], "turned_down": [], "proofs": []}
+
+    def carried(s, *args):
+        held = real_carried(s, *args)
+        if held and corrupt:
+            held = corrupt(*held)
+        if held:
+            log["offered"].append(held)
+        elif real_carried(_AllBoundaries, *args):
+            log["turned_down"].append(args)
+        return held
+
+    def proves(s, top, r, phi, *ends):
+        ok = real_proves(s, top, r, phi, *ends)
+        log["proofs"].append(((top, r, phi), ok))
+        return ok
+
+    monkeypatch.setattr(engine, "_carried", carried)
+    monkeypatch.setattr(engine, "_proves_segment", proves)
+    return log
+
+
+def _refused(log):
+    """The carried candidates whose proof failed."""
+    return [w for w, ok in log["proofs"]
+            if not ok and any(w[1] is h[1] for h in log["offered"])]
+
+
+def test_sweep_carries_each_witness_across_its_tie(monkeypatch):
+    # a machine-independent guard on the carried candidate: each knot of
+    # the torus-ladder pool is one scan, at t = 0, and no candidate is
+    # turned down or refused (266 scans when every segment below t = 1 was
+    # scanned).  Each kept witness is the witness of exactly one proof
+    # that returned True, so no candidate is kept unproved.  Over the
+    # sum-tower chains 4 candidates are kept and none refused: 38 scans,
+    # not 42.  8 more are turned down before their proof, since top + q
+    # is no boundary there, and a scan takes the place of each.
+    log = _sweep_log(monkeypatch)
+
+    def sweep(c):
+        log["proofs"].clear()
+        ku.upsilon(c)
+        kept = [w for w, ok in log["proofs"] if ok]
+        assert kept == c._sweep.witnesses, c.label
+
+    for p, q in torus_ladder():
+        log["scans"].clear()
+        sweep(ku.torus_knot_complex(p, q))
+        assert len(log["scans"]) == 1 and not _refused(log), (p, q)
+    assert not log["turned_down"]
+    log["scans"].clear()
+    log["offered"].clear()
+    refused = 0
+    for c in sum_tower_chains():
+        sweep(c)
+        refused += len(_refused(log))
+    assert len(log["scans"]) == 38 and refused == 0
+    assert len(log["offered"]) == 4 and len(log["turned_down"]) == 8
+
+
+def _drop_realizer_from_cycle(q, r, phi):
+    return q, [x for x in r if x != q], phi
+
+
+def _move_realizer(q, r, phi):
+    others = [x for x in r if x != q] or [x for x in phi if x != q]
+    return min(others), r, phi
+
+
+def _drop_realizer_from_cocycle(q, r, phi):
+    return q, r, [x for x in phi if x != q]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_realizer_from_cycle, _move_realizer, _drop_realizer_from_cocycle])
+def test_a_corrupted_candidate_is_refused_and_scanned(monkeypatch, corrupt):
+    # every carried candidate corrupted: the proof refuses each one, a scan
+    # takes its place, and upsilon and its witnesses are as without the
+    # fault.  T(13,29) carries below t = 1 only; T(5,7) read from JSON has
+    # no flip, so it carries on both halves.
+    builds = (lambda: ku.torus_knot_complex(13, 29),
+              lambda: ku.complex_from_json(
+                  ku.complex_to_json(ku.torus_knot_complex(5, 7))))
+    for build in builds:
+        want = ku.upsilon(build())
+        with monkeypatch.context() as m:
+            log = _sweep_log(m, corrupt)
+            c = build()
+            f = ku.upsilon(c)
+        assert f == want and f.slopes == want.slopes
+        offered = len(log["offered"])
+        assert offered >= 5 and len(_refused(log)) == offered
+        assert len(log["scans"]) == 1 + offered
+        for ends, p, cycle, cocycle in swept_segments(c):
+            assert check_segment_certificate(c, ends, p, cycle, cocycle)
+
+
+def test_a_corrupted_scan_still_raises_with_the_carry_on(monkeypatch):
+    # the carried candidate does not stand in for a scan that fails its
+    # proof: the sweep's first segment is always scanned
+    real = knotupsilon.engine._filtered_scan
+
+    def dropped(*args):
+        top, r, phi = real(*args)
+        return top, [x for x in r if x != top], phi
+
+    monkeypatch.setattr(knotupsilon.engine, "_filtered_scan", dropped)
+    for c in (ku.torus_knot_complex(13, 29),
+              ku.complex_from_json(
+                  ku.complex_to_json(ku.torus_knot_complex(5, 7)))):
+        with pytest.raises(AssertionError, match="^nu (not linear|jumps)"):
+            ku.upsilon(c)
+
+
+def test_json_round_trip_is_swept_like_the_builtin(monkeypatch):
+    # a complex read from JSON has no flip; the carried candidate sweeps
+    # T(61,97) from it in at most 3 scans (130 when every segment was
+    # scanned), to the builtin's function
+    builtin = ku.torus_knot_complex(61, 97)
+    c = ku.complex_from_json(ku.complex_to_json(builtin))
+    scans = _counted(monkeypatch, "_filtered_scan")
+    f = ku.upsilon(c)
+    assert len(scans) <= 3 and ku.require_admissible(c).flip is None
+    assert f == ku.upsilon(builtin) and f.slopes == ku.upsilon(builtin).slopes
 
 
 def test_sweep_keeps_each_witness_once():
     # a machine-independent guard on the sweep's memory: on T(43,67) the
     # kept supports, one list entry of 8 bytes per point, are most of the
     # peak; keeping each witness twice, as supports and as lattice points,
-    # took the peak to 2.19 times their size, against 1.52 kept once
+    # took the peak to 2.19 times their size, against 1.52 kept once.  A
+    # carried segment shares its cocycle list with the one before, so kept
+    # once now reads 1.00 and a tuple copy of each witness 2.01.
     c = ku.torus_knot_complex(43, 67)
     ku.require_admissible(c)
     tracemalloc.start()
@@ -756,7 +913,7 @@ def test_sweep_keeps_each_witness_once():
     witnesses = c._sweep.witnesses
     kept = sum(len(w[-2]) + len(w[-1]) for w in witnesses)  # r and phi
     assert len(witnesses) == 88
-    assert peak <= 1.85 * 8 * kept
+    assert peak <= 1.3 * 8 * kept
 
 
 # -- monotonicity of weights under the differential
@@ -852,7 +1009,10 @@ def test_upsilon_self_check_reads_both_ends(monkeypatch):
     # T(3,4)#T(2,-5) a point of phi can be traded for one off phi with the
     # same (i, j): phi then weighs the same at both ends and keeps its size,
     # the size of the cocycle proved before it, so only the cocycle half
-    # can refuse it.
+    # can refuse it.  The carried candidate is off, so every segment below
+    # t = 1 is scanned: with it, T(13,29) takes one scan.
+    _no_carry(monkeypatch)
+
     def drop_from_cycle(s, top, r, phi):
         return top, [x for x in r if x != top], phi
 
@@ -1044,7 +1204,9 @@ def test_upsilon_runs_no_validating_constructor(monkeypatch):
 
 def test_upsilon_refuses_realizers_that_disagree(monkeypatch):
     # with the segment check off, a realizer moved on the second scan of
-    # T(3,4) weighs more than the first one where the two segments meet
+    # T(3,4) weighs more than the first one where the two segments meet;
+    # the carried candidate is off, so that the second segment is scanned
+    _no_carry(monkeypatch)
     real = knotupsilon.engine._filtered_scan
     scans = 0
 
