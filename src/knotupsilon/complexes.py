@@ -21,13 +21,12 @@ correction term of the ambient three-manifold; 0 for the three-sphere).  A
 complex whose homology in grading ambient_d is not one-dimensional is refused
 by the upsilon machinery.  require_admissible alone decides this, by
 rank-nullity, and builds once per complex the record of that slice, or the
-refusal: all of a complex the engine reads, in integer lists by position,
-with the builder's flip screened on the slice's generators.  Each grading
-slice has one point per generator of its Maslov parity, so the
-differential between adjacent slices is one GF(2) matrix: a column per
-generator, a mask over the positions of the other parity.  One walk over a
-complex's entries builds that matrix once and screens them; the d^2 check
-and require_admissible read it.
+refusal: all of a complex the engine reads, in integer lists by position.
+Each grading slice has one point per generator of its Maslov parity, so
+the differential between adjacent slices is one GF(2) matrix: a column
+per generator, a mask over the positions of the other parity.  One walk
+over a complex's entries builds that matrix once and screens them; the
+d^2 check and require_admissible read it.
 
 Complexes are immutable once built; all operations here are pure.  The
 records (Generator, DiffEntry, LatticePoint, ValidationReport, and those of
@@ -136,13 +135,12 @@ class BifilteredComplex:
         return c
 
     def _adopt(self, names, alex, maslov, entries, ambient_d, label,
-               dup=False, flip=None):
+               dup=False):
         # generator x is (names[x], alex[x], maslov[x]), an entry a triple of
         # positions; names past the last generator are cited by entries
-        # only; dup: some name repeats; flip: a builder's candidate flip,
-        # x -> flip[x]; upsilon tests it.  The lists are shared, never changed.
+        # only; dup: some name repeats.  The lists are shared, never changed.
         self._names, self._alex, self._maslov = names, alex, maslov
-        self._entries, self._dup, self._flip = entries, dup, flip
+        self._entries, self._dup = entries, dup
         self.ambient_d = int(ambient_d)
         self.label = label
         # each built on first use; _sweep is engine.upsilon's
@@ -172,7 +170,7 @@ class BifilteredComplex:
     def relabeled(self, label) -> "BifilteredComplex":
         return BifilteredComplex._of(self._names, self._alex, self._maslov,
                                      self._entries, self.ambient_d, label,
-                                     self._dup, self._flip)
+                                     self._dup)
 
     # -- internal structure; built once every entry cites a generator
 
@@ -288,8 +286,7 @@ class _Slice(NamedTuple):
     """The slice in grading ambient_d, by position: the generators' names,
     the points' coordinates i and j, the supports of the boundary columns
     its echelon found independent (a basis of every boundary), that
-    echelon, a mask of a cycle for the class, and the builder's flip
-    [x, i, j] -> [flip x, j, i] on positions, or None."""
+    echelon and a mask of a cycle for the class."""
 
     names: list[str]
     i: list[int]
@@ -297,7 +294,6 @@ class _Slice(NamedTuple):
     boundaries: list[list[int]]
     echelon: BitEchelon
     cycle: int
-    flip: list[int] | None
 
 
 def require_admissible(c: BifilteredComplex) -> _Slice:
@@ -307,7 +303,7 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
     require_valid(c)
     if c._slice is None:
         p = c.ambient_d % 2
-        _, pos, cols, _ = c._matrix()
+        cols = c._matrix().cols
         ech = BitEchelon()
         boundaries = [bits(w) for w in cols[1 - p] if ech.add(w)]
         # rank-nullity: n_p - rank d_p cycles, rank B of them boundaries
@@ -316,17 +312,10 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
             c._slice = ("non-admissible: homology has dimension %d != 1 in "
                         "grading %d" % (dim, c.ambient_d))
         else:
-            # keep the builder's flip if the images of the slice's points
-            # permute them, with A(flip x) = -A(x), M(flip x) = M(x) - 2A(x):
-            # the sweep maps only these points and proves what it maps
-            alex, maslov = c._alex, c._maslov
-            flip = [pos[y] for y, a, m in zip(c._flip or (), alex, maslov)
-                    if m % 2 == p and alex[y] == -a and maslov[y] == m - 2 * a]
-            flip = flip if sorted(flip) == list(range(len(cols[p]))) else None
             # the class's cycle: the kernel's first vector off the boundaries
             c._slice = _Slice(*_coordinates(c, c.ambient_d), boundaries, ech,
                               next(z for z in kernel_basis(cols[p])
-                                   if ech.reduce(z)), flip)
+                                   if ech.reduce(z)))
     if isinstance(c._slice, str):
         raise NonAdmissibleError(c._slice)
     return c._slice
@@ -381,12 +370,10 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
             for _, t, k in terms2:
                 append((src, base + t, k))
     label = "%s # %s" % (c1.label, c2.label) if c1.label and c2.label else None
-    f1, f2 = c1._flip, c2._flip
     return BifilteredComplex._of(
         names, [a1 + a2 for a1 in c1._alex for a2 in c2._alex],
         [m1 + m2 for m1 in c1._maslov for m2 in c2._maslov], entries,
-        c1.ambient_d + c2.ambient_d, label, False,
-        f1 and f2 and [y1 * n2 + y2 for y1 in f1 for y2 in f2])
+        c1.ambient_d + c2.ambient_d, label)
 
 
 def dual(c: BifilteredComplex) -> BifilteredComplex:
@@ -395,8 +382,7 @@ def dual(c: BifilteredComplex) -> BifilteredComplex:
     label = "-%s" % c.label if c.label else None
     return BifilteredComplex._of(
         c._names, [-a for a in c._alex], [-m for m in c._maslov],
-        [(t, s, k) for s, t, k in c._entries], -c.ambient_d, label, False,
-        c._flip)
+        [(t, s, k) for s, t, k in c._entries], -c.ambient_d, label)
 
 
 def direct_sum(c1: BifilteredComplex, c2: BifilteredComplex,

@@ -23,9 +23,9 @@ the realizing point's line up to the next tie parameter where a point of
 either crosses it.  It scans only where it has no candidate witness for
 the next segment or the candidate fails its proof.  Where only cocycle
 points cross, falling, the lowest, swapped into the cycle for the
-realizer, is one; past t = 1 the slice's flip [x, i, j] -> [flip x, j, i]
-turns weights at t into weights at 2 - t, so a segment below 1 flips to a
-candidate for its mirror image.  Each segment is proved from its
+realizer, is one; past t = 1 the slice's reversal, where it mirrors each
+point (_flip), turns weights at t into weights at 2 - t, so a segment
+below 1 flips to its mirror's candidate.  Each segment is proved from its
 certificate before it is kept; a proof's cocycle half reads the cocycle
 alone, so it runs once per distinct cocycle of a sweep.  The sweep, kept
 on the complex for tau and jump_report, holds the segment ends and each
@@ -155,6 +155,11 @@ def _carried(s, top, r, phi, w, ds):
             return q, [x for x in r if x != top] + [q], phi
 
 
+def _flip(s, ids):
+    """ids reversed, if that takes each [x, i, j] to [n - 1 - x, j, i]."""
+    return ids[::-1] if s.i[::-1] == s.j else None
+
+
 class _Sweep(NamedTuple):
     """upsilon's result, segment ends and witnesses (top, r, phi): each
     segment's realizer, cycle and cocycle as slice positions.  This is all
@@ -174,7 +179,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     t' >= t the class keeps min_phi w_t' <= nu(t') <= max_r w_t', so nu
     follows p's line up to the first tie parameter t1 where a point of r
     overtakes p or a point of phi drops below it (or t1 = 2).  There it
-    tries _carried's witness, or past t = 1 the flip of the one holding
+    tries _carried's witness, or past t = 1 the _flip of the one holding
     2 - t, then scans.  Each segment is checked from its certificate before
     it is kept, and consecutive realizers must weigh the same where they
     meet; the weights at each t, scaled by 2b, are one list all these read.
@@ -197,7 +202,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     w = weights(a, b)
     while a < 2 * b:
         if k is None and a >= b:
-            flip, k = s.flip, len(witnesses) - 1
+            flip, k = _flip(s, ids), len(witnesses) - 1
         if flip:
             # the flipped witness of the segment [t_k, t_k+1] below 1
             # holding 2 - t is a candidate on [t, 2 - t_k]

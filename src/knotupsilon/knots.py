@@ -27,7 +27,7 @@ from .plfunction import PLFunction
 
 
 def unknot_complex() -> BifilteredComplex:
-    return BifilteredComplex._of(["u"], [0], [0], [], 0, "unknot", False, [0])
+    return BifilteredComplex._of(["u"], [0], [0], [], 0, "unknot")
 
 
 def staircase(steps) -> BifilteredComplex:
@@ -38,7 +38,7 @@ def staircase(steps) -> BifilteredComplex:
     generator.  The top generator sits at Alexander grading equal to the
     sum of the horizontal steps, with Maslov grading 0; odd-index
     generators carry the two outgoing arrows of each corner.  Palindromic
-    steps give a flip-symmetric complex: its flip reverses the generators.
+    steps give a symmetric complex: reversing the generators mirrors it.
     """
     steps = [int(s) for s in steps]
     if not steps or len(steps) % 2 != 0 or any(s <= 0 for s in steps):
@@ -57,9 +57,8 @@ def staircase(steps) -> BifilteredComplex:
     for k in range(1, len(steps) + 1, 2):
         entries += [(k, k - 1, steps[k - 1]), (k, k + 1, 0)]
     label = "staircase:" + ",".join(str(s) for s in steps)
-    flip = list(range(len(alex)))[::-1] if steps == steps[::-1] else None
     return BifilteredComplex._of(["x%d" % k for k in range(len(alex))],
-                                 alex, maslov, entries, 0, label, False, flip)
+                                 alex, maslov, entries, 0, label)
 
 
 def torus_knot_complex(p: int, q: int) -> BifilteredComplex:
@@ -85,12 +84,11 @@ def torus_knot_complex(p: int, q: int) -> BifilteredComplex:
 
 
 def figure_eight_complex() -> BifilteredComplex:
-    """Five-generator model, a free unit plus one box; its flip swaps a, c."""
+    """Five-generator model, a free unit plus one box; a <-> c mirrors it."""
     grading = [0, 1, 0, -1, 0]  # Alexander and Maslov agree on e, a, b, c, d
     # d(b) = U a + c, d(a) = d, d(c) = U d
     return BifilteredComplex._of(list("eabcd"), grading, grading, [
-        (2, 1, 1), (2, 3, 0), (1, 4, 0), (3, 4, 1)], 0, "figure8", False,
-        [0, 3, 2, 1, 4])
+        (2, 1, 1), (2, 3, 0), (1, 4, 0), (3, 4, 1)], 0, "figure8")
 
 
 def box_complex(prefix="box", alexander=0, maslov=0) -> BifilteredComplex:

@@ -32,8 +32,8 @@ checked against it.  check_symmetry tests f(t) = f(2 - t) by evaluation.
 mismatch_detail finds where two functions first differ by building their
 difference and evaluating both functions there; obstruct_concordance's
 walk, which builds no difference, is checked against it.  check_flip
-checks the flip symmetry a builder hands the sweep, entry by entry off
-the differential list.  reference_violations is validate rebuilt from the
+checks that a permutation of the generators is a flip symmetry, entry by
+entry off the differential list.  reference_violations is validate rebuilt from the
 views: the per-entry checks one entry at a time with a set of entries,
 d_squared_lines, and the homology dimension by rank-nullity.
 reference_scan is the engine's filtered scan as it was before the sweep
@@ -585,14 +585,14 @@ def witnessed_upsilon(segments):
     return ku.PLFunction(bps + [b], values + [-2 * filtration_value(b, p)])
 
 
-def check_flip(c):
-    """Whether the flip c's builder gave is a flip symmetry of c, read off
-    the generator and differential views: a permutation pi of the
+def check_flip(c, pi):
+    """Whether pi, a list of generator positions, is a flip symmetry of c,
+    read off the generator and differential views: a permutation of the
     generators with A(pi x) = -A(x) and M(pi x) = M(x) - 2A(x) that takes
     the entries onto the entries, (s, t, k) to (pi s, pi t, A(s) - A(t) + k).
     """
-    pi, gens = c._flip, c.generators
-    if pi is None or sorted(pi) != list(range(len(gens))):
+    gens = c.generators
+    if sorted(pi) != list(range(len(gens))):
         return False
     if any(gens[y].alexander != -g.alexander
            or gens[y].maslov != g.maslov - 2 * g.alexander

@@ -484,7 +484,7 @@ def test_broken_tensor_is_caught(monkeypatch):
         (s, t, k), *rest = c._entries
         return BifilteredComplex._of(c._names, c._alex, c._maslov,
                                      [(s, t, k + 1)] + rest, c.ambient_d,
-                                     c.label, c._dup, c._flip)
+                                     c.label, c._dup)
 
     monkeypatch.setattr(ku, "tensor", raised)
     t = ku.torus_knot_complex(2, 3)

@@ -3,9 +3,10 @@
 Metamorphic checks: upsilon is a property of the complex, not of how it
 is written down.  Shuffling the generators and the entries, through the
 public constructor, changes every position the matrix and the sweep
-read, and the flip with them; upsilon, its slopes and tau stay, and every
-witness the sweep keeps for the shuffled complex re-proves with
-check_segment_certificate, which reads only the differential list.
+read, and so whether the sweep gets a flip; upsilon, its slopes and tau
+stay, and every witness the sweep keeps for the shuffled complex
+re-proves with check_segment_certificate, which reads only the
+differential list.
 tensor commutes, and a direct sum with an acyclic box changes nothing:
 each witness of the summand, extended by zero, proves its segment of the
 sum too.

@@ -16,7 +16,10 @@ slope_intervals alone.  The sweep weighs each point once per grid
 point: the slice weights (2b - a) i + a j, sums of two products, are
 built by one comprehension in upsilon and one in nu_at, _proves_segment
 multiplies nothing and reads the weight lists it is given, and
-_filtered_scan reads one mask back with bits, the reduced cycle's.
+_filtered_scan reads one mask back with bits, the reduced cycle's.  The
+flip past t = 1 has one route: neither complexes.py nor knots.py names
+anything flip, the slice record has no field for one, and the engine
+calls its rule _flip at one site, which reads the slice's i and j alone.
 """
 
 import ast
@@ -25,9 +28,11 @@ from pathlib import Path
 import knotupsilon.certificates
 import knotupsilon.complexes
 import knotupsilon.engine
+import knotupsilon.knots
 
 TREE = ast.parse(Path(knotupsilon.engine.__file__).read_text())
 COMPLEXES = ast.parse(Path(knotupsilon.complexes.__file__).read_text())
+KNOTS = ast.parse(Path(knotupsilon.knots.__file__).read_text())
 CERTIFICATES = ast.parse(
     Path(knotupsilon.certificates.__file__).read_text())
 
@@ -102,3 +107,36 @@ def test_sweep_weighs_each_point_once_per_grid_point():
     scan = functions["_filtered_scan"]
     assert len([n for n in ast.walk(scan) if isinstance(n, ast.Call)
                 and isinstance(n.func, ast.Name) and n.func.id == "bits"]) == 1
+
+
+def test_complexes_and_knots_name_no_flip():
+    def names(tree):  # every name read, bound, defined, passed or set
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.arg):
+                yield node.arg
+            elif isinstance(node, ast.keyword) and node.arg:
+                yield node.arg
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name
+
+    for tree in (COMPLEXES, KNOTS):
+        assert not [n for n in names(tree) if "flip" in n.lower()]
+    assert len(knotupsilon.complexes._Slice._fields) == 6
+
+
+def test_engine_reads_the_flip_at_one_site_off_the_coordinates():
+    functions = {node.name: node for node in TREE.body
+                 if isinstance(node, ast.FunctionDef)}
+    calls = [node.lineno for node in ast.walk(TREE)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_flip"]
+    assert len(calls) == 1
+    read = {node.attr for node in ast.walk(functions["_flip"])
+            if isinstance(node, ast.Attribute)}
+    assert read == {"i", "j"}
+    assert not [node.lineno for node in ast.walk(TREE)
+                if isinstance(node, ast.Attribute) and node.attr == "flip"]
