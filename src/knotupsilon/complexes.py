@@ -43,7 +43,8 @@ from functools import cached_property
 from itertools import compress, count
 from typing import NamedTuple
 
-from .errors import FormatError, InvalidComplexError, NonAdmissibleError
+from .errors import (FormatError, InvalidComplexError, NonAdmissibleError,
+                     _require_keys)
 from .gf2 import BitEchelon, bits, kernel_basis
 
 
@@ -414,17 +415,6 @@ def direct_sum(c1: BifilteredComplex, c2: BifilteredComplex,
 _COMPLEX_KEYS = {"label", "ambient_d", "generators", "differential"}
 _GEN_KEYS = {"name", "alexander", "maslov"}
 _ENTRY_KEYS = {"from", "to", "upower"}
-
-
-def _require_keys(obj, allowed, required, what):
-    if not isinstance(obj, dict):
-        raise FormatError("%s must be a JSON object" % what)
-    unknown = set(obj) - allowed
-    if unknown:
-        raise FormatError("%s has unknown keys: %s" % (what, sorted(unknown)))
-    missing = required - set(obj)
-    if missing:
-        raise FormatError("%s is missing keys: %s" % (what, sorted(missing)))
 
 
 def complex_from_json_dict(obj) -> BifilteredComplex:

@@ -20,12 +20,12 @@ public route to nu at one t, is one scan, and the one place LatticePoints
 are built, for its certificate; two test oracles check it.
 upsilon sweeps t segment by segment: the cycle and the cocycle hold nu to
 the realizing point's line up to the next tie parameter where a point of
-either crosses it.  It scans only where it has no candidate witness for
-the next segment or the candidate fails its proof.  Where only cocycle
-points cross, falling, the lowest, swapped into the cycle for the
-realizer, is one; past t = 1 the slice's reversal, where it mirrors each
-point (_flip), turns weights at t into weights at 2 - t, so a segment
-below 1 flips to its mirror's candidate.  Each segment is proved from its
+either crosses it.  Every witness runs to its first tie, and a scan gives
+one only where no candidate does or it fails its proof.  Past t = 1 the
+slice's reversal, mirroring each point (_flip), turns weights at t into
+weights at 2 - t, so the candidate is the mirror of the segment below 1
+holding 2 - t; else, where only cocycle points cross, falling, the lowest,
+swapped into the cycle for the realizer.  Each segment is proved from its
 certificate before it is kept; a proof's cocycle half reads the cocycle
 alone, so it runs once per distinct cocycle of a sweep.  The sweep, kept
 on the complex for tau and jump_report, holds the segment ends and each
@@ -65,12 +65,12 @@ class NuCertificate(NamedTuple):
     cocycle: tuple[LatticePoint, ...]
 
 
-def _filtered_scan(z, boundaries, keys):
+def _filtered_scan(z, boundaries, keys, ids):
     """Reduce the cycle z against the boundaries in key order, with a dual
     witness.
 
-    z and the boundaries are supports, lists of positions 0..n-1, with z
-    outside the boundary span, and keys[k] is the sort key of position k:
+    z and the boundaries are supports, lists of the positions 0..n-1 in
+    ids, with z outside the boundary span; keys[k] is position k's key:
     the weight scaled by 2b for nu_at; for upsilon that times a span
     wider than the range of j - i, plus j - i, which orders as the pair
     does; ties go by position.  Once the positions are reindexed so keys grow
@@ -80,10 +80,10 @@ def _filtered_scan(z, boundaries, keys):
     echelon rows pivoting above p, takes the pivot of each row it meets an
     odd number of times: it then vanishes on every boundary, meets z once
     and lies at or above p, so every cycle in the class reaches p's level.
-    Returns (p, r, phi) with r the reduced z, as supports over the original
-    positions, in key order; phi's is recorded as the walk takes each row.
+    Returns (p, r, phi) with r the reduced z, as supports made of the ints
+    in ids, in key order; phi's is recorded as the walk takes each row.
     """
-    order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties by k
+    order = sorted(ids, key=keys.__getitem__)  # stable: ties by k
     newpos = [0] * len(keys)
     for new, old in enumerate(order):
         newpos[old] = new
@@ -110,7 +110,8 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     s = require_admissible(c)
     a, b = t.numerator, t.denominator
     keys = [(2 * b - a) * i + a * j for i, j in zip(s.i, s.j)]
-    top, witness, phi = _filtered_scan(bits(s.cycle), s.boundaries, keys)
+    top, witness, phi = _filtered_scan(bits(s.cycle), s.boundaries, keys,
+                                       range(len(keys)))
     level, support = keys[top], sorted(witness)
     def points(ks):  # the certificate's LatticePoints, at these positions
         return tuple([LatticePoint(s.names[k], s.i[k], s.j[k]) for k in ks])
@@ -178,11 +179,12 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     the class topping out at p and a cocycle phi bottoming out at p.  For
     t' >= t the class keeps min_phi w_t' <= nu(t') <= max_r w_t', so nu
     follows p's line up to the first tie parameter t1 where a point of r
-    overtakes p or a point of phi drops below it (or t1 = 2).  There it
-    tries _carried's witness, or past t = 1 the _flip of the one holding
-    2 - t, then scans.  Each segment is checked from its certificate before
+    overtakes p or a point of phi drops below it (or t1 = 2).  Any witness
+    ends there: past t = 1 the _flip of the one holding 2 - t, else
+    _carried's; a refused mirror gives way to the carry, and a refused
+    carry to a scan.  Each segment is checked from its certificate before
     it is kept, and consecutive realizers must weigh the same where they
-    meet; the weights at each t, scaled by 2b, are one list all these read.
+    meet, both read off the one weight list built at each t.
     """
     # the sweep is kept only after require_admissible passed
     if c._sweep is not None:
@@ -203,39 +205,33 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     while a < 2 * b:
         if k is None and a >= b:
             flip, k = _flip(s, ids), len(witnesses) - 1
-        if flip:
-            # the flipped witness of the segment [t_k, t_k+1] below 1
-            # holding 2 - t is a candidate on [t, 2 - t_k]
+        if flip:  # the mirror of the segment below 1 holding 2 - t
             while ends[k][0] * b >= (2 * b - a) * ends[k][1]:
                 k -= 1
             top, rs, ps = witnesses[k]
-            top, rs, ps = flip[top], [flip[x] for x in rs], [flip[x] for x in ps]
-            t1 = (2 * ends[k][1] - ends[k][0], ends[k][1])
+            held = flip[top], [flip[x] for x in rs], [flip[x] for x in ps]
         else:
             held = carry and _carried(s, *witnesses[-1], w, ds)
-            top, rs, ps = held or _filtered_scan(
-                z, s.boundaries, [x * span + d for x, d in zip(w, ds)])
-            if not held:
-                rs, ps = [ids[x] for x in rs], [ids[x] for x in ps]
-            # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with
-            # d = j - i; t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
-            i0, d0 = si[top], ds[top]
-            ties = [(2 * (i0 - si[x]), ds[x] - d0) for x in rs if ds[x] > d0]
-            ties += [(2 * (si[x] - i0), d0 - ds[x]) for x in ps if ds[x] < d0]
-            n1, m1 = 2, 1
-            for n, m in ties:
-                if a * m < n * b and n * m1 < n1 * m:
-                    n1, m1 = n, m
-            t1 = (n1, m1)
+        top, rs, ps = held or _filtered_scan(
+            z, s.boundaries, [x * span + d for x, d in zip(w, ds)], ids)
+        # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with d = j - i;
+        # t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
+        i0, d0 = si[top], ds[top]
+        ties = [(2 * (i0 - si[x]), ds[x] - d0) for x in rs if ds[x] > d0]
+        ties += [(2 * (si[x] - i0), d0 - ds[x]) for x in ps if ds[x] < d0]
+        n1, m1 = 2, 1
+        for n, m in ties:
+            if a * m < n * b and n * m1 < n1 * m:
+                n1, m1 = n, m
+        t1 = (n1, m1)
         w1 = weights(*t1)
         if not _proves_segment(s, top, rs, ps, w, w1, proved):
-            if flip or held:  # not a flip of c, or no carry: scan at t
+            if held:  # a refused mirror tries the carry next, a carry scans
                 flip, carry = None, bool(flip)
                 continue
             raise AssertionError("nu not linear on [%s, %s]: its certificate "
                                  "fails" % (Fraction(a, b), Fraction(*t1)))
-        q = witnesses[-1][0] if witnesses else top  # the last realizer
-        if w[top] != w[q]:
+        if witnesses and w[top] != w[witnesses[-1][0]]:  # the last realizer
             raise AssertionError("nu jumps at %s" % Fraction(a, b))
         ends.append(t1)
         witnesses.append((top, rs, ps))

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the JSON key check."""
 
 
 class KnotLibError(Exception):
@@ -7,6 +7,18 @@ class KnotLibError(Exception):
 
 class FormatError(KnotLibError, ValueError):
     """Malformed serialized data (bad JSON shape, unknown keys, bad types)."""
+
+
+def _require_keys(obj, allowed, required, what):
+    """Refuse obj, read as what, unless a dict of allowed and required keys."""
+    if not isinstance(obj, dict):
+        raise FormatError("%s must be a JSON object" % what)
+    unknown = set(obj) - allowed
+    if unknown:
+        raise FormatError("%s has unknown keys: %s" % (what, sorted(unknown)))
+    missing = required - set(obj)
+    if missing:
+        raise FormatError("%s is missing keys: %s" % (what, sorted(missing)))
 
 
 class InvalidComplexError(KnotLibError, ValueError):

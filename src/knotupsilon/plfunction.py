@@ -28,7 +28,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import FormatError, _require_keys
 
 
 def format_rational(x: Fraction) -> str:
@@ -279,14 +279,8 @@ class PLFunction:
 
     @classmethod
     def from_json_dict(cls, obj) -> "PLFunction":
-        if not isinstance(obj, dict):
-            raise FormatError("piecewise-linear function must be a JSON object")
-        unknown = set(obj) - {"breakpoints", "values", "slopes"}
-        if unknown:
-            raise FormatError("unknown keys: %s" % sorted(unknown))
-        for key in ("breakpoints", "values"):
-            if key not in obj:
-                raise FormatError("missing key %r" % key)
+        _require_keys(obj, {"breakpoints", "values", "slopes"},
+                      {"breakpoints", "values"}, "piecewise-linear function")
         for key in ("breakpoints", "values", "slopes"):
             if key in obj and not isinstance(obj[key], list):
                 raise FormatError("%r must be a list" % key)

@@ -188,6 +188,10 @@ def write_inputs(where: Path):
         "extra.json": json.dumps({"label": None, "ambient_d": 0,
                                   "generators": [], "differential": [],
                                   "colour": "red"}),
+        # piecewise-linear function files, with a stray key and short one
+        "pl_extra.json": json.dumps({"breakpoints": ["0", "2"],
+                                     "values": ["0", "0"], "colour": "red"}),
+        "pl_short.json": json.dumps({"breakpoints": ["0", "2"]}),
     }
     for name, text in files.items():
         (where / name).write_text(text, encoding="utf-8")
@@ -204,7 +208,8 @@ CLI_RUNS = [
     ["upsilon", "chen.json"], ["upsilon", "bad.json"],
     ["upsilon", "rank2.json"], ["upsilon", "ghost.json"],
     ["upsilon", "nothere.json"], ["upsilon", "broken.json"],
-    ["upsilon", "extra.json"], ["upsilon", "--file", "trefoil"],
+    ["upsilon", "extra.json"], ["upsilon", "pl_extra.json"],
+    ["upsilon", "pl_short.json"], ["upsilon", "--file", "trefoil"],
     ["tau", "trefoil"], ["tau", "torus:3,-4"], ["tau", "chen-cable:9"],
     ["tau", "fig8.json"], ["tau", "rank2.json"],
     ["tensor", "trefoil", "trefoil"], ["tensor", "trefoil", "figure8"],

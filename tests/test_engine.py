@@ -338,8 +338,8 @@ def test_witnesses_travel_through_tensor_and_dual():
     # (merged grid, sweep, function) segment counts: the merged grid can
     # be finer or coarser than the sweep's, and either finer than the
     # function, so functions are compared, not grids
-    assert grids[(3, 7), (3, -5), (2, 3)] == (6, 6, 3)
-    assert grids[(3, 7), (3, -7)] == (3, 6, 1)
+    assert grids[(3, 7), (3, -5), (2, 3)] == (5, 5, 3)
+    assert grids[(3, 7), (3, -7)] == (3, 5, 1)
     assert proved == 45
 
 
@@ -1213,7 +1213,8 @@ def test_scan_on_int_keys_matches_reference_scan(monkeypatch):
     # each scanned start t it must give exactly what the scan gives on the
     # (weight, j - i) pairs.  The start of each scan is the grid point
     # whose pair order its keys repeat: lines cross at most once, so no
-    # two grid points share that order.
+    # two grid points share that order.  The scan sorts the sweep's ids,
+    # so the supports it returns are made of those very ints.
     rng = random.Random(27)
     complexes = [c.relabeled(c.label) for _, c in corpus()]  # unswept
     complexes += [random_admissible_complex(rng, "k%d" % k)
@@ -1236,7 +1237,9 @@ def test_scan_on_int_keys_matches_reference_scan(monkeypatch):
         grid, n = c._sweep.grid, len(s.i)
         negative += any(j < i for i, j in zip(s.i, s.j))
         k = 0
-        for (z, boundaries, keys), witness in calls:
+        for (z, boundaries, keys, ids), witness in calls:
+            assert ids == list(range(n))
+            assert all(x is ids[x] for x in witness[1] + witness[2])
             order = sorted(range(n), key=keys.__getitem__)
             while True:
                 a, b = grid[k].numerator, grid[k].denominator
@@ -1296,7 +1299,7 @@ def test_upsilon_equals_validated_rebuild():
 
 
 @pytest.mark.parametrize("knots,scans,pieces", [
-    ([(3, 5), (2, -3)], 4, 3), ([(3, 7), (3, -7)], 6, 1),
+    ([(3, 5), (2, -3)], 4, 3), ([(3, 7), (3, -7)], 5, 1),
 ], ids=["T(3,5)#T(2,-3)", "T(3,7)#T(3,-7)"])
 def test_upsilon_merges_collinear_segments(knots, scans, pieces):
     c = ku.tensor(*(ku.torus_knot_complex(*pq) for pq in knots))
@@ -1305,6 +1308,54 @@ def test_upsilon_merges_collinear_segments(knots, scans, pieces):
     assert len(f.slopes) == pieces
     g = _rebuilt_through_constructor(c)
     assert g == f and g.slopes == f.slopes
+
+
+def test_mirrored_witness_runs_to_its_first_tie():
+    # past t = 1 the mirror of a segment below 1 is a candidate like any
+    # other: it ends at its first tie, not at the mirror of its segment's
+    # start.  On T(3,7)#T(3,-7) the mirror of [6/7, 1] holds on [1, 4/3],
+    # past 8/7, so the sweep takes 5 segments, not 6.  Every segment past 1
+    # is the mirror of one below 1, and every kept witness re-proves.
+    c = ku.tensor(ku.torus_knot_complex(3, 7), ku.torus_knot_complex(3, -7))
+    ku.upsilon(c)
+    grid, witnesses, flip = c._sweep.grid, c._sweep.witnesses, _flip_of(c)
+    assert grid == [0, F(2, 3), F(6, 7), 1, F(4, 3), 2]
+    half, beyond = grid.index(1), []
+    for k in range(half, len(witnesses)):
+        top, r, phi = witnesses[k]
+        h = witnesses.index((flip[top], [flip[x] for x in r],
+                             [flip[x] for x in phi]))
+        assert h < half and grid[k + 1] >= 2 - grid[h]
+        if grid[k + 1] > 2 - grid[h]:
+            beyond.append((grid[k], grid[k + 1]))
+    assert beyond == [(1, F(4, 3))]
+    for ends, p, cycle, cocycle in swept_segments(c):
+        assert check_segment_certificate(c, ends, p, cycle, cocycle)
+
+
+def test_sweep_counts_over_the_five_pools(monkeypatch):
+    # a machine-independent guard on the one candidate slot, measured once:
+    # (scans, kept segments) over the torus-ladder pool, its mirrors, the
+    # sum-tower chains, the flip cases and their JSON round trips.  The
+    # sum-tower chains took 68 segments when a mirrored witness ended at
+    # the mirror of its segment's start; T(3,7)#T(3,-7) and
+    # T(3,7)#T(3,-5)#T(2,3) each take one fewer now.
+    cases = [c.relabeled(c.label) for c, _ in _flip_cases()]  # unswept
+    pools = {
+        "torus-ladder": [ku.torus_knot_complex(p, q)
+                         for p, q in torus_ladder()],
+        "mirrors": [ku.torus_knot_complex(p, -q) for p, q in torus_ladder()],
+        "sum-tower": list(sum_tower_chains()), "flip cases": cases,
+        "JSON": [ku.complex_from_json(ku.complex_to_json(c)) for c in cases]}
+    scans, counts = _counted(monkeypatch, "_filtered_scan"), {}
+    for name, pool in pools.items():
+        scans.clear()
+        for c in pool:
+            ku.upsilon(c)
+        counts[name] = len(scans), sum(len(c._sweep.witnesses) for c in pool)
+    assert counts == {"torus-ladder": (77, 513), "mirrors": (266, 513),
+                      "sum-tower": (44, 66), "flip cases": (1249, 3900),
+                      "JSON": (1249, 3900)}
 
 
 def test_upsilon_runs_no_validating_constructor(monkeypatch):

@@ -20,6 +20,10 @@ _filtered_scan reads one mask back with bits, the reduced cycle's.  The
 flip past t = 1 has one route: neither complexes.py nor knots.py names
 anything flip, the slice record has no field for one, and the engine
 calls its rule _flip at one site, which reads the slice's i and j alone.
+upsilon fills one candidate slot: a mirrored, carried or scanned witness
+is proved at one call of _proves_segment and ends at the one assignment
+of t1, the tie search's; the one call of _filtered_scan sorts the
+sweep's ids, not a range of its own, so every support shares those ints.
 """
 
 import ast
@@ -140,3 +144,31 @@ def test_engine_reads_the_flip_at_one_site_off_the_coordinates():
     assert read == {"i", "j"}
     assert not [node.lineno for node in ast.walk(TREE)
                 if isinstance(node, ast.Attribute) and node.attr == "flip"]
+
+
+def _engine_function(name):
+    return next(node for node in TREE.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _called(node, name):
+    """The sites under node that call name."""
+    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def test_upsilon_fills_one_candidate_slot():
+    sweep = _engine_function("upsilon")
+    assert len(_called(sweep, "_proves_segment")) == 1
+    assert len(_called(sweep, "_filtered_scan")) == 1
+    stores = [n for n in ast.walk(sweep) if isinstance(n, ast.Name)
+              and n.id == "t1" and isinstance(n.ctx, ast.Store)]
+    tie = [n.value for n in ast.walk(sweep) if isinstance(n, ast.Assign)
+           and set(n.targets) & set(stores)]
+    assert len(stores) == len(tie) == 1
+    assert [n.id for n in ast.walk(tie[0]) if isinstance(n, ast.Name)] == [
+        "n1", "m1"]
+
+
+def test_scan_sorts_the_sweeps_ids():
+    assert not _called(_engine_function("_filtered_scan"), "range")
