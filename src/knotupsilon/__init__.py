@@ -12,8 +12,7 @@ from .complexes import (BifilteredComplex, DiffEntry, Generator,
                         LatticePoint, ValidationReport, complex_from_json,
                         complex_from_json_dict, complex_to_json,
                         complex_to_json_dict, direct_sum, dual,
-                        grading_slice, require_admissible, require_valid,
-                        tensor, validate)
+                        grading_slice, tensor, validate)
 from .engine import JumpCheck, NuCertificate, jump_report, nu_at, tau, upsilon
 from .errors import (FormatError, InvalidComplexError, KnotLibError,
                      MissingDataError, NonAdmissibleError)
@@ -32,8 +31,7 @@ __all__ = [
     "BifilteredComplex", "DiffEntry", "Generator", "LatticePoint",
     "ValidationReport", "complex_from_json",
     "complex_from_json_dict", "complex_to_json", "complex_to_json_dict",
-    "direct_sum", "dual", "grading_slice", "require_admissible",
-    "require_valid", "tensor", "validate",
+    "direct_sum", "dual", "grading_slice", "tensor", "validate",
     "JumpCheck", "NuCertificate", "jump_report", "nu_at", "tau", "upsilon",
     "FormatError", "InvalidComplexError", "KnotLibError", "MissingDataError",
     "NonAdmissibleError",

@@ -72,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
         genus_flag=True)
     sample = add("sample", "sample upsilon as CSV rows t,value")
     sample.add_argument("step", help="rational sampling step, e.g. 1/8")
-    # argparse would take "-1/2" for an option; _sampling_step names it
-    sample._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+    # "-1/2" or "-1e-3" is a step, not an option: _sampling_step names it
+    sample._negative_number_matcher = re.compile(r"^-[\d.]")
     return parser
 
 

@@ -20,21 +20,21 @@ public route to nu at one t, is one scan, and the one place LatticePoints
 are built, for its certificate; two test oracles check it.
 upsilon sweeps t segment by segment: the cycle and the cocycle hold nu to
 the realizing point's line up to the next tie parameter where a point of
-either crosses it.  Every witness runs to its first tie, and a scan gives
+either crosses it; the tie search, the one walk at a tie, names these
+crossing points.  Every witness runs to its first tie, and a scan gives
 one only where no candidate does or it fails its proof.  Past t = 1 the
-slice's reversal, mirroring each point (_flip), turns weights at t into
-weights at 2 - t, so the candidate is the mirror of the segment below 1
-holding 2 - t; else, where only cocycle points cross, falling, the lowest,
-swapped into the cycle for the realizer.  Each segment is proved from its
-certificate before it is kept; a proof's cocycle half reads the cocycle
-alone, so it runs once per distinct cocycle of a sweep.  The sweep, kept
-on the complex for tau and jump_report, holds the segment ends and each
-segment's realizer, cycle and cocycle once, as slice positions.  It keeps
-t = a/b as two integers, unreduced, since every use is scale-invariant,
-and builds the weight list at each t once: the scan's keys, the checks of
-both segments meeting at t and upsilon(t) all read it.  On a segment
-upsilon follows -2 times its realizer's weight, so its slope is the
-realizer's i - j; tau is minus the first slope, since upsilon'(0) = -tau.
+slice's reversal (_flip) turns weights at t into weights at 2 - t, so the
+candidate is the mirror of the segment below 1 holding 2 - t; else, where
+every crossing point is a cocycle point, falling, the lowest, swapped in
+for the realizer.  Each segment is proved from its certificate before it
+is kept; its cocycle half reads the cocycle alone, so it runs once per
+distinct cocycle of a sweep.  The sweep, kept on the complex for tau and
+jump_report, holds the segment ends and each segment's realizer, cycle and
+cocycle once, as slice positions.  It keeps t = a/b unreduced, as every
+use is scale-invariant, and builds the weight list at each t once: the
+scan's keys, the checks of both segments meeting at t and upsilon(t) all
+read it.  On a segment upsilon is -2 times its realizer's weight, of slope
+i - j; tau is minus the first slope, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
@@ -142,18 +142,14 @@ def _proves_segment(s, top, r, phi, w0, w1, proved):
                 == min(map(w.__getitem__, phi)) for w in (w0, w1)])
 
 
-def _carried(s, top, r, phi, w, ds):
+def _carried(s, top, r, phi, cross, ds):
     """(q, r + top + q, phi), carried past the end of top's segment, or None.
-    w is the weight list there and ds j - i by position; q is phi's point
-    of least j - i falling below top's line there.  None if a point of r
-    rises there too, or if top + q, the r half of its proof, is no boundary."""
-    level, d0 = w[top], ds[top]
-    drops = [(ds[x], x) for x in phi if w[x] == level and ds[x] < d0]
-    if drops:
-        q = min(drops)[1]
-        if (q not in r and not any([w[x] == level and ds[x] > d0 for x in r])
-                and not s.echelon.reduce(1 << top | 1 << q)):
-            return q, [x for x in r if x != top] + [q], phi
+    cross is the tie search's list there, nonempty: the (j - i, position)
+    pairs of the points of r and phi tying with top; q is the least one's.
+    None if any of them rises, q is in r or top + q is no boundary."""
+    (d, _), (_, q) = max(cross), min(cross)
+    if d < ds[top] and q not in r and not s.echelon.reduce(1 << top | 1 << q):
+        return q, [x for x in r if x != top] + [q], phi
 
 
 def _flip(s, ids):
@@ -178,13 +174,13 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     just right of t, a scan gives the point p realizing nu, a cycle r in
     the class topping out at p and a cocycle phi bottoming out at p.  For
     t' >= t the class keeps min_phi w_t' <= nu(t') <= max_r w_t', so nu
-    follows p's line up to the first tie parameter t1 where a point of r
-    overtakes p or a point of phi drops below it (or t1 = 2).  Any witness
-    ends there: past t = 1 the _flip of the one holding 2 - t, else
-    _carried's; a refused mirror gives way to the carry, and a refused
-    carry to a scan.  Each segment is checked from its certificate before
-    it is kept, and consecutive realizers must weigh the same where they
-    meet, both read off the one weight list built at each t.
+    follows p's line up to the first tie parameter t1 where points of r
+    overtake p or points of phi drop below it (or t1 = 2); the tie search
+    keeps them as cross.  Any witness ends there: past t = 1 the _flip of
+    the one holding 2 - t, else _carried's, read off cross; a refused
+    mirror gives way to the carry, a refused carry to a scan.  Each segment
+    is checked from its certificate before it is kept, and consecutive
+    realizers must weigh the same where they meet, on t's one weight list.
     """
     # the sweep is kept only after require_admissible passed
     if c._sweep is not None:
@@ -195,7 +191,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     span = max(ds) - min(ds) + 1  # w * span + d orders as (w, d) does
     ids = list(range(len(si)))  # kept supports share these ints
     ends, witnesses, values, proved = [(0, 1)], [], [], set()
-    flip = k = carry = None  # k: segment to mirror past 1; carry: try _carried
+    flip = k = carry = None  # k: segment to mirror past 1; carry: its cross
 
     def weights(a, b):  # 2b times the weight at a/b, by position
         return [(2 * b - a) * i + a * j for i, j in zip(si, sj)]
@@ -211,23 +207,26 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
             top, rs, ps = witnesses[k]
             held = flip[top], [flip[x] for x in rs], [flip[x] for x in ps]
         else:
-            held = carry and _carried(s, *witnesses[-1], w, ds)
+            held = carry and _carried(s, *witnesses[-1], carry, ds)
         top, rs, ps = held or _filtered_scan(
             z, s.boundaries, [x * span + d for x, d in zip(w, ds)], ids)
         # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with d = j - i;
         # t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
         i0, d0 = si[top], ds[top]
-        ties = [(2 * (i0 - si[x]), ds[x] - d0) for x in rs if ds[x] > d0]
-        ties += [(2 * (si[x] - i0), d0 - ds[x]) for x in ps if ds[x] < d0]
-        n1, m1 = 2, 1
-        for n, m in ties:
-            if a * m < n * b and n * m1 < n1 * m:
-                n1, m1 = n, m
+        ties = ([(2 * (i0 - si[x]), ds[x] - d0, x) for x in rs if ds[x] > d0]
+                + [(2 * (si[x] - i0), d0 - ds[x], x) for x in ps if ds[x] < d0])
+        n1, m1, cross = 2, 1, []
+        for n, m, x in ties:
+            if a * m < n * b:
+                if n * m1 < n1 * m:
+                    n1, m1, cross = n, m, [(ds[x], x)]
+                elif n * m1 == n1 * m:
+                    cross.append((ds[x], x))
         t1 = (n1, m1)
         w1 = weights(*t1)
         if not _proves_segment(s, top, rs, ps, w, w1, proved):
             if held:  # a refused mirror tries the carry next, a carry scans
-                flip, carry = None, bool(flip)
+                flip, carry = None, flip and carry
                 continue
             raise AssertionError("nu not linear on [%s, %s]: its certificate "
                                  "fails" % (Fraction(a, b), Fraction(*t1)))
@@ -236,7 +235,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         ends.append(t1)
         witnesses.append((top, rs, ps))
         values.append(Fraction(-w1[top], t1[1]))
-        (a, b), w, carry = t1, w1, True
+        (a, b), w, carry = t1, w1, cross
     grid = [Fraction(a, b) for a, b in ends]
     # on p's segment upsilon = -2 w_p: slope i - j, value -w[p] / b at
     # a/b, the end of p's segment and the start of the next one's, whose

@@ -40,14 +40,20 @@ reference_scan is the engine's filtered scan as it was before the sweep
 keyed it by one int per point: it sorts on whatever keys it is given,
 such as (weight, j - i) pairs, and reads the cocycle's support back off
 its mask; the sweep's scans are checked against it.
+sum_tower_chains builds the sum-tower benchmark workload's 20 chains.
+scrambled makes a complex filtered-isomorphic to its input plus an
+acyclic piece, by random filtered changes of basis and cancelling pairs,
+so every invariant must stay while the slice, its boundaries and the
+class's cycle all move.
 """
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import log2
 
 import knotupsilon as ku
+from knotupsilon.complexes import require_admissible
 from knotupsilon.gf2 import BitEchelon, bits, kernel_basis
 
 
@@ -94,7 +100,7 @@ def nu_at_halfplane(c, t):
     hitting the nonzero class of the ambient grading.  Computed from
     scratch per level, independently of nu_at.
     """
-    ku.require_admissible(c)
+    require_admissible(c)
     pts = ku.grading_slice(c, c.ambient_d)
     keys = [filtration_value(t, p) for p in pts]
     cols, upper = _slice_matrices(c)
@@ -248,7 +254,7 @@ def brute_force_nu(c, t):
 
     Only available when the ambient-grading slice has at most 20 points.
     """
-    ku.require_admissible(c)
+    require_admissible(c)
     pts = ku.grading_slice(c, c.ambient_d)
     if len(pts) > 20:
         raise ValueError("slice too large for brute force (%d points)"
@@ -527,7 +533,7 @@ def swept_segments(c):
     cocycle): the kept witness's slice positions read as LatticePoints
     off require_admissible(c)'s names and coordinates."""
     ku.upsilon(c)
-    s, sweep = ku.require_admissible(c), c._sweep
+    s, sweep = require_admissible(c), c._sweep
     pts = list(map(ku.LatticePoint, s.names, s.i, s.j))
     for k, (top, r, phi) in enumerate(sweep.witnesses):
         yield ((sweep.grid[k], sweep.grid[k + 1]), pts[top],
@@ -673,3 +679,76 @@ def random_admissible_complex(rng, tag):
                              maslov=rng.randint(-2, 2))
         c = ku.direct_sum(c, box)
     return c
+
+
+# the sum-tower workload's chains as (summands, acyclic boxes): a pair
+# (p, q) is T(p, q) and "F" the figure eight
+F8 = "F"
+SUM_TOWER = [
+    ([(2, 3)] * 6, 0), ([F8] * 4, 0), ([(3, 4), (2, -3), F8, F8], 0),
+    ([(2, 5), F8, F8, F8], 1), ([(3, 7), (3, -5), (2, 3)], 0),
+    ([(3, 5), (2, -3)], 0), ([(2, 3)] * 5, 0), ([(2, 3), (2, 5), (2, 7)], 0),
+    ([(4, 5), (2, -3), (2, 3)], 0), ([(3, -4), (2, 5), (2, 3)], 0),
+    ([(2, 5), (2, -3), F8], 2), ([(3, 4), (3, 4)], 1), ([(3, 7), (3, -7)], 0),
+    ([(2, -3)] * 4, 0), ([(3, 5), (3, 4)], 0), ([(2, 3), (2, 3), (2, -5)], 0),
+    ([(2, 7), (2, -3), (2, -3)], 0), ([(4, 5), (3, -4)], 1),
+    ([(3, 5), (2, -5), F8], 0), ([(4, 5), (2, -3), F8], 0),
+]
+
+
+def summand(token):
+    if token == F8:
+        return ku.figure_eight_complex()
+    return ku.torus_knot_complex(*token)
+
+
+def sum_tower_chains():
+    """The sum-tower workload's 20 complexes: each chain with its boxes."""
+    for tokens, boxes in SUM_TOWER:
+        c = reduce(ku.tensor, map(summand, tokens))
+        for k in range(boxes):
+            c = ku.direct_sum(c, ku.box_complex("box%d." % k, k % 2, 0),
+                              c.label)
+        yield c
+
+
+def scrambled(c, rng, changes, pairs):
+    """c with pairs cancelling pairs u -> v summed on, then changes random
+    filtered changes of basis x_k <- x_k + U^m x_l, through the public
+    constructor.  u and v share an Alexander grading and the arrow has
+    U-power 0, so the pair is filtered contractible; x_k and x_l share a
+    Maslov parity, with M(x_l) = M(x_k) + 2m and m >= max(0, A(x_l) -
+    A(x_k)), so U^m x_l sits at or below x_k in both filtrations.  The
+    result is filtered homotopy equivalent to c: upsilon and tau stay
+    while the slice, its boundaries and its class's cycle all change.
+    The change B is its own inverse over F2[U], so the differential
+    becomes B d B: x_k's targets gain x_l's, then x_l is toggled wherever
+    x_k is a target.  Each entry's U-power follows from the Maslov rule,
+    so d is kept as sets of target positions."""
+    gens = list(c.generators)
+    for k in range(pairs):
+        g = rng.choice(gens)
+        a, m = g.alexander + rng.randint(-1, 1), g.maslov + rng.randint(-1, 1)
+        gens += [ku.Generator("u%d~" % k, a, m),
+                 ku.Generator("v%d~" % k, a, m - 1)]
+    pos = {g.name: x for x, g in enumerate(gens)}
+    d = [set() for _ in gens]
+    for e in c.differential:
+        d[pos[e.source]].add(pos[e.target])
+    for k in range(pairs):
+        d[pos["u%d~" % k]].add(pos["v%d~" % k])
+    alex, maslov = [g.alexander for g in gens], [g.maslov for g in gens]
+    for _ in range(changes):
+        k = rng.randrange(len(gens))
+        ls = [l for l in range(len(gens)) if l != k
+              and (maslov[l] - maslov[k]) % 2 == 0
+              and maslov[l] - maslov[k] >= 2 * max(0, alex[l] - alex[k])]
+        if ls:
+            l = rng.choice(ls)
+            d[k] ^= d[l]
+            for targets in d:
+                if k in targets:
+                    targets ^= {l}
+    entries = [(gens[s].name, gens[t].name, (maslov[t] - maslov[s] + 1) // 2)
+               for s in range(len(gens)) for t in sorted(d[s])]
+    return ku.BifilteredComplex(gens, entries, c.ambient_d, c.label)

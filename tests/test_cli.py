@@ -100,7 +100,9 @@ def test_sample_subcommand(capsys):
 
 
 def test_sample_rejects_non_positive_step(capsys):
-    for step in ("0", "-1/2"):
+    # a negative step in any form parse_rational reads, exponent and
+    # underscore included, reaches _sampling_step rather than argparse
+    for step in ("0", "-1/2", "-1e-3", "-1_0"):
         rc, out, err = run(capsys, ["sample", "trefoil", step])
         assert rc == 2
         assert out == ""

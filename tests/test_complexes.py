@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import knotupsilon as ku
 import knotupsilon.complexes
 from knotupsilon import BifilteredComplex, DiffEntry, Generator, LatticePoint
+from knotupsilon.complexes import require_admissible, require_valid
 from knotupsilon.gf2 import BitEchelon, kernel_basis
 
 from golden import _break
@@ -367,7 +368,7 @@ def test_verify_homology_rank_two():
     msg = "non-admissible: homology has dimension 2 != 1 in grading 0"
     assert ku.validate(c).violations == (msg,)
     with pytest.raises(ku.NonAdmissibleError) as exc:
-        ku.require_admissible(c)
+        require_admissible(c)
     assert str(exc.value) == msg
 
 
@@ -386,7 +387,7 @@ def test_homology_against_enumeration_oracle():
 
 def test_box_is_acyclic_but_valid():
     box = ku.box_complex()
-    ku.require_valid(box)
+    require_valid(box)
     assert enumerated_homology_dim(box, 0) == 0
     assert enumerated_homology_dim(box, 1) == 0
     assert ku.validate(box).violations == (
@@ -432,10 +433,10 @@ def test_slice_record_is_integers_with_rank_nullity_dimension():
             assert ku.validate(c).violations == reference_violations(c) == (
                 msg,)
             with pytest.raises(ku.NonAdmissibleError) as exc:
-                ku.require_admissible(c)
+                require_admissible(c)
             assert str(exc.value) == msg
             continue
-        s = ku.require_admissible(c)
+        s = require_admissible(c)
         assert list(zip(s.names, s.i, s.j)) == [tuple(q) for q in pts]
         assert all(type(x) is int for x in s.i + s.j)
         assert s.cycle == next(z for z in kernel if bound.reduce(z))

@@ -6,7 +6,10 @@ public constructor, changes every position the matrix and the sweep
 read, and so whether the sweep gets a flip; upsilon, its slopes and tau
 stay, and every witness the sweep keeps for the shuffled complex
 re-proves with check_segment_certificate, which reads only the
-differential list.
+differential list.  A filtered change of basis or a cancelling pair
+(helpers.scrambled) keeps the bifiltered homotopy type while it makes the
+complex dense and unreduced; the same holds of the scrambled complex at
+benchmark scale.
 tensor commutes, and a direct sum with an acyclic box changes nothing:
 each witness of the summand, extended by zero, proves its segment of the
 sum too.
@@ -23,6 +26,7 @@ import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
+from math import gcd
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -31,7 +35,8 @@ import knotupsilon as ku
 from knotupsilon.cli import main
 
 from helpers import (check_segment_certificate, random_admissible_complex,
-                     random_staircase, swept_segments)
+                     random_staircase, scrambled, sum_tower_chains,
+                     swept_segments)
 
 
 def shuffled(c, rng):
@@ -61,6 +66,29 @@ def test_shuffled_complexes_keep_upsilon_and_their_witnesses_prove_it():
         f, tau = ku.upsilon(c), ku.tau(c)
         for _ in range(2):
             s = shuffled(c, rng)
+            g = ku.upsilon(s)
+            assert (g, g.slopes, ku.tau(s)) == (f, f.slopes, tau), c
+            for ends, p, cycle, cocycle in swept_segments(s):
+                assert check_segment_certificate(s, ends, p, cycle,
+                                                 cocycle), (c, ends)
+
+
+def test_scrambled_complexes_keep_upsilon_and_their_witnesses_prove_it():
+    # at benchmark scale: the torus knots up to T(5,7), their mirrors and
+    # the sum-tower chains, each under filtered changes of basis with
+    # cancelling pairs summed on: 160 complexes, up to 4,000 entries
+    torus = [(p, q) for p in range(2, 6) for q in range(p + 1, 8)
+             if gcd(p, q) == 1]
+    pool = ([ku.torus_knot_complex(p, q) for p, q in torus]
+            + [ku.torus_knot_complex(p, -q) for p, q in torus]
+            + list(sum_tower_chains()))
+    assert len(pool) == 40
+    rng = random.Random(31)
+    for c in pool:
+        f, tau = ku.upsilon(c), ku.tau(c)
+        for changes, pairs in ((10, 2), (30, 3), (60, 4), (120, 6)):
+            s = scrambled(c, rng, changes, pairs)
+            assert ku.validate(s).ok, c
             g = ku.upsilon(s)
             assert (g, g.slopes, ku.tau(s)) == (f, f.slopes, tau), c
             for ends, p, cycle, cocycle in swept_segments(s):

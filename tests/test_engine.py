@@ -12,17 +12,17 @@ from hypothesis import example, given, settings, strategies as st
 import knotupsilon as ku
 import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
+from knotupsilon.complexes import require_admissible
 from knotupsilon.gf2 import BitEchelon
 
-from helpers import (brute_force_nu, cable_alexander, chain_boundary,
-                     check_flip, check_segment_certificate, check_symmetry,
-                     corpus, dual_witnesses, filtration_value,
-                     nu_at_halfplane, product_witnesses,
+from helpers import (F8, SUM_TOWER, brute_force_nu, cable_alexander,
+                     chain_boundary, check_flip, check_segment_certificate,
+                     check_symmetry, corpus, dual_witnesses,
+                     filtration_value, nu_at_halfplane, product_witnesses,
                      random_admissible_complex, reference_scan,
-                     sampled_realizers,
-                     staircase_upsilon, swept_segments, top_degree,
-                     torus_alexander, torus_upsilon, vertical_tau,
-                     witnessed_upsilon)
+                     sampled_realizers, staircase_upsilon, sum_tower_chains,
+                     summand, swept_segments, top_degree, torus_alexander,
+                     torus_upsilon, vertical_tau, witnessed_upsilon)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
 
@@ -186,7 +186,7 @@ def test_slice_keeps_independent_boundaries():
     # about half the boundary columns of a sum are dependent; the slice
     # keeps the ones its echelon found independent, a basis of the span
     c = ku.tensor(ku.torus_knot_complex(3, 4), ku.torus_knot_complex(2, -3))
-    s = ku.require_admissible(c)
+    s = require_admissible(c)
     cols = c._matrix().cols[1 - c.ambient_d % 2]
     assert len(s.boundaries) == s.echelon.rank < len(cols)
     assert not any(s.echelon.reduce(w) for w in cols)
@@ -246,37 +246,6 @@ def test_upsilon_additivity_spot_check():
     f8 = ku.figure_eight_complex()
     assert ku.upsilon(ku.tensor(t, t)) == ku.upsilon(t) + ku.upsilon(t)
     assert ku.upsilon(ku.tensor(t, f8)) == ku.upsilon(t)
-
-
-# the sum-tower workload's chains as (summands, acyclic boxes): a pair
-# (p, q) is T(p, q) and "F" the figure eight
-F8 = "F"
-SUM_TOWER = [
-    ([(2, 3)] * 6, 0), ([F8] * 4, 0), ([(3, 4), (2, -3), F8, F8], 0),
-    ([(2, 5), F8, F8, F8], 1), ([(3, 7), (3, -5), (2, 3)], 0),
-    ([(3, 5), (2, -3)], 0), ([(2, 3)] * 5, 0), ([(2, 3), (2, 5), (2, 7)], 0),
-    ([(4, 5), (2, -3), (2, 3)], 0), ([(3, -4), (2, 5), (2, 3)], 0),
-    ([(2, 5), (2, -3), F8], 2), ([(3, 4), (3, 4)], 1), ([(3, 7), (3, -7)], 0),
-    ([(2, -3)] * 4, 0), ([(3, 5), (3, 4)], 0), ([(2, 3), (2, 3), (2, -5)], 0),
-    ([(2, 7), (2, -3), (2, -3)], 0), ([(4, 5), (3, -4)], 1),
-    ([(3, 5), (2, -5), F8], 0), ([(4, 5), (2, -3), F8], 0),
-]
-
-
-def summand(token):
-    if token == F8:
-        return ku.figure_eight_complex()
-    return ku.torus_knot_complex(*token)
-
-
-def sum_tower_chains():
-    """The sum-tower workload's 20 complexes: each chain with its boxes."""
-    for tokens, boxes in SUM_TOWER:
-        c = reduce(ku.tensor, map(summand, tokens))
-        for k in range(boxes):
-            c = ku.direct_sum(c, ku.box_complex("box%d." % k, k % 2, 0),
-                              c.label)
-        yield c
 
 
 def torus_ladder():
@@ -567,7 +536,7 @@ def _flip_cases():
 
 def _flip_of(c):
     """The flip the sweep reads off c's slice past t = 1, or None."""
-    s = ku.require_admissible(c)
+    s = require_admissible(c)
     return knotupsilon.engine._flip(s, list(range(len(s.i))))
 
 
@@ -714,7 +683,7 @@ def test_wrong_flip_costs_scans_not_answers(monkeypatch):
     t, fig8 = ku.torus_knot_complex, ku.figure_eight_complex()
     swapped = _flip_of(t(5, 7))
     swapped[0], swapped[2] = swapped[2], swapped[0]
-    s = ku.require_admissible(t(5, 7))
+    s = require_admissible(t(5, 7))
     assert any((s.i[y], s.j[y]) != (s.j[x], s.i[x])
                for x, y in enumerate(swapped))
     torus2 = ku.tensor(t(3, 4), t(2, -3))
@@ -858,7 +827,7 @@ def test_sweep_proves_each_cocycle_once(monkeypatch):
             return dict.values(self)
 
     c, reads = ku.torus_knot_complex(13, 29), []
-    s = ku.require_admissible(c)
+    s = require_admissible(c)
     monkeypatch.setattr(s.echelon, "pivots", Rows(s.echelon.pivots))
     ku.upsilon(c)
     cocycles = {frozenset(phi) for _, _, phi in c._sweep.witnesses}
@@ -1030,7 +999,7 @@ def test_sweep_keeps_each_witness_once():
     # carried segment shares its cocycle list with the one before, so kept
     # once now reads 1.00 and a tuple copy of each witness 2.01.
     c = ku.torus_knot_complex(43, 67)
-    ku.require_admissible(c)
+    require_admissible(c)
     tracemalloc.start()
     try:
         ku.upsilon(c)
@@ -1171,7 +1140,7 @@ def test_upsilon_self_check_reads_both_ends(monkeypatch):
         for corrupt, hit in [(f, h) for f in corruptions
                              for h in (None, 2, last)]:
             c, scans = build(), []
-            s = ku.require_admissible(c)
+            s = require_admissible(c)
 
             def corrupted(*args, corrupt=corrupt, hit=hit, s=s, scans=scans):
                 scans.append(args)
@@ -1233,7 +1202,7 @@ def test_scan_on_int_keys_matches_reference_scan(monkeypatch):
     for c in complexes:
         calls.clear()
         ku.upsilon(c)
-        s = ku.require_admissible(c)
+        s = require_admissible(c)
         grid, n = c._sweep.grid, len(s.i)
         negative += any(j < i for i, j in zip(s.i, s.j))
         k = 0

@@ -24,6 +24,9 @@ upsilon fills one candidate slot: a mirrored, carried or scanned witness
 is proved at one call of _proves_segment and ends at the one assignment
 of t1, the tie search's; the one call of _filtered_scan sorts the
 sweep's ids, not a range of its own, so every support shares those ints.
+The tie search is the one walk at a tie: upsilon builds its ties at one
+site, and _carried reads the crossing points that search named, so it
+is handed no weight list and walks no phi.
 """
 
 import ast
@@ -172,3 +175,23 @@ def test_upsilon_fills_one_candidate_slot():
 
 def test_scan_sorts_the_sweeps_ids():
     assert not _called(_engine_function("_filtered_scan"), "range")
+
+
+def test_carried_reads_the_tie_search():
+    sweep, carried = _engine_function("upsilon"), _engine_function("_carried")
+    weight_lists = {t.id for n in ast.walk(sweep) if isinstance(n, ast.Assign)
+                    and isinstance(n.value, ast.Call)
+                    and getattr(n.value.func, "id", None) == "weights"
+                    for t in n.targets if isinstance(t, ast.Name)}
+    passed = {n.id for call in ast.walk(sweep) if isinstance(call, ast.Call)
+              and getattr(call.func, "id", None) == "_carried"
+              for n in ast.walk(call) if isinstance(n, ast.Name)}
+    assert weight_lists == {"w", "w1"} and not passed & weight_lists
+    assert not {a.arg for a in carried.args.args} & weight_lists
+    loops = [n for n in ast.walk(carried)
+             if isinstance(n, (ast.For, ast.comprehension))]
+    assert not [n for n in loops if isinstance(n.iter, ast.Name)
+                and n.iter.id == "phi"]
+    ties = [n for n in ast.walk(sweep) if isinstance(n, ast.Name)
+            and n.id == "ties" and isinstance(n.ctx, ast.Store)]
+    assert len(ties) == 1
