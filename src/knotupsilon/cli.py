@@ -37,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knotupsilon",
         description="bifiltered knot complexes, exact upsilon, certificates")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                required=True)
 
     def add(name, help_text, inputs=1, genus_flag=False):
         p = sub.add_parser(name, help=help_text)

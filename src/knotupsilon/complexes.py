@@ -20,8 +20,8 @@ ambient_d is the Maslov grading of the distinguished homology class (the
 correction term of the ambient three-manifold; 0 for the three-sphere).  A
 complex whose homology in grading ambient_d is not one-dimensional is refused
 by the upsilon machinery.  require_admissible alone decides this, by
-rank-nullity, and builds once per complex the record of that slice, or the
-refusal: all of a complex the engine reads, in integer lists by position.
+rank-nullity, raising a refusal on each call, and builds once per complex
+the record of that slice: all the engine reads, in integer lists by position.
 Each grading slice has one point per generator of its Maslov parity, so
 the differential between adjacent slices is one GF(2) matrix: a column
 per generator, a mask over the positions of the other parity.  One walk
@@ -144,7 +144,7 @@ class BifilteredComplex:
         self._entries, self._dup = entries, dup
         self.ambient_d = int(ambient_d)
         self.label = label
-        # each built on first use; _sweep is engine.upsilon's
+        # built on first use (_slice only if admissible); _sweep is upsilon's
         self._mat = self._violations = self._slice = self._sweep = None
 
     def __repr__(self):
@@ -299,10 +299,10 @@ class _Slice(NamedTuple):
 
 def require_admissible(c: BifilteredComplex) -> _Slice:
     """Raise unless c is structurally valid with one-dimensional homology
-    in grading ambient_d; return its slice there.  Built once per complex,
-    a refusal included: it is kept as its message."""
-    require_valid(c)
+    in grading ambient_d; return its slice there, built once per complex.
+    A refusal is raised where it is found, on every call, and not kept."""
     if c._slice is None:
+        require_valid(c)
         p = c.ambient_d % 2
         cols = c._matrix().cols
         ech = BitEchelon()
@@ -310,15 +310,12 @@ def require_admissible(c: BifilteredComplex) -> _Slice:
         # rank-nullity: n_p - rank d_p cycles, rank B of them boundaries
         dim = len(cols[p]) - BitEchelon(cols[p]).rank - ech.rank
         if dim != 1:
-            c._slice = ("non-admissible: homology has dimension %d != 1 in "
-                        "grading %d" % (dim, c.ambient_d))
-        else:
-            # the class's cycle: the kernel's first vector off the boundaries
-            c._slice = _Slice(*_coordinates(c, c.ambient_d), boundaries, ech,
-                              next(z for z in kernel_basis(cols[p])
-                                   if ech.reduce(z)))
-    if isinstance(c._slice, str):
-        raise NonAdmissibleError(c._slice)
+            raise NonAdmissibleError("non-admissible: homology has dimension %d"
+                                     " != 1 in grading %d" % (dim, c.ambient_d))
+        # the class's cycle: the kernel's first vector off the boundaries
+        c._slice = _Slice(*_coordinates(c, c.ambient_d), boundaries, ech,
+                          next(z for z in kernel_basis(cols[p])
+                               if ech.reduce(z)))
     return c._slice
 
 

@@ -157,9 +157,9 @@ class KnotRecord(namedtuple("KnotRecord", [
         raise MissingDataError("record %r carries no upsilon data" % self.name)
 
     def tau(self) -> int:
-        """tau of the complex; a closed-form record's tau is minus the
-        initial slope of its upsilon."""
-        if self.complex is not None:
+        """Minus the initial slope of upsilon_function's upsilon: read off
+        the complex by engine.tau unless an override stands in for it."""
+        if self.upsilon_override is None and self.complex is not None:
             return engine.tau(self.complex)
         return -self.upsilon_function().initial_slope
 

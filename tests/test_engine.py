@@ -133,10 +133,10 @@ def test_nu_rejects_non_admissible():
 
 def test_slice_is_built_once_per_complex(monkeypatch):
     # require_admissible builds the ambient slice, its boundaries and the
-    # distinguished cycle once, or its refusal; every later entry point
-    # reads that record.  A build is counted where a complex's _slice
-    # leaves None, which a refusal's message does too.  The d^2 check and
-    # require_admissible read one matrix, built once.
+    # distinguished cycle once; every later entry point reads that record.
+    # A build is counted where a complex's _slice leaves None.  A refusal
+    # is raised on every call and never kept, so _slice stays None.  The
+    # d^2 check and require_admissible read one matrix, built once.
     builds, reads = [], []
     real_matrix = BifilteredComplex._matrix
 
@@ -168,7 +168,8 @@ def test_slice_is_built_once_per_complex(monkeypatch):
     assert len(reads) == 2
     assert all(d is c and m is reads[0][1] for d, m in reads)
 
-    # the trefoil plus one generator: refused, and refused from the record
+    # the trefoil plus one generator: refused by each route with one
+    # message, recomputed on each call, and nothing is kept
     tref = ku.torus_knot_complex(2, 3)
     extra = BifilteredComplex(tref.generators + (Generator("e", 0, 0),),
                               tref.differential)
@@ -179,7 +180,7 @@ def test_slice_is_built_once_per_complex(monkeypatch):
             lambda: ku.upsilon(extra)]:
         with pytest.raises(ku.NonAdmissibleError, match="^%s$" % msg):
             route()
-    assert builds == [extra]
+    assert builds == [] and extra._slice is None
 
 
 def test_slice_keeps_independent_boundaries():

@@ -259,6 +259,19 @@ def test_record_upsilon_override_wins():
     assert rec.upsilon_function().is_zero()
 
 
+def test_record_tau_follows_its_upsilon():
+    # tau is minus Upsilon'(0) of the one upsilon the record gives: an
+    # override wins over the complex for both, and a complex record keeps
+    # engine.tau's ambient-grading refusal
+    tref = ku.torus_knot_complex(2, 3)
+    flat = ku.KnotRecord("x", complex=tref, upsilon_override=PLFunction.zero())
+    assert flat.upsilon_function().initial_slope == 0 == flat.tau()
+    assert ku.KnotRecord("x", complex=tref).tau() == 1
+    shifted = ku.BifilteredComplex(tref.generators, tref.differential, 2)
+    with pytest.raises(ku.NonAdmissibleError, match="ambient grading 0"):
+        ku.KnotRecord("y", complex=shifted).tau()
+
+
 def test_record_missing_upsilon():
     rec = ku.KnotRecord("empty")
     with pytest.raises(ku.MissingDataError):

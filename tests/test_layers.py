@@ -26,7 +26,10 @@ of t1, the tie search's; the one call of _filtered_scan sorts the
 sweep's ids, not a range of its own, so every support shares those ints.
 The tie search is the one walk at a tie: upsilon builds its ties at one
 site, and _carried reads the crossing points that search named, so it
-is handed no weight list and walks no phi.
+is handed no weight list and walks no phi.  The slice record is built or
+refused: require_admissible raises each refusal and tests no type, and
+complexes.py puts into a _slice slot only a _Slice(...) call or the None
+of _adopt.
 """
 
 import ast
@@ -195,3 +198,30 @@ def test_carried_reads_the_tie_search():
     ties = [n for n in ast.walk(sweep) if isinstance(n, ast.Name)
             and n.id == "ties" and isinstance(n.ctx, ast.Store)]
     assert len(ties) == 1
+
+
+def test_slice_slot_holds_none_or_a_built_record():
+    admissible = next(node for node in COMPLEXES.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "require_admissible")
+    assert not _called(admissible, "isinstance")
+
+    def slots(tree):  # each assignment under tree to a _slice attribute
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                if any(isinstance(t, ast.Attribute) and t.attr == "_slice"
+                       for tgt in targets for t in ast.walk(tgt)):
+                    yield n
+
+    stored = dict.fromkeys(slots(COMPLEXES), "<module>")
+    for f in ast.walk(COMPLEXES):  # outer defs first: the innermost wins
+        if isinstance(f, ast.FunctionDef):
+            stored.update(dict.fromkeys(slots(f), f.name))
+    values = sorted(
+        (name, "_Slice(...)" if isinstance(n.value, ast.Call)
+         and getattr(n.value.func, "id", None) == "_Slice"
+         else ast.unparse(n.value)) for n, name in stored.items())
+    assert values == [("_adopt", "None"), ("require_admissible", "_Slice(...)")]
+    assert not [n for n in ast.walk(COMPLEXES) if isinstance(n, ast.Constant)
+                and n.value == "_slice"]
