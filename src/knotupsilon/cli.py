@@ -45,9 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for k in range(inputs):
             p.add_argument("input" if inputs == 1 else "input%d" % k,
                            help="builtin name, file path, or - for stdin")
-        if inputs:
-            p.add_argument("--file", action="store_true",
-                           help="force path interpretation of inputs")
+        p.add_argument("--file", action="store_true",
+                       help="force path interpretation of inputs")
         if genus_flag:
             p.add_argument("--genus", type=int, default=None,
                            help="genus to use (defaults to the record's)")

@@ -25,8 +25,11 @@ the record of that slice: all the engine reads, in integer lists by position.
 Each grading slice has one point per generator of its Maslov parity, so
 the differential between adjacent slices is one GF(2) matrix: a column
 per generator, a mask over the positions of the other parity.  One walk
-over a complex's entries builds that matrix once and screens them; the
-d^2 check and require_admissible read it.
+over a complex's entries builds that matrix and screens them;
+require_valid checks it and returns it, to require_admissible and
+tensor.  A complex keeps its data, its name views and the engine's two
+records, _slice and _sweep, but no matrix and no verdict: validate
+reports what require_admissible refuses.
 
 Complexes are immutable once built; all operations here are pure.  The
 records (Generator, DiffEntry, LatticePoint, ValidationReport, and those of
@@ -83,7 +86,8 @@ class ValidationReport(NamedTuple):
 
 
 class _Matrix(NamedTuple):
-    """The differential of a complex, indexed in one walk over its entries.
+    """The differential of a complex, indexed in one walk over its entries,
+    kept by no complex: require_valid returns it to its caller.
 
     Each list is indexed by generator position.  out[x] lists the entries
     out of x themselves; pos[x] is x's position among the generators of its
@@ -144,8 +148,9 @@ class BifilteredComplex:
         self._entries, self._dup = entries, dup
         self.ambient_d = int(ambient_d)
         self.label = label
-        # built on first use (_slice only if admissible); _sweep is upsilon's
-        self._mat = self._violations = self._slice = self._sweep = None
+        # the engine's records, built on first use: require_admissible's
+        # _slice, only if admissible, and upsilon's _sweep
+        self._slice = self._sweep = None
 
     def __repr__(self):
         tag = self.label or "complex"
@@ -173,28 +178,26 @@ class BifilteredComplex:
                                      self._entries, self.ambient_d, label,
                                      self._dup)
 
-    # -- internal structure; built once every entry cites a generator
+    # -- internal structure; built only when every entry cites a generator
 
     def _matrix(self) -> _Matrix:
-        """The differential and the screen, built once: see _Matrix."""
-        if self._mat is None:
-            alex, maslov, entries = self._alex, self._maslov, self._entries
-            counters = (count(), count())
-            pos = [next(counters[m % 2]) for m in maslov]
-            out, col, ok = [[] for _ in alex], [0] * len(alex), True
-            for e in entries:
-                s, t, k = e
-                out[s].append(e)
-                col[s] ^= 1 << pos[t]
-                if (k < 0 or maslov[t] != maslov[s] - 1 + 2 * k
-                        or alex[t] - alex[s] > k):
-                    ok = False
-            screened = ok and sum(map(int.bit_count, col)) == len(entries)
-            cols = ([], [])
-            for m, v in zip(maslov, col):
-                cols[m % 2].append(v)
-            self._mat = _Matrix(out, pos, cols, screened)
-        return self._mat
+        """The differential and the screen, built on each call: see _Matrix."""
+        alex, maslov, entries = self._alex, self._maslov, self._entries
+        counters = (count(), count())
+        pos = [next(counters[m % 2]) for m in maslov]
+        out, col, ok = [[] for _ in alex], [0] * len(alex), True
+        for e in entries:
+            s, t, k = e
+            out[s].append(e)
+            col[s] ^= 1 << pos[t]
+            if (k < 0 or maslov[t] != maslov[s] - 1 + 2 * k
+                    or alex[t] - alex[s] > k):
+                ok = False
+        screened = ok and sum(map(int.bit_count, col)) == len(entries)
+        cols = ([], [])
+        for m, v in zip(maslov, col):
+            cols[m % 2].append(v)
+        return _Matrix(out, pos, cols, screened)
 
 
 def _repeats(names) -> list:
@@ -207,15 +210,14 @@ def _repeats(names) -> list:
 # validation
 
 
-def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
-    """Every structural fault of c in order, found once.  The walk that
-    builds the matrix screens the entries (see _Matrix); they are walked
-    again only to name a fault.  Under the Maslov rule a path x -> y -> z
-    has total U-power (M(z) - M(x))/2 + 1, so d^2 = 0 asks that z's bit in
-    the XOR of the columns of x's targets y be 0; where it is not, x's
-    paths are walked in y-then-z order to report each odd z once."""
-    if c._violations is not None:
-        return c._violations
+def require_valid(c: BifilteredComplex) -> _Matrix:
+    """Return c's matrix, or raise InvalidComplexError naming every
+    structural fault of c in order.  The walk that builds the matrix
+    screens the entries (see _Matrix); they are walked again only to name
+    a fault.  Under the Maslov rule a path x -> y -> z has total U-power
+    (M(z) - M(x))/2 + 1, so d^2 = 0 asks that z's bit in the XOR of the
+    columns of x's targets y be 0; where it is not, x's paths are walked
+    in y-then-z order to report each odd z once."""
     names, alex, maslov = c._names, c._alex, c._maslov
     n = len(alex)
     v = ["duplicate generator name %r" % name
@@ -257,30 +259,21 @@ def _structural_violations(c: BifilteredComplex) -> tuple[str, ...]:
                         v.append("d^2 != 0: odd number of two-step paths "
                                  "%s -> %s with total U-power %d"
                                  % (names[x], names[z], k1 + k2))
-
-    c._violations = tuple(v)
-    return c._violations
+    if v:
+        raise InvalidComplexError(v)
+    return mat
 
 
 def validate(c: BifilteredComplex) -> ValidationReport:
-    """Check every structural constraint and the homology rank condition.
-
-    Report-style: never raises, lists all violations found.
-    """
-    v = _structural_violations(c)
-    if not v:
-        try:
-            require_admissible(c)
-        except NonAdmissibleError as exc:
-            v = (str(exc),)
-    return ValidationReport(v)
-
-
-def require_valid(c: BifilteredComplex) -> None:
-    """Raise InvalidComplexError if any structural constraint fails."""
-    v = _structural_violations(c)
-    if v:
-        raise InvalidComplexError(v)
+    """require_admissible's verdict as a report, never raised: every
+    structural violation in order, else the homology refusal, else none."""
+    try:
+        require_admissible(c)
+    except InvalidComplexError as exc:
+        return ValidationReport(exc.violations)
+    except NonAdmissibleError as exc:
+        return ValidationReport((str(exc),))
+    return ValidationReport(())
 
 
 class _Slice(NamedTuple):
@@ -299,12 +292,12 @@ class _Slice(NamedTuple):
 
 def require_admissible(c: BifilteredComplex) -> _Slice:
     """Raise unless c is structurally valid with one-dimensional homology
-    in grading ambient_d; return its slice there, built once per complex.
-    A refusal is raised where it is found, on every call, and not kept."""
+    in grading ambient_d; return its slice there, built once per complex
+    from the matrix require_valid checked, which is then dropped.  A
+    refusal is raised where it is found, on every call, and not kept."""
     if c._slice is None:
-        require_valid(c)
+        cols = require_valid(c).cols
         p = c.ambient_d % 2
-        cols = c._matrix().cols
         ech = BitEchelon()
         boundaries = [bits(w) for w in cols[1 - p] if ech.add(w)]
         # rank-nullity: n_p - rank d_p cycles, rank B of them boundaries
@@ -346,8 +339,7 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
     "a*b", each with entries d(a)*b, then a*d(b): repeated tensors associate
     on the nose up to names.  Two products named alike raise ValueError.
     """
-    require_valid(c1)
-    require_valid(c2)
+    out1, out2 = require_valid(c1).out, require_valid(c2).out
     tails = ["*" + b for b in c2._names]
     names = [a + tail for a in c1._names for tail in tails]
     # names are unique per factor; a*b splits at its last * unless b has one
@@ -355,7 +347,6 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
         raise ValueError("tensor name clash: %s"
                          % sorted(set(_repeats(names))))
     n2 = len(c2._alex)
-    out1, out2 = c1._matrix().out, c2._matrix().out
     entries = []
     append = entries.append
     for x1, terms1 in enumerate(out1):

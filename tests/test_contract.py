@@ -9,7 +9,7 @@ re-proves with check_segment_certificate, which reads only the
 differential list.  A filtered change of basis or a cancelling pair
 (helpers.scrambled) keeps the bifiltered homotopy type while it makes the
 complex dense and unreduced; the same holds of the scrambled complex at
-benchmark scale.
+benchmark scale and of scrambled random admissible complexes.
 tensor commutes, and a direct sum with an acyclic box changes nothing:
 each witness of the summand, extended by zero, proves its segment of the
 sum too.
@@ -76,17 +76,23 @@ def test_shuffled_complexes_keep_upsilon_and_their_witnesses_prove_it():
 def test_scrambled_complexes_keep_upsilon_and_their_witnesses_prove_it():
     # at benchmark scale: the torus knots up to T(5,7), their mirrors and
     # the sum-tower chains, each under filtered changes of basis with
-    # cancelling pairs summed on: 160 complexes, up to 4,000 entries
+    # cancelling pairs summed on: 160 complexes, up to 4,000 entries.
+    # Then 60 random admissible complexes, scrambled twice each: 120
+    # dense, unreduced complexes of up to 114 entries
     torus = [(p, q) for p in range(2, 6) for q in range(p + 1, 8)
              if gcd(p, q) == 1]
-    pool = ([ku.torus_knot_complex(p, q) for p, q in torus]
-            + [ku.torus_knot_complex(p, -q) for p, q in torus]
-            + list(sum_tower_chains()))
-    assert len(pool) == 40
+    rng = random.Random(17)
+    pool = ([(c, ((10, 2), (30, 3), (60, 4), (120, 6))) for c in
+             [ku.torus_knot_complex(p, q) for p, q in torus]
+             + [ku.torus_knot_complex(p, -q) for p, q in torus]
+             + list(sum_tower_chains())]
+            + [(random_admissible_complex(rng, "r%d" % k), ((10, 2), (40, 4)))
+               for k in range(60)])
+    assert len(pool) == 100
     rng = random.Random(31)
-    for c in pool:
+    for c, grid in pool:
         f, tau = ku.upsilon(c), ku.tau(c)
-        for changes, pairs in ((10, 2), (30, 3), (60, 4), (120, 6)):
+        for changes, pairs in grid:
             s = scrambled(c, rng, changes, pairs)
             assert ku.validate(s).ok, c
             g = ku.upsilon(s)

@@ -136,7 +136,8 @@ def test_slice_is_built_once_per_complex(monkeypatch):
     # distinguished cycle once; every later entry point reads that record.
     # A build is counted where a complex's _slice leaves None.  A refusal
     # is raised on every call and never kept, so _slice stays None.  The
-    # d^2 check and require_admissible read one matrix, built once.
+    # matrix is built once, by require_valid, and require_admissible reads
+    # the one it returns: no complex keeps it for a second read.
     builds, reads = [], []
     real_matrix = BifilteredComplex._matrix
 
@@ -165,7 +166,7 @@ def test_slice_is_built_once_per_complex(monkeypatch):
         assert ku.nu_at(c, t).nu == -f(t) / 2
     assert all(check.passed for check in ku.jump_report(c, f))
     assert builds == [c]
-    assert len(reads) == 2
+    assert len(reads) == 1
     assert all(d is c and m is reads[0][1] for d, m in reads)
 
     # the trefoil plus one generator: refused by each route with one

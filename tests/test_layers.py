@@ -29,7 +29,11 @@ site, and _carried reads the crossing points that search named, so it
 is handed no weight list and walks no phi.  The slice record is built or
 refused: require_admissible raises each refusal and tests no type, and
 complexes.py puts into a _slice slot only a _Slice(...) call or the None
-of _adopt.
+of _adopt.  The checks cache nothing on a complex: complexes.py assigns
+on one only its data (_names, _alex, _maslov, _entries, _dup, ambient_d,
+label) and the engine's two records (_slice, _sweep), and validate
+reaches the checks through require_admissible alone, calling neither
+require_valid nor _matrix.
 """
 
 import ast
@@ -225,3 +229,18 @@ def test_slice_slot_holds_none_or_a_built_record():
     assert values == [("_adopt", "None"), ("require_admissible", "_Slice(...)")]
     assert not [n for n in ast.walk(COMPLEXES) if isinstance(n, ast.Constant)
                 and n.value == "_slice"]
+
+
+def test_a_complex_keeps_its_data_and_the_engines_records_only():
+    stored = {node.attr for node in ast.walk(COMPLEXES)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)}
+    assert stored <= {"_names", "_alex", "_maslov", "_entries", "_dup",
+                      "ambient_d", "label", "_slice", "_sweep"}
+    functions = {node.name: node for node in COMPLEXES.body
+                 if isinstance(node, ast.FunctionDef)}
+    called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+              for n in ast.walk(functions["validate"])
+              if isinstance(n, ast.Call)}
+    assert called & set(functions) == {"require_admissible"}
+    assert not called & {"require_valid", "_matrix"}
