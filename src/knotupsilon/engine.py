@@ -21,20 +21,20 @@ are built, for its certificate; two test oracles check it.
 upsilon sweeps t segment by segment: the cycle and the cocycle hold nu to
 the realizing point's line up to the next tie parameter where a point of
 either crosses it; the tie search, the one walk at a tie, names these
-crossing points.  Every witness runs to its first tie, and a scan gives
-one only where no candidate does or it fails its proof.  Past t = 1 the
-slice's reversal (_flip) turns weights at t into weights at 2 - t, so the
-candidate is the mirror of the segment below 1 holding 2 - t; else, where
-every crossing point is a cocycle point, falling, the lowest, swapped in
-for the realizer.  Each segment is proved from its certificate before it
-is kept; its cocycle half reads the cocycle alone, so it runs once per
-distinct cocycle of a sweep.  The sweep, kept on the complex for tau and
-jump_report, holds the segment ends and each segment's realizer, cycle and
-cocycle once, as slice positions.  It keeps t = a/b unreduced, as every
-use is scale-invariant, and builds the weight list at each t once: the
-scan's keys, the checks of both segments meeting at t and upsilon(t) all
-read it.  On a segment upsilon is -2 times its realizer's weight, of slope
-i - j; tau is minus the first slope, since upsilon'(0) = -tau.
+crossing points.  Every witness runs to its first tie; the next is the
+same with the lowest crossing point swapped in for the realizer where all
+are falling cocycle points, or else a scan's.  Each segment is proved from
+its certificate before it is kept; its cocycle half reads the cocycle
+alone, so it runs once per distinct cocycle of a sweep.  Past t = 1 the
+slice's reversal (_flip), proved once to keep the boundaries and the
+class, maps each witness at t to one at 2 - t: the mirrors of those below
+end the sweep.  The sweep, kept on the complex for tau and jump_report,
+holds the segment ends and each segment's realizer, cycle and cocycle
+once, as slice positions.  It keeps t = a/b unreduced, as every use is
+scale-invariant, and builds the weight list at each t once: the scan's
+keys, the checks of both segments meeting at t and upsilon(t) all read it.
+On a segment upsilon is -2 times its realizer's weight, of slope i - j;
+tau is minus the first slope, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
         cocycle=points(sorted(phi)))
 
 
-def _proves_segment(s, top, r, phi, w0, w1, proved):
+def _proves_segment(s, top, r, phi, w0, w1, proved, masks):
     """Whether the supports r and phi prove that nu follows the line of the
     point at top between two ends, w0 and w1 the slice's weight lists
     there, each scaled by its own 2b; all are positions in the slice s.  As
@@ -132,7 +132,9 @@ def _proves_segment(s, top, r, phi, w0, w1, proved):
     e = s.echelon
     if e.reduce(sum([1 << x for x in r]) ^ s.cycle):
         return False
-    pm = sum([1 << x for x in phi])
+    if masks.get(id(phi), (None,))[0] is not phi:  # id(phi): (phi, mask)
+        masks[id(phi)] = phi, sum([1 << x for x in phi])
+    pm = masks[id(phi)][1]
     if pm not in proved:
         if not ((pm & s.cycle).bit_count() & 1 and not any(
                 [(pm & v).bit_count() & 1 for v in e.pivots.values()])):
@@ -157,6 +159,23 @@ def _flip(s, ids):
     return ids[::-1] if s.i[::-1] == s.j else None
 
 
+def _proves_flip(s, flip, z):
+    """Whether flip, an involution of s's positions taking [x, i, j] to
+    [flip[x], j, i], maps z, a support, into z + B and each basis boundary
+    into B (its mate, else any, else the echelon's span): then a witness
+    on [t0, t1] flips to one on [2 - t1, 2 - t0]."""
+    if ([flip[y] for y in flip] != list(range(len(flip)))
+            or [s.i[y] for y in flip] != s.j
+            or s.echelon.reduce(sum([1 << flip[x] for x in z]) ^ s.cycle)):
+        return False
+    images = [sorted([flip[x] for x in b]) for b in s.boundaries]
+    if images != s.boundaries[::-1]:  # some image is not its mate
+        known = set(map(tuple, s.boundaries))
+        return all(tuple(v) in known or not s.echelon.reduce(
+            sum([1 << x for x in v])) for v in images)
+    return True
+
+
 class _Sweep(NamedTuple):
     """upsilon's result, segment ends and witnesses (top, r, phi): each
     segment's realizer, cycle and cocycle as slice positions.  This is all
@@ -176,11 +195,12 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     t' >= t the class keeps min_phi w_t' <= nu(t') <= max_r w_t', so nu
     follows p's line up to the first tie parameter t1 where points of r
     overtake p or points of phi drop below it (or t1 = 2); the tie search
-    keeps them as cross.  Any witness ends there: past t = 1 the _flip of
-    the one holding 2 - t, else _carried's, read off cross; a refused
-    mirror gives way to the carry, a refused carry to a scan.  Each segment
-    is checked from its certificate before it is kept, and consecutive
-    realizers must weigh the same where they meet, on t's one weight list.
+    keeps them as cross.  Any witness ends there; _carried's, read off
+    cross, or else a scan's is the next, checked from its certificate
+    before it is kept, and realizers must weigh the same where they meet.
+    At the first start a/b >= 1 a flip _proves_flip holds turns each
+    segment [t0, t1] below into [2 - t1, 2 - t0], cut at a/b, and ends the
+    sweep; a refused one costs scans, never answers.
     """
     # the sweep is kept only after require_admissible passed
     if c._sweep is not None:
@@ -190,8 +210,8 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     ds = [j - i for i, j in zip(si, sj)]
     span = max(ds) - min(ds) + 1  # w * span + d orders as (w, d) does
     ids = list(range(len(si)))  # kept supports share these ints
-    ends, witnesses, values, proved = [(0, 1)], [], [], set()
-    flip = k = carry = None  # k: segment to mirror past 1; carry: its cross
+    ends, witnesses, values, proved, masks = [(0, 1)], [], [], set(), {}
+    flip = carry = None  # carry: cross, the last tie search's
 
     def weights(a, b):  # 2b times the weight at a/b, by position
         return [(2 * b - a) * i + a * j for i, j in zip(si, sj)]
@@ -199,15 +219,11 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     a, b = 0, 1
     w = weights(a, b)
     while a < 2 * b:
-        if k is None and a >= b:
-            flip, k = _flip(s, ids), len(witnesses) - 1
-        if flip:  # the mirror of the segment below 1 holding 2 - t
-            while ends[k][0] * b >= (2 * b - a) * ends[k][1]:
-                k -= 1
-            top, rs, ps = witnesses[k]
-            held = flip[top], [flip[x] for x in rs], [flip[x] for x in ps]
-        else:
-            held = carry and _carried(s, *witnesses[-1], carry, ds)
+        if flip is None and a >= b:  # once; [] if there is none
+            flip = _flip(s, ids) or []
+            if flip and _proves_flip(s, flip, z):
+                break
+        held = carry and _carried(s, *witnesses[-1], carry, ds)
         top, rs, ps = held or _filtered_scan(
             z, s.boundaries, [x * span + d for x, d in zip(w, ds)], ids)
         # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with d = j - i;
@@ -224,9 +240,9 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
                     cross.append((ds[x], x))
         t1 = (n1, m1)
         w1 = weights(*t1)
-        if not _proves_segment(s, top, rs, ps, w, w1, proved):
-            if held:  # a refused mirror tries the carry next, a carry scans
-                flip, carry = None, flip and carry
+        if not _proves_segment(s, top, rs, ps, w, w1, proved, masks):
+            if held:  # a refused carry gives way to a scan
+                carry = None
                 continue
             raise AssertionError("nu not linear on [%s, %s]: its certificate "
                                  "fails" % (Fraction(a, b), Fraction(*t1)))
@@ -236,13 +252,20 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         witnesses.append((top, rs, ps))
         values.append(Fraction(-w1[top], t1[1]))
         (a, b), w, carry = t1, w1, cross
+    values.insert(0, Fraction(-2 * si[witnesses[0][0]]))  # upsilon at ends
+    if a < 2 * b:  # the flip holds: the first h segments mirror past a/b
+        h = sum([n * b < (2 * b - a) * m for n, m in ends[:-1]])
+        if w[flip[witnesses[h - 1][0]]] != w[witnesses[-1][0]]:
+            raise AssertionError("nu jumps at %s" % Fraction(a, b))
+        lists = {id(xs): xs for _, r, phi in witnesses[:h] for xs in (r, phi)}
+        flipped = {k: [flip[x] for x in xs] for k, xs in lists.items()}
+        ends += [(2 * m - n, m) for n, m in ends[h - 1::-1]]
+        witnesses += [(flip[p], flipped[id(r)], flipped[id(phi)])
+                      for p, r, phi in witnesses[h - 1::-1]]
+        values += values[h - 1::-1]  # upsilon(2 - t) = upsilon(t)
     grid = [Fraction(a, b) for a, b in ends]
-    # on p's segment upsilon = -2 w_p: slope i - j, value -w[p] / b at
-    # a/b, the end of p's segment and the start of the next one's, whose
-    # realizer weighs the same there
-    f = PLFunction._canonical(
-        grid, [Fraction(-2 * si[witnesses[0][0]])] + values,
-        [si[p] - sj[p] for p, _, _ in witnesses])
+    f = PLFunction._canonical(grid, values,
+                              [si[p] - sj[p] for p, _, _ in witnesses])
     c._sweep = _Sweep(f, grid, witnesses)
     return f
 

@@ -13,7 +13,7 @@ import knotupsilon as ku
 import knotupsilon.engine
 from knotupsilon import BifilteredComplex, Generator, LatticePoint, PLFunction
 from knotupsilon.complexes import require_admissible
-from knotupsilon.gf2 import BitEchelon
+from knotupsilon.gf2 import BitEchelon, bits
 
 from helpers import (F8, SUM_TOWER, brute_force_nu, cable_alexander,
                      chain_boundary, check_flip, check_segment_certificate,
@@ -308,9 +308,11 @@ def test_witnesses_travel_through_tensor_and_dual():
             c = product
     # (merged grid, sweep, function) segment counts: the merged grid can
     # be finer or coarser than the sweep's, and either finer than the
-    # function, so functions are compared, not grids
-    assert grids[(3, 7), (3, -5), (2, 3)] == (5, 5, 3)
-    assert grids[(3, 7), (3, -7)] == (3, 5, 1)
+    # function, so functions are compared, not grids.  Past t = 1 the sweep
+    # keeps the exact mirrors of its segments below, so its grid there is
+    # 2 minus the grid below
+    assert grids[(3, 7), (3, -5), (2, 3)] == (6, 6, 3)
+    assert grids[(3, 7), (3, -7)] == (3, 6, 1)
     assert proved == 45
 
 
@@ -542,6 +544,19 @@ def _flip_of(c):
     return knotupsilon.engine._flip(s, list(range(len(s.i))))
 
 
+def _mirrors(c, h):
+    """What c's sweep keeps past its flip point, the grid point h, if the
+    flip holds there: the (witnesses, grid points) mirroring the segments
+    below, last first.  Segment k, [t_k, t_k+1], turns into [2 - t_k+1,
+    2 - t_k] cut at t_h, with the flip of its witness, and is dropped if
+    2 - t_k is not past t_h."""
+    grid, witnesses, flip = c._sweep.grid, c._sweep.witnesses, _flip_of(c)
+    kept = [k for k in range(h) if 2 - grid[k] > grid[h]][::-1]
+    return ([(flip[p], [flip[x] for x in r], [flip[x] for x in phi])
+             for p, r, phi in map(witnesses.__getitem__, kept)],
+            [2 - grid[k] for k in kept])
+
+
 def _on_slice(c, pi):
     """pi, a permutation of c's generators, as a map of slice positions."""
     keep = [x for x, g in enumerate(c.generators)
@@ -673,37 +688,114 @@ def _swept_with(monkeypatch, c, flip=None):
     return ku.upsilon(c), len(scans)
 
 
-def test_wrong_flip_costs_scans_not_answers(monkeypatch):
-    # two positions of T(5,7)'s reversal swapped, given to the sweep in
-    # place of the rule's flip, map points off their mirrors; the reversal
-    # the rule gives T(3,4)#T(2,-3)#figure8#figure8 is no chain map there
-    # (figure8's e <-> d), and its flip symmetry pi on the slice is given
-    # to compare.  Each wrong flip gives the right flip's upsilon, with
-    # more scans, and witnesses that re-prove.  With the carried candidate
-    # on, T(5,7) takes one scan either way.
-    _no_carry(monkeypatch)
-    t, fig8 = ku.torus_knot_complex, ku.figure_eight_complex()
+def _class_mover():
+    """The trefoil summed with x, y, w and u, where dx = Uw, dy = w and
+    du = x + Uy: the slice holds x0, x2, x and y at (0, 1), (1, 0), (1, 0)
+    and (0, 1), its boundaries are x0 + x2 and x + y, and x0 represents
+    the class.  [1, 0, 3, 2] keeps both; [2, 3, 0, 1] swaps the two
+    boundaries but takes x0 to x, which is no cycle."""
+    t = ku.torus_knot_complex(2, 3)
+    gens = list(t.generators) + [Generator("x", -1, -2), Generator("y", 1, 0),
+                                 Generator("w", 0, -1), Generator("u", 0, -1)]
+    diff = list(t.differential) + [("x", "w", 1), ("y", "w", 0),
+                                   ("u", "x", 0), ("u", "y", 1)]
+    return BifilteredComplex(gens, diff, 0, "trefoil+xywu")
+
+
+def _wrong_flips():
+    """(build, right, wrong, facts): a complex builder, a flip _proves_flip
+    holds on its slice and a wrong one, each None for the rule's reversal,
+    and which of the four facts _proves_flip checks hold for the wrong one:
+    it is an involution, it takes each point to its mirror, it maps each
+    basis boundary into B, and it keeps the class."""
+    t = ku.torus_knot_complex
+    # T(3,4)#T(3,4)'s points at 1 and 5 share (i, j): the reversal with
+    # their targets exchanged still mirrors every point, but twice it
+    # takes 1 to 5
+    square = _flip_of(ku.tensor(t(3, 4), t(3, 4)))
+    square[1], square[5] = square[5], square[1]
+    # two entries of T(5,7)'s reversal swapped, and the involution with
+    # 0 <-> n-3 and 2 <-> n-1: each takes points off their mirrors
     swapped = _flip_of(t(5, 7))
     swapped[0], swapped[2] = swapped[2], swapped[0]
-    s = require_admissible(t(5, 7))
-    assert any((s.i[y], s.j[y]) != (s.j[x], s.i[x])
-               for x, y in enumerate(swapped))
-    torus2 = ku.tensor(t(3, 4), t(2, -3))
-    pi = _product(_product(_reversal(len(torus2.generators)), _AC), _AC)
+    n = len(swapped)
+    crossed = [{0: n - 3, n - 3: 0, 2: n - 1, n - 1: 2}.get(x, n - 1 - x)
+               for x in range(n)]
+    cases = [(lambda: ku.tensor(t(3, 4), t(3, 4)), None, square,
+              (False, True, True, True)),
+             (lambda: t(5, 7), None, swapped, (False, False, True, True)),
+             (lambda: t(5, 7), None, crossed, (True, False, True, True)),
+             (_class_mover, [1, 0, 3, 2], [2, 3, 0, 1],
+              (True, True, True, False))]
+    # the three sum-tower chains of torus knots and figure-eight factors:
+    # the rule's reversal takes some boundary out of B (figure8's e <-> d
+    # is no chain map); their flip symmetry pi swaps a and c instead
+    for tokens in ([(3, 4), (2, -3), F8, F8], [(3, 5), (2, -5), F8],
+                   [(4, 5), (2, -3), F8]):
+        def chain(tokens=tokens):
+            return reduce(ku.tensor, map(summand, tokens))
 
-    def chain():
-        return reduce(ku.tensor, [torus2, fig8, fig8])
+        torus = reduce(ku.tensor, map(summand, tokens[:2]))
+        pi = _reversal(len(torus.generators))
+        for _ in tokens[2:]:
+            pi = _product(pi, _AC)
+        assert check_flip(chain(), pi)
+        assert not check_flip(chain(), _reversal(len(pi)))
+        cases.append((chain, _on_slice(chain(), pi), None,
+                      (True, True, False, False)))
+    return cases
 
-    assert check_flip(chain(), pi)
-    assert not check_flip(chain(), _reversal(len(pi)))
-    for build, right, wrong in ((lambda: t(5, 7), None, swapped),
-                                (chain, _on_slice(chain(), pi), None)):
+
+def _flip_facts(s, flip):
+    """The four facts _proves_flip checks, read off the slice record s
+    one by one: an involution, points to their mirrors, each basis boundary
+    into B, and the class's cycle into its class."""
+    e, ids = s.echelon, list(range(len(s.i)))
+
+    def mask(xs):
+        return sum(1 << flip[x] for x in xs)
+
+    return ([flip[y] for y in flip] == ids,
+            all((s.i[y], s.j[y]) == (s.j[x], s.i[x])
+                for x, y in enumerate(flip)),
+            not any(e.reduce(mask(b)) for b in s.boundaries),
+            not e.reduce(mask(bits(s.cycle)) ^ s.cycle))
+
+
+def test_proves_flip_refuses_each_wrong_flip():
+    # _proves_flip refuses a flip that fails any one of its four facts: a
+    # permutation mirroring every point that is no involution, two that
+    # move points off their mirrors, the reversal of the three chains with
+    # figure-eight factors, where a boundary leaves B, and a flip that
+    # keeps B but moves the class.  It holds each case's right flip.
+    for build, right, wrong, facts in _wrong_flips():
+        c = build()
+        s, rule = require_admissible(c), _flip_of(c)
+        right, wrong = right or rule, wrong or rule
+        z = bits(s.cycle)
+        assert _flip_facts(s, right) == (True,) * 4, c.label
+        assert _flip_facts(s, wrong) == facts, c.label
+        assert knotupsilon.engine._proves_flip(s, right, z)
+        assert not knotupsilon.engine._proves_flip(s, wrong, z), c.label
+
+
+def test_wrong_flip_costs_scans_not_answers(monkeypatch):
+    # each wrong flip of _wrong_flips, given to the sweep in place of the
+    # rule's, is refused once by _proves_flip, and the sweep goes on past
+    # t = 1 as below it: the right flip's upsilon, with more scans, and
+    # witnesses that re-prove.  The carried candidate is off, so that scans
+    # count the segments past 1; with it on, T(5,7) takes one scan either
+    # way.
+    _no_carry(monkeypatch)
+    for build, right, wrong, _ in _wrong_flips():
         with monkeypatch.context() as m:
             f, half = _swept_with(m, build(), right)
         c = build()
         with monkeypatch.context() as m:
+            asked = _counted(m, "_proves_flip")
             g, scans = _swept_with(m, c, wrong)
-        assert g == f and g.slopes == f.slopes and scans > half
+        assert len(asked) == 1, c.label
+        assert g == f and g.slopes == f.slopes and scans > half, c.label
         for ends, p, cycle, cocycle in swept_segments(c):
             assert check_segment_certificate(c, ends, p, cycle, cocycle)
 
@@ -764,10 +856,11 @@ def test_flip_halves_the_scans(monkeypatch):
 
 
 def _sweep_events(monkeypatch):
-    """The sweep's calls of _flip, _proves_segment and _filtered_scan
-    from now on, in order, each as (name, what it returned)."""
+    """The sweep's calls of _flip, _proves_flip, _proves_segment and
+    _filtered_scan from now on, in order, each as (name, what it
+    returned)."""
     engine, events = knotupsilon.engine, []
-    for name in ("_flip", "_proves_segment", "_filtered_scan"):
+    for name in ("_flip", "_proves_flip", "_proves_segment", "_filtered_scan"):
         def logged(*args, name=name, real=getattr(engine, name)):
             events.append((name, real(*args)))
             return events[-1][1]
@@ -778,11 +871,13 @@ def _sweep_events(monkeypatch):
 
 def test_flip_rule_reaches_all_but_figure_eight_products(monkeypatch):
     # the rule's reach over the flip cases: it gives every case without a
-    # figure-eight factor a flip that no mirrored proof refuses, and a
-    # JSON round trip, in builder order, takes its builder's scans.  On
-    # the three sum-tower chains of torus knots and figure-eight factors
-    # the reversal is refused once, on its first mirrored proof, and the
-    # sweep scans there.
+    # figure-eight factor a flip, _proves_flip holds it wherever the sweep
+    # reaches t = 1 with work left, and the sweep then proves and scans
+    # nothing more; a JSON round trip, in builder order, takes its
+    # builder's scans.  The rule's flip is asked for once per sweep, and
+    # refused on 44 figure-eight products and held on none.  On the three
+    # sum-tower chains of torus knots and figure-eight factors it is
+    # refused right after the rule gives it, and the sweep scans there.
     events = _sweep_events(monkeypatch)
 
     def sweep(c):
@@ -793,26 +888,34 @@ def test_flip_rule_reaches_all_but_figure_eight_products(monkeypatch):
     def scans(log):
         return sum(name == "_filtered_scan" for name, _ in log)
 
+    refused = 0
     for c, _ in _flip_cases():
         c = c.relabeled(c.label)  # unswept: the corpus is shared
         log = sweep(c)
-        flips = [k for k, (name, _) in enumerate(log) if name == "_flip"]
+        names = [name for name, _ in log]
+        verdicts = [ok for name, ok in log if name == "_proves_flip"]
+        assert names.count("_flip") <= 1 and len(verdicts) <= 1, c.label
         if "figure8" not in c.label:
             assert _flip_of(c) is not None, c.label
-            assert all(ok for name, ok in log[flips[0] if flips else 0:]
-                       if name == "_proves_segment"), c.label
+            assert verdicts in ([], [True]), c.label
+        else:
+            assert verdicts != [True], c.label
+            refused += verdicts == [False]
+        if verdicts == [True]:
+            assert names[-1] == "_proves_flip", c.label
         twin = ku.complex_from_json(ku.complex_to_json(c))
         assert scans(sweep(twin)) == scans(log), c.label
+    assert refused == 44
     chains = [[(3, 4), (2, -3), F8, F8], [(3, 5), (2, -5), F8],
               [(4, 5), (2, -3), F8]]
     for tokens in chains:
         c = reduce(ku.tensor, map(summand, tokens))
         log = sweep(c)
-        refused = [k for k, (name, ok) in enumerate(log)
-                   if name == "_proves_segment" and not ok]
         k = [name for name, _ in log].index("_flip")
-        assert _flip_of(c) is not None and refused == [k + 1], tokens
+        assert _flip_of(c) is not None, tokens
+        assert log[k + 1] == ("_proves_flip", False), tokens
         assert log[k + 2][0] == "_filtered_scan"
+        assert all(ok for name, ok in log if name == "_proves_segment")
 
 
 def test_sweep_proves_each_cocycle_once(monkeypatch):
@@ -820,9 +923,11 @@ def test_sweep_proves_each_cocycle_once(monkeypatch):
     # the whole slice on all 15 segments, so the cocycle half of the proof,
     # the one reader of the echelon's rows, runs once.  The echelon's row
     # operations over the torus-ladder pool, sweeps and slices, are pinned
-    # at their figures since the sweep carries each witness across its tie
-    # (5,195 and 6,051 when every segment below t = 1 was scanned); each
-    # carried candidate costs one reduce to screen and one in its proof.
+    # at their figures since the flip is proved once per sweep (3,483
+    # reduces when each mirrored segment was proved, 6,051 when every
+    # segment below t = 1 was scanned); each carried candidate costs one
+    # reduce to screen and one in its proof, and the flip's proof one for
+    # the class, its boundaries all matching their mates.
     class Rows(dict):
         def values(self):
             reads.append(len(self))
@@ -843,7 +948,7 @@ def test_sweep_proves_each_cocycle_once(monkeypatch):
         monkeypatch.setattr(BitEchelon, name, counted)
     for p, q in torus_ladder():
         ku.upsilon(ku.torus_knot_complex(p, q))
-    assert calls == {"add": 2627, "reduce": 3483}
+    assert calls == {"add": 2627, "reduce": 3313}
 
 
 class _AllBoundaries:
@@ -899,14 +1004,18 @@ def test_sweep_carries_each_witness_across_its_tie(monkeypatch):
     # is no boundary there, and a scan takes the place of each.  Three
     # chains of torus knots and figure-eight factors refuse the reversal
     # at t = 1 and sweep on past it: 6 scans and 3 turned down more than
-    # with their flip symmetry.
+    # with their flip symmetry.  The kept witnesses are the proved ones,
+    # below the flip point where the flip holds, then their mirrors.
     log = _sweep_log(monkeypatch)
 
     def sweep(c):
         log["proofs"].clear()
         ku.upsilon(c)
         kept = [w for w, ok in log["proofs"] if ok]
-        assert kept == c._sweep.witnesses, c.label
+        h = len(kept)
+        assert c._sweep.witnesses[:h] == kept, c.label
+        assert (c._sweep.witnesses[h:], c._sweep.grid[h + 1:]) == _mirrors(
+            c, h), c.label
 
     for p, q in torus_ladder():
         log["scans"].clear()
@@ -1269,48 +1378,60 @@ def test_upsilon_equals_validated_rebuild():
         assert g == f and g.slopes == f.slopes
 
 
-@pytest.mark.parametrize("knots,scans,pieces", [
-    ([(3, 5), (2, -3)], 4, 3), ([(3, 7), (3, -7)], 5, 1),
+@pytest.mark.parametrize("knots,segments,pieces", [
+    ([(3, 5), (2, -3)], 4, 3), ([(3, 7), (3, -7)], 6, 1),
 ], ids=["T(3,5)#T(2,-3)", "T(3,7)#T(3,-7)"])
-def test_upsilon_merges_collinear_segments(knots, scans, pieces):
+def test_upsilon_merges_collinear_segments(knots, segments, pieces):
+    # the sweep's segments past t = 1 mirror those below exactly, so
+    # T(3,7)#T(3,-7) keeps 6 segments, 3 below 1 and their 3 mirrors, for
+    # a function of one piece
     c = ku.tensor(*(ku.torus_knot_complex(*pq) for pq in knots))
     f = ku.upsilon(c)
-    assert len(c._sweep.grid) - 1 == scans
+    assert len(c._sweep.grid) - 1 == segments
     assert len(f.slopes) == pieces
     g = _rebuilt_through_constructor(c)
     assert g == f and g.slopes == f.slopes
 
 
-def test_mirrored_witness_runs_to_its_first_tie():
-    # past t = 1 the mirror of a segment below 1 is a candidate like any
-    # other: it ends at its first tie, not at the mirror of its segment's
-    # start.  On T(3,7)#T(3,-7) the mirror of [6/7, 1] holds on [1, 4/3],
-    # past 8/7, so the sweep takes 5 segments, not 6.  Every segment past 1
-    # is the mirror of one below 1, and every kept witness re-proves.
-    c = ku.tensor(ku.torus_knot_complex(3, 7), ku.torus_knot_complex(3, -7))
-    ku.upsilon(c)
-    grid, witnesses, flip = c._sweep.grid, c._sweep.witnesses, _flip_of(c)
-    assert grid == [0, F(2, 3), F(6, 7), 1, F(4, 3), 2]
-    half, beyond = grid.index(1), []
-    for k in range(half, len(witnesses)):
-        top, r, phi = witnesses[k]
-        h = witnesses.index((flip[top], [flip[x] for x in r],
-                             [flip[x] for x in phi]))
-        assert h < half and grid[k + 1] >= 2 - grid[h]
-        if grid[k + 1] > 2 - grid[h]:
-            beyond.append((grid[k], grid[k + 1]))
-    assert beyond == [(1, F(4, 3))]
-    for ends, p, cycle, cocycle in swept_segments(c):
-        assert check_segment_certificate(c, ends, p, cycle, cocycle)
+def _flip_point(c):
+    """The index in c's grid of its first point at or past t = 1."""
+    return next(k for k, t in enumerate(c._sweep.grid) if t >= 1)
+
+
+def test_mirrored_segments_are_exact_mirrors():
+    # past the flip point, the first grid point at or past t = 1, the sweep
+    # keeps the exact mirror of each segment below: [t0, t1] turns into
+    # [2 - t1, 2 - t0], cut at the flip point, with the flip of its
+    # witness.  On T(3,7)#T(3,-7) the flip point is 1 and the grid above it
+    # is 2 minus the grid below; on T(3,4) the carried segment [2/3, 4/3]
+    # straddles 1, and its mirror, which would end at the flip point 4/3,
+    # is dropped.  Every kept witness re-proves.
+    grids = {}
+    for knots in [((3, 7), (3, -7)), ((3, 4),)]:
+        c = reduce(ku.tensor, [ku.torus_knot_complex(*pq) for pq in knots])
+        ku.upsilon(c)
+        h = _flip_point(c)
+        assert (c._sweep.witnesses[h:], c._sweep.grid[h + 1:]) == _mirrors(
+            c, h)
+        grids[knots] = c._sweep.grid
+        for ends, p, cycle, cocycle in swept_segments(c):
+            assert check_segment_certificate(c, ends, p, cycle, cocycle)
+    assert grids == {((3, 7), (3, -7)): [0, F(2, 3), F(6, 7), 1, F(8, 7),
+                                         F(4, 3), 2],
+                     ((3, 4),): [0, F(2, 3), F(4, 3), 2]}
 
 
 def test_sweep_counts_over_the_five_pools(monkeypatch):
-    # a machine-independent guard on the one candidate slot, measured once:
-    # (scans, kept segments) over the torus-ladder pool, its mirrors, the
-    # sum-tower chains, the flip cases and their JSON round trips.  The
-    # sum-tower chains took 68 segments when a mirrored witness ended at
-    # the mirror of its segment's start; T(3,7)#T(3,-7) and
-    # T(3,7)#T(3,-5)#T(2,3) each take one fewer now.
+    # a machine-independent guard on the one candidate slot and on the
+    # flip proved once, measured once: (scans, kept segments, mirrored
+    # segments) over the torus-ladder pool, its mirrors, the sum-tower
+    # chains, the flip cases and their JSON round trips.  Where
+    # _proves_flip holds, every witness past the flip point is the flip of
+    # its mirror below and the grid there is 2 minus the grid below, and
+    # every kept witness of every pool but the JSON twins re-proves.  The
+    # sum-tower chains took 66 segments when a mirrored witness ran to its
+    # first tie: T(3,7)#T(3,-7) and T(3,7)#T(3,-5)#T(2,3) each keep one
+    # more now, the exact mirrors of their segments below 1.
     cases = [c.relabeled(c.label) for c, _ in _flip_cases()]  # unswept
     pools = {
         "torus-ladder": [ku.torus_knot_complex(p, q)
@@ -1319,14 +1440,34 @@ def test_sweep_counts_over_the_five_pools(monkeypatch):
         "sum-tower": list(sum_tower_chains()), "flip cases": cases,
         "JSON": [ku.complex_from_json(ku.complex_to_json(c)) for c in cases]}
     scans, counts = _counted(monkeypatch, "_filtered_scan"), {}
+    real, held = knotupsilon.engine._proves_flip, []
+
+    def proves_flip(*args):
+        held.append(real(*args))
+        return held[-1]
+
+    monkeypatch.setattr(knotupsilon.engine, "_proves_flip", proves_flip)
     for name, pool in pools.items():
         scans.clear()
+        mirrored = 0
         for c in pool:
+            held.clear()
             ku.upsilon(c)
-        counts[name] = len(scans), sum(len(c._sweep.witnesses) for c in pool)
-    assert counts == {"torus-ladder": (77, 513), "mirrors": (266, 513),
-                      "sum-tower": (44, 66), "flip cases": (1249, 3900),
-                      "JSON": (1249, 3900)}
+            if held == [True]:
+                h = _flip_point(c)
+                assert (c._sweep.witnesses[h:], c._sweep.grid[h + 1:]) == (
+                    _mirrors(c, h)), c.label
+                mirrored += len(c._sweep.witnesses) - h
+            if name != "JSON":
+                for ends, p, cycle, cocycle in swept_segments(c):
+                    assert check_segment_certificate(c, ends, p, cycle,
+                                                     cocycle), c.label
+        counts[name] = (len(scans), sum(len(c._sweep.witnesses) for c in pool),
+                        mirrored)
+    assert counts == {"torus-ladder": (77, 513, 247),
+                      "mirrors": (266, 513, 247), "sum-tower": (44, 68, 20),
+                      "flip cases": (1249, 3900, 1862),
+                      "JSON": (1249, 3900, 1862)}
 
 
 def test_upsilon_runs_no_validating_constructor(monkeypatch):

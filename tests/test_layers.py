@@ -20,10 +20,15 @@ _filtered_scan reads one mask back with bits, the reduced cycle's.  The
 flip past t = 1 has one route: neither complexes.py nor knots.py names
 anything flip, the slice record has no field for one, and the engine
 calls its rule _flip at one site, which reads the slice's i and j alone.
-upsilon fills one candidate slot: a mirrored, carried or scanned witness
-is proved at one call of _proves_segment and ends at the one assignment
-of t1, the tie search's; the one call of _filtered_scan sorts the
-sweep's ids, not a range of its own, so every support shares those ints.
+The flip is proved once per sweep: upsilon calls _flip and _proves_flip at
+one site each and adds the witnesses built from flip[...] at one site,
+while the loop that proves segments reads no flip[...], so no mirrored
+list reaches _proves_segment; this check fails on an engine that proves
+each mirrored segment in that loop.  upsilon fills one candidate slot: a
+carried or scanned witness is proved at one call of _proves_segment and
+ends at the one assignment of t1, the tie search's; the one call of
+_filtered_scan sorts the sweep's ids, not a range of its own, so every
+support shares those ints.
 The tie search is the one walk at a tie: upsilon builds its ties at one
 site, and _carried reads the crossing points that search named, so it
 is handed no weight list and walks no phi.  The slice record is built or
@@ -178,6 +183,30 @@ def test_upsilon_fills_one_candidate_slot():
     assert len(stores) == len(tie) == 1
     assert [n.id for n in ast.walk(tie[0]) if isinstance(n, ast.Name)] == [
         "n1", "m1"]
+
+
+def test_upsilon_proves_the_flip_once_and_mirrors_at_one_site():
+    sweep = _engine_function("upsilon")
+    assert len(_called(sweep, "_flip")) == 1
+    assert len(_called(sweep, "_proves_flip")) == 1
+
+    def flipped(node):  # whether node reads flip[...]
+        return any(isinstance(n, ast.Subscript)
+                   and getattr(n.value, "id", None) == "flip"
+                   for n in ast.walk(node))
+
+    def adds_witnesses(n):  # witnesses += ..., .append(...) or .extend(...)
+        if isinstance(n, ast.AugAssign):
+            return getattr(n.target, "id", None) == "witnesses"
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr in ("append", "extend")
+                and getattr(n.func.value, "id", None) == "witnesses")
+
+    adds = [n for n in ast.walk(sweep) if adds_witnesses(n)]
+    assert len([n for n in adds if flipped(n)]) == 1
+    proving = [n for n in ast.walk(sweep) if isinstance(n, ast.While)
+               and _called(n, "_proves_segment")]
+    assert len(proving) == 1 and not flipped(proving[0])
 
 
 def test_scan_sorts_the_sweeps_ids():
