@@ -22,14 +22,14 @@ complex whose homology in grading ambient_d is not one-dimensional is refused
 by the upsilon machinery.  require_admissible alone decides this, by
 rank-nullity, raising a refusal on each call, and builds once per complex
 the record of that slice: all the engine reads, in integer lists by position.
-Each grading slice has one point per generator of its Maslov parity, so the
-differential between adjacent slices is one GF(2) matrix: a column per
-generator, a mask over the positions of the other parity.  One walk over a
-complex's entries builds that matrix and screens them; require_valid checks
-it and returns it, to require_admissible and tensor, which with dual skips
-it once _slice is built: that implies a valid complex.  A complex keeps its
-data, its name views and the engine's two records, _slice and _sweep, but no
-matrix and no verdict: validate reports what require_admissible refuses.
+Each grading slice has one point per generator of its Maslov parity, so
+the differential between adjacent slices is one GF(2) matrix: a column
+per generator, a mask over the positions of the other parity.  One walk
+over a complex's entries builds that matrix and screens them;
+require_valid checks it and returns it, to require_admissible and
+tensor.  A complex keeps its data, its name views and the engine's two
+records, _slice and _sweep, but no matrix and no verdict: validate
+reports what require_admissible refuses.
 
 Complexes are immutable once built; all operations here are pure.  The
 records (Generator, DiffEntry, LatticePoint, ValidationReport, and those of
@@ -339,8 +339,7 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
     "a*b", each with entries d(a)*b, then a*d(b): repeated tensors associate
     on the nose up to names.  Two products named alike raise ValueError.
     """
-    out1, out2 = [(require_valid(c) if c._slice is None else c._matrix()).out
-                  for c in (c1, c2)]
+    out1, out2 = require_valid(c1).out, require_valid(c2).out
     tails = ["*" + b for b in c2._names]
     names = [a + tail for a in c1._names for tail in tails]
     # names are unique per factor; a*b splits at its last * unless b has one
@@ -368,8 +367,7 @@ def tensor(c1: BifilteredComplex, c2: BifilteredComplex) -> BifilteredComplex:
 
 def dual(c: BifilteredComplex) -> BifilteredComplex:
     """Mirror: negate both gradings and the ambient grading, reverse arrows."""
-    if c._slice is None:  # a built slice record implies a valid complex
-        require_valid(c)
+    require_valid(c)
     label = "-%s" % c.label if c.label else None
     return BifilteredComplex._of(
         c._names, [-a for a in c._alex], [-m for m in c._maslov],

@@ -26,15 +26,15 @@ same with the lowest crossing point swapped in for the realizer where all
 are falling cocycle points, or else a scan's.  Each segment is proved from
 its certificate before it is kept; its cocycle half reads the cocycle
 alone, so it runs once per distinct cocycle of a sweep.  Past t = 1 the
-slice's reversal (_flip), proved once to keep the boundaries and the
-class, maps each witness at t to one at 2 - t: the mirrors of those below
-end the sweep.  The sweep, kept on the complex for tau and jump_report,
-holds the segment ends and each segment's realizer, cycle and cocycle
-once, as slice positions.  It keeps t = a/b unreduced, as every use is
-scale-invariant, and builds the weight list at each t once: the scan's
-keys, the checks of both segments meeting at t and upsilon(t) all read it.
-On a segment upsilon is -2 times its realizer's weight, of slope i - j;
-tau is minus the first slope, since upsilon'(0) = -tau.
+slice's reversal (_flip), proved once to mirror each point and to keep the
+boundaries and the class, maps each witness at t to one at 2 - t: the
+mirrors of those below end the sweep.  The sweep, kept on the complex for
+tau and jump_report, holds the segment ends and each segment's realizer,
+cycle and cocycle once, as slice positions.  It keeps t = a/b unreduced, as
+every use is scale-invariant, and builds the weight list at each t once:
+the scan's keys, the checks of both segments meeting at t and upsilon(t)
+all read it.  On a segment upsilon is -2 times its realizer's weight, of
+slope i - j; tau is minus the first slope, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
@@ -154,26 +154,23 @@ def _carried(s, top, r, phi, cross, ds):
         return q, [x for x in r if x != top] + [q], phi
 
 
-def _flip(s, ids):
-    """ids reversed, if that takes each [x, i, j] to [n - 1 - x, j, i]."""
-    return ids[::-1] if s.i[::-1] == s.j else None
+def _flip(ids):
+    """ids reversed: the one flip upsilon tries, x to n - 1 - x."""
+    return ids[::-1]
 
 
 def _proves_flip(s, flip, z):
-    """Whether flip, an involution of s's positions taking [x, i, j] to
-    [flip[x], j, i], maps z, a support, into z + B and each basis boundary
-    into B (its mate, else any, else the echelon's span): then a witness
-    on [t0, t1] flips to one on [2 - t1, 2 - t0]."""
+    """Whether flip is an involution of s's positions taking each [x, i, j]
+    to [flip[x], j, i] that maps z, a support, into z + B and each basis
+    boundary into B (its mate, else the echelon's span): then a witness on
+    [t0, t1] flips to one on [2 - t1, 2 - t0]."""
     if ([flip[y] for y in flip] != list(range(len(flip)))
             or [s.i[y] for y in flip] != s.j
             or s.echelon.reduce(sum([1 << flip[x] for x in z]) ^ s.cycle)):
         return False
     images = [sorted([flip[x] for x in b]) for b in s.boundaries]
-    if images != s.boundaries[::-1]:  # some image is not its mate
-        known = set(map(tuple, s.boundaries))
-        return all(tuple(v) in known or not s.echelon.reduce(
-            sum([1 << x for x in v])) for v in images)
-    return True
+    return images == s.boundaries[::-1] or not any(
+        [s.echelon.reduce(sum([1 << x for x in v])) for v in images])
 
 
 class _Sweep(NamedTuple):
@@ -219,9 +216,9 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     a, b = 0, 1
     w = weights(a, b)
     while a < 2 * b:
-        if flip is None and a >= b:  # once; [] if there is none
-            flip = _flip(s, ids) or []
-            if flip and _proves_flip(s, flip, z):
+        if flip is None and a >= b:  # once
+            flip = _flip(ids)
+            if _proves_flip(s, flip, z):
                 break
         held = carry and _carried(s, *witnesses[-1], carry, ds)
         top, rs, ps = held or _filtered_scan(

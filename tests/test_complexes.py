@@ -536,48 +536,6 @@ def test_tensor_rejects_invalid():
         ku.tensor(broken, ku.unknot_complex())
 
 
-def test_swept_complexes_are_not_checked_again(monkeypatch):
-    # a built slice record implies a valid complex: dualling and tensoring
-    # swept complexes calls require_valid on none of them, and gives what
-    # unswept copies give.  An invalid complex still raises
-    # InvalidComplexError with every message validate reports.
-    real, checked = knotupsilon.complexes.require_valid, []
-
-    def counted(c):
-        checked.append(c)
-        return real(c)
-
-    monkeypatch.setattr(knotupsilon.complexes, "require_valid", counted)
-    swept = [c for _, c in corpus()][:6]
-    for c in swept:
-        ku.upsilon(c)
-    checked.clear()
-    mirrors = [ku.dual(c) for c in swept]
-    products = [ku.tensor(a, b) for a in swept for b in swept]
-    assert checked == []
-    fresh = [c.relabeled(c.label) for c in swept]
-    assert all(positionally_equal(m, ku.dual(c), names=True)
-               for m, c in zip(mirrors, fresh))
-    assert all(positionally_equal(p, ku.tensor(a, b), names=True)
-               for p, (a, b) in zip(products,
-                                    [(a, b) for a in fresh for b in fresh]))
-    assert len(checked) == 6 + 2 * 36
-    maslov = BifilteredComplex([Generator("a", 0, 0), Generator("b", 1, 0)],
-                               [DiffEntry("b", "a", 1)], 0)
-    d_squared = BifilteredComplex(
-        [Generator("a", 1, 0), Generator("b", 0, -1), Generator("c", -1, -2)],
-        [DiffEntry("a", "b", 0), DiffEntry("b", "c", 0)], 0)
-    unknot = ku.unknot_complex()
-    for broken in (maslov, d_squared):
-        want = ku.validate(broken).violations
-        assert want
-        for op in (ku.dual, lambda c: ku.tensor(c, unknot),
-                   lambda c: ku.tensor(unknot, c)):
-            with pytest.raises(ku.InvalidComplexError) as exc:
-                op(broken)
-            assert exc.value.violations == want
-
-
 def test_tensor_name_clash():
     # both copies of the trefoil are valid, but "a" * "b*c" and "a*b" * "c"
     # would both be "a*b*c"

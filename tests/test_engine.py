@@ -539,9 +539,11 @@ def _flip_cases():
 
 
 def _flip_of(c):
-    """The flip the sweep reads off c's slice past t = 1, or None."""
+    """The flip the sweep tries past t = 1, the reversal of c's slice, if
+    it takes each point to its mirror, else None."""
     s = require_admissible(c)
-    return knotupsilon.engine._flip(s, list(range(len(s.i))))
+    flip = knotupsilon.engine._flip(list(range(len(s.i))))
+    return flip if _flip_facts(s, flip)[1] else None
 
 
 def _mirrors(c, h):
@@ -664,12 +666,13 @@ def _realizer_runs(c):
 
 
 def test_half_sweep_equals_full_sweep(monkeypatch):
-    # each case against an unswept copy of itself swept in full, the rule
-    # turned off: the same function, slopes and realizers (i, j)
+    # each case against an unswept copy of itself swept in full, its flip
+    # refused: the same function, slopes and realizers (i, j)
     split = 0
     for c, _ in _flip_cases():
         with monkeypatch.context() as m:
-            m.setattr(knotupsilon.engine, "_flip", lambda s, ids: None)
+            m.setattr(knotupsilon.engine, "_proves_flip",
+                      lambda s, flip, z: False)
             full = c.relabeled(c.label)
             g, runs = ku.upsilon(full), _realizer_runs(full)
         f = ku.upsilon(c)
@@ -684,7 +687,7 @@ def _swept_with(monkeypatch, c, flip=None):
     the rule's if it is not None."""
     scans = _counted(monkeypatch, "_filtered_scan")
     if flip is not None:
-        monkeypatch.setattr(knotupsilon.engine, "_flip", lambda s, ids: flip)
+        monkeypatch.setattr(knotupsilon.engine, "_flip", lambda ids: flip)
     return ku.upsilon(c), len(scans)
 
 
@@ -721,10 +724,15 @@ def _wrong_flips():
     n = len(swapped)
     crossed = [{0: n - 3, n - 3: 0, 2: n - 1, n - 1: 2}.get(x, n - 1 - x)
                for x in range(n)]
+    # T(2,3)#T(2,3)'s points at 1 and 2 share (i, j): the reversal with
+    # them exchanged on both sides mirrors every point and keeps the class
+    # but takes a boundary out of B
     cases = [(lambda: ku.tensor(t(3, 4), t(3, 4)), None, square,
               (False, True, True, True)),
              (lambda: t(5, 7), None, swapped, (False, False, True, True)),
              (lambda: t(5, 7), None, crossed, (True, False, True, True)),
+             (lambda: ku.tensor(t(2, 3), t(2, 3)), None, [4, 1, 3, 2, 0],
+              (True, True, False, True)),
              (_class_mover, [1, 0, 3, 2], [2, 3, 0, 1],
               (True, True, True, False))]
     # the three sum-tower chains of torus knots and figure-eight factors:
@@ -765,9 +773,10 @@ def _flip_facts(s, flip):
 def test_proves_flip_refuses_each_wrong_flip():
     # _proves_flip refuses a flip that fails any one of its four facts: a
     # permutation mirroring every point that is no involution, two that
-    # move points off their mirrors, the reversal of the three chains with
-    # figure-eight factors, where a boundary leaves B, and a flip that
-    # keeps B but moves the class.  It holds each case's right flip.
+    # move points off their mirrors, one that keeps the class but takes a
+    # boundary out of B, the reversal of the three chains with figure-eight
+    # factors, where a boundary leaves B and the class moves, and a flip
+    # that keeps B but moves the class.  It holds each case's right flip.
     for build, right, wrong, facts in _wrong_flips():
         c = build()
         s, rule = require_admissible(c), _flip_of(c)

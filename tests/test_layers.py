@@ -19,7 +19,9 @@ multiplies nothing and reads the weight lists it is given, and
 _filtered_scan reads one mask back with bits, the reduced cycle's.  The
 flip past t = 1 has one route: neither complexes.py nor knots.py names
 anything flip, the slice record has no field for one, and the engine
-calls its rule _flip at one site, which reads the slice's i and j alone.
+calls _flip, the reversal of the sweep's ids that reads nothing else, at
+one site; _proves_flip checks it off the slice's i and j, its echelon,
+boundaries and cycle.
 The flip is proved once per sweep: upsilon calls _flip and _proves_flip at
 one site each and adds the witnesses built from flip[...] at one site,
 while the loop that proves segments reads no flip[...], so no mirrored
@@ -154,9 +156,15 @@ def test_engine_reads_the_flip_at_one_site_off_the_coordinates():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "_flip"]
     assert len(calls) == 1
-    read = {node.attr for node in ast.walk(functions["_flip"])
-            if isinstance(node, ast.Attribute)}
-    assert read == {"i", "j"}
+    assert [a.arg for a in functions["_flip"].args.args] == ["ids"]
+
+    def read(name):
+        return {node.attr for node in ast.walk(functions[name])
+                if isinstance(node, ast.Attribute)}
+
+    assert read("_flip") == set()
+    assert read("_proves_flip") == {"i", "j", "echelon", "reduce", "cycle",
+                                    "boundaries"}
     assert not [node.lineno for node in ast.walk(TREE)
                 if isinstance(node, ast.Attribute) and node.attr == "flip"]
 
