@@ -23,18 +23,20 @@ the realizing point's line up to the next tie parameter where a point of
 either crosses it; the tie search, the one walk at a tie, names these
 crossing points.  Every witness runs to its first tie; the next is the
 same with the lowest crossing point swapped in for the realizer where all
-are falling cocycle points, or else a scan's.  Each segment is proved from
-its certificate before it is kept; its cocycle half reads the cocycle
-alone, so it runs once per distinct cocycle of a sweep.  Past t = 1 the
-slice's reversal (_flip), proved once to mirror each point and to keep the
-boundaries and the class, maps each witness at t to one at 2 - t: the
-mirrors of those below end the sweep.  The sweep, kept on the complex for
-tau and jump_report, holds the segment ends and each segment's realizer,
-cycle and cocycle once, as slice positions.  It keeps t = a/b unreduced, as
-every use is scale-invariant, and builds the weight list at each t once:
-the scan's keys, the checks of both segments meeting at t and upsilon(t)
-all read it.  On a segment upsilon is -2 times its realizer's weight, of
-slope i - j; tau is minus the first slope, since upsilon'(0) = -tau.
+are falling cocycle points, or else a scan's.  Each segment is proved
+before it is kept: a scan's from its certificate, whose cocycle half runs
+once per distinct cocycle of a sweep, a carried one by induction from the
+one before, with the cocycle's lower hull (_hull) for a walk over it.
+Past t = 1 the slice's reversal (_flip), proved once to mirror each point
+and to keep the boundaries and the class, maps each witness at t to one at
+2 - t: the mirrors of those below end the sweep.  The sweep, kept on the
+complex for tau and jump_report, holds the segment ends and each segment's
+realizer, cycle and cocycle once, as slice positions.  It keeps t = a/b
+unreduced, as every use is scale-invariant, and weighs the whole slice
+(_weights) only where a scan starts and where its segment ends; a carried
+segment weighs the few points its checks read.  On a segment upsilon is
+-2 times its realizer's weight, of slope i - j; tau is minus the first
+slope, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
@@ -102,6 +104,13 @@ def _filtered_scan(z, boundaries, keys, ids):
             support.append(order[q])
     return order[top], [order[k] for k in bits(r)], support
 
+
+def _weights(s, a, b, xs):
+    """2b times the weight at a/b, (2b - a) i + a j, of each x in xs."""
+    si, sj, u = s.i, s.j, 2 * b - a
+    return [u * si[x] + a * sj[x] for x in xs]
+
+
 def nu_at(c: BifilteredComplex, t) -> NuCertificate:
     """nu at one parameter, with a minimizing cycle as certificate."""
     t = Fraction(t)
@@ -109,7 +118,7 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
         raise ValueError("parameter %s outside [0, 2]" % t)
     s = require_admissible(c)
     a, b = t.numerator, t.denominator
-    keys = [(2 * b - a) * i + a * j for i, j in zip(s.i, s.j)]
+    keys = _weights(s, a, b, range(len(s.i)))
     top, witness, phi = _filtered_scan(bits(s.cycle), s.boundaries, keys,
                                        range(len(keys)))
     level, support = keys[top], sorted(witness)
@@ -121,14 +130,32 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
         cocycle=points(sorted(phi)))
 
 
-def _proves_segment(s, top, r, phi, w0, w1, proved, masks):
+def _proves_segment(s, top, r, phi, w0, w1, proved, masks, last=None):
     """Whether the supports r and phi prove that nu follows the line of the
-    point at top between two ends, w0 and w1 the slice's weight lists
-    there, each scaled by its own 2b; all are positions in the slice s.  As
-    masks, r is s's cycle plus boundaries, phi vanishes on the echelon's
-    rows, a basis of the boundaries, and meets that cycle once; at both
-    ends r tops out and phi bottoms out at top.  proved holds the phi masks
-    of this sweep that passed their half already: it reads phi alone."""
+    point at top between the ends t0 and t1; all are positions in s.
+
+    A scan's candidate (last None) is proved from scratch, w0 and w1 the
+    slice's weight lists at the ends: as masks, r is s's cycle plus
+    boundaries, phi vanishes on the echelon's rows, a basis of the
+    boundaries, and meets that cycle once; at both ends r tops out and phi
+    bottoms out at top.  proved holds the phi masks of this sweep that
+    passed their half already: it reads phi alone.
+
+    A carried one is proved by induction from last = (p, r', phi', hull),
+    the witness proved up to t0 and phi''s _hull.  phi is phi', and r is r'
+    with p swapped for top, not in r', and p + top a boundary: so r is in
+    the class.  top weighs what p weighs at t0 (w0 holds both), so both
+    checks there hold.  At t1 (w1 holds top's, its hull neighbour's, then
+    r's weights) r tops out at top, and phi bottoms out there if top, a
+    hull vertex, weighs no more than that neighbour of smaller j - i:
+    points of larger j - i only gain on top past t0."""
+    if last:
+        p, rp, phip, hull = last
+        (wp, wq), (wt, wn, *wr) = w0, w1
+        return (phi is phip and top in hull and p in rp and top not in rp
+                and r == [x for x in rp if x != p] + [top]
+                and not s.echelon.reduce(1 << p | 1 << top)
+                and wp == wq and max(wr) == wt <= wn)
     e = s.echelon
     if e.reduce(sum([1 << x for x in r]) ^ s.cycle):
         return False
@@ -152,6 +179,28 @@ def _carried(s, top, r, phi, cross, ds):
     (d, _), (_, q) = max(cross), min(cross)
     if d < ds[top] and q not in r and not s.echelon.reduce(1 << top | 1 << q):
         return q, [x for x in r if x != top] + [q], phi
+
+
+def _hull(si, ds, phi):
+    """phi's lower convex hull in the (j - i, i) plane, where the weight at
+    t is i + (t/2)(j - i) up to scale: a dict from each vertex's position
+    to its neighbour's of smaller j - i, the first vertex's to itself.  One
+    sort of (j - i, i, position) triples, then a monotone chain that keeps
+    the first of each j - i, so each coordinate's least position, and drops
+    collinear points."""
+    chain = []
+    for d, i, x in sorted([(ds[x], si[x], x) for x in phi]):
+        if chain and chain[-1][0] == d:
+            continue
+        while len(chain) > 1:
+            d1, i1, _ = chain[-2]
+            d2, i2, _ = chain[-1]
+            if (d2 - d1) * (i - i1) > (i2 - i1) * (d - d1):
+                break
+            chain.pop()
+        chain.append((d, i, x))
+    xs = [x for _, _, x in chain]
+    return dict(zip(xs, xs[:1] + xs))
 
 
 def _flip(ids):
@@ -193,8 +242,9 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     follows p's line up to the first tie parameter t1 where points of r
     overtake p or points of phi drop below it (or t1 = 2); the tie search
     keeps them as cross.  Any witness ends there; _carried's, read off
-    cross, or else a scan's is the next, checked from its certificate
-    before it is kept, and realizers must weigh the same where they meet.
+    cross, or else a scan's is the next, proved before it is kept; a
+    carried one reads phi's _hull, built at its first carry, not phi, and
+    realizers must weigh the same where they meet.
     At the first start a/b >= 1 a flip _proves_flip holds turns each
     segment [t0, t1] below into [2 - t1, 2 - t0], cut at a/b, and ends the
     sweep; a refused one costs scans, never answers.
@@ -209,25 +259,31 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     ids = list(range(len(si)))  # kept supports share these ints
     ends, witnesses, values, proved, masks = [(0, 1)], [], [], set(), {}
     flip = carry = None  # carry: cross, the last tie search's
-
-    def weights(a, b):  # 2b times the weight at a/b, by position
-        return [(2 * b - a) * i + a * j for i, j in zip(si, sj)]
-
+    hulls = {}  # id(phi): phi's _hull, for the kept phi lists
     a, b = 0, 1
-    w = weights(a, b)
+    w = _weights(s, a, b, ids)  # the weight list at a/b, None past a carry
     while a < 2 * b:
         if flip is None and a >= b:  # once
             flip = _flip(ids)
             if _proves_flip(s, flip, z):
                 break
         held = carry and _carried(s, *witnesses[-1], carry, ds)
-        top, rs, ps = held or _filtered_scan(
-            z, s.boundaries, [x * span + d for x, d in zip(w, ds)], ids)
+        if held:  # proved from the last witness and its phi's hull
+            top, rs, ps = held
+            phi = witnesses[-1][2]
+            hull = hulls[id(phi)] = hulls.get(id(phi)) or _hull(si, ds, phi)
+            last, low = (*witnesses[-1], hull), [hull.get(top, top)]
+        else:
+            last, w = None, w or _weights(s, a, b, ids)
+            top, rs, ps = _filtered_scan(
+                z, s.boundaries, [x * span + d for x, d in zip(w, ds)], ids)
+            low = ps
         # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with d = j - i;
-        # t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2)
+        # t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2); of a
+        # carried phi only top's hull neighbour can fall to it first
         i0, d0 = si[top], ds[top]
         ties = ([(2 * (i0 - si[x]), ds[x] - d0, x) for x in rs if ds[x] > d0]
-                + [(2 * (si[x] - i0), d0 - ds[x], x) for x in ps if ds[x] < d0])
+                + [(2 * (si[x] - i0), d0 - ds[x], x) for x in low if ds[x] < d0])
         n1, m1, cross = 2, 1, []
         for n, m, x in ties:
             if a * m < n * b:
@@ -236,23 +292,28 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
                 elif n * m1 == n1 * m:
                     cross.append((ds[x], x))
         t1 = (n1, m1)
-        w1 = weights(*t1)
-        if not _proves_segment(s, top, rs, ps, w, w1, proved, masks):
+        if held:  # only the weights its checks read
+            w0 = _weights(s, a, b, (last[0], top))
+            w1 = _weights(s, *t1, [top] + low + rs)
+        else:
+            w0, w1 = w, _weights(s, *t1, ids)
+        if not _proves_segment(s, top, rs, ps, w0, w1, proved, masks, last):
             if held:  # a refused carry gives way to a scan
                 carry = None
                 continue
             raise AssertionError("nu not linear on [%s, %s]: its certificate "
                                  "fails" % (Fraction(a, b), Fraction(*t1)))
-        if witnesses and w[top] != w[witnesses[-1][0]]:  # the last realizer
+        if not held and witnesses and w[top] != w[witnesses[-1][0]]:
             raise AssertionError("nu jumps at %s" % Fraction(a, b))
         ends.append(t1)
         witnesses.append((top, rs, ps))
-        values.append(Fraction(-w1[top], t1[1]))
-        (a, b), w, carry = t1, w1, cross
+        values.append(Fraction(-w1[0 if held else top], t1[1]))
+        (a, b), w, carry = t1, None if held else w1, cross
     values.insert(0, Fraction(-2 * si[witnesses[0][0]]))  # upsilon at ends
     if a < 2 * b:  # the flip holds: the first h segments mirror past a/b
         h = sum([n * b < (2 * b - a) * m for n, m in ends[:-1]])
-        if w[flip[witnesses[h - 1][0]]] != w[witnesses[-1][0]]:
+        wp, wq = _weights(s, a, b, (flip[witnesses[h - 1][0]], witnesses[-1][0]))
+        if wp != wq:
             raise AssertionError("nu jumps at %s" % Fraction(a, b))
         lists = {id(xs): xs for _, r, phi in witnesses[:h] for xs in (r, phi)}
         flipped = {k: [flip[x] for x in xs] for k, xs in lists.items()}

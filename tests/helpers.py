@@ -13,6 +13,8 @@ one grows the subcomplex below each weight level and the other
 enumerates every essential cycle.  sampled_realizers samples nu_at beside
 a breakpoint, apart from upsilon's sweep.  torus_upsilon is a closed form
 that needs no complex at all, so it reaches slices far past brute force;
+torus_envelope builds the same function whole, as the upper envelope of
+the formula's lines, in O(g) steps, so it reaches the benchmark's sizes;
 staircase_upsilon applies the same semigroup formula to the S read off any
 palindromic staircase's steps.
 check_segment_certificate proves one segment of upsilon from the cycle and
@@ -36,6 +38,9 @@ checks that a permutation of the generators is a flip symmetry, entry by
 entry off the differential list.  reference_violations is validate rebuilt from the
 views: the per-entry checks one entry at a time with a set of entries,
 d_squared_lines, and the homology dimension by rank-nullity.
+lower_hull finds the vertices of a point set's lower convex hull by
+testing each point against every segment across it, apart from the
+sweep's monotone chain, which is checked against it.
 reference_scan is the engine's filtered scan as it was before the sweep
 keyed it by one int per point: it sorts on whatever keys it is given,
 such as (weight, j - i) pairs, and reads the cocycle's support back off
@@ -47,6 +52,7 @@ so every invariant must stay while the slice, its boundaries and the
 class's cycle all move.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -297,6 +303,50 @@ def torus_upsilon(p, q, t):
     return v if q > 0 else -v
 
 
+def torus_semigroup(p, q):
+    """The membership flags over [0, 2g) of the semigroup S generated by
+    |p| and |q|, g the genus of T(p, q): m is in S if it is 0 or m - |p|
+    or m - |q| is, one step per flag."""
+    a, b = abs(p), abs(q)
+    member = [True] + [False] * ((a - 1) * (b - 1) - 1)
+    for m in range(1, len(member)):
+        member[m] = m >= a and member[m - a] or m >= b and member[m - b]
+    return member
+
+
+def semigroup_envelope(member):
+    """The function _semigroup_upsilon(member, t) on [0, 2], built whole:
+    the upper envelope of its 2g + 1 lines L_m(t) = -2 #(S n [0, m)) -
+    t (g - m).  Their slopes m - g grow with m, so one monotone-chain pass
+    keeps the lines the envelope touches at more than a point, in O(g)
+    integer steps; a Fraction is made only where two kept lines meet.
+    _semigroup_upsilon, the pointwise maximum, is its small-size check."""
+    g, kept, below = len(member) // 2, [], 0  # kept: (slope, value at 0)
+    for m in range(2 * g + 1):
+        k, c = m - g, -2 * below
+        while len(kept) > 1:
+            (k0, c0), (k1, c1) = kept[-2:]
+            # the last line is nowhere above both neighbours once the new
+            # one meets the one before it no later than it does
+            if (c0 - c) * (k1 - k0) > (c0 - c1) * (k - k0):
+                break
+            kept.pop()
+        kept.append((k, c))
+        below += m < 2 * g and member[m]
+    meets = [Fraction(c0 - c1, k1 - k0)
+             for (k0, c0), (k1, c1) in zip(kept, kept[1:])]
+    ts = [Fraction(0)] + [t for t in meets if 0 < t < 2] + [Fraction(2)]
+    lines = [kept[bisect_left(meets, t)] for t in ts]  # each is max at t
+    return ku.PLFunction(ts, [c + k * t for t, (k, c) in zip(ts, lines)])
+
+
+def torus_envelope(p, q):
+    """Upsilon of T(p, q) as a PLFunction, the semigroup_envelope of
+    torus_semigroup(p, q); T(p, -q) is the mirror."""
+    f = semigroup_envelope(torus_semigroup(p, q))
+    return f if q > 0 else -f
+
+
 def staircase_upsilon(steps, t):
     """Upsilon at t of the staircase with these steps, by the semigroup
     formula torus_upsilon applies: S is read off the steps as runs of
@@ -307,6 +357,22 @@ def staircase_upsilon(steps, t):
     for k, s in enumerate(steps):
         member += [k % 2 == 0] * s
     return _semigroup_upsilon(member, t)
+
+
+def lower_hull(points):
+    """The vertices of the lower convex hull of points, (j - i, i,
+    position) triples, in order of j - i, each at its coordinate's least
+    position, by brute force: a coordinate is a vertex when its i is the
+    least at its j - i and it lies strictly below every segment joining
+    two such coordinates on either side of it."""
+    least = {}
+    for d, i, x in points:
+        least[d] = min(least.get(d, (d, i, x)), (d, i, x))
+    firsts = sorted(least.values())
+    return [(d, i, x) for d, i, x in firsts
+            if all(i * (d1 - d0) < i0 * (d1 - d) + i1 * (d - d0)
+                   for d0, i0, _ in firsts if d0 < d
+                   for d1, i1, _ in firsts if d1 > d)]
 
 
 def pl_pointwise(f, g, op):

@@ -18,11 +18,13 @@ from knotupsilon.gf2 import BitEchelon, bits
 from helpers import (F8, SUM_TOWER, brute_force_nu, cable_alexander,
                      chain_boundary, check_flip, check_segment_certificate,
                      check_symmetry, corpus, dual_witnesses,
-                     filtration_value, nu_at_halfplane, product_witnesses,
-                     random_admissible_complex, reference_scan,
+                     filtration_value, lower_hull, nu_at_halfplane,
+                     product_witnesses, random_admissible_complex,
+                     reference_scan,
                      sampled_realizers, staircase_upsilon, sum_tower_chains,
                      summand, swept_segments, top_degree, torus_alexander,
-                     torus_upsilon, vertical_tau, witnessed_upsilon)
+                     torus_envelope, torus_upsilon, vertical_tau,
+                     witnessed_upsilon)
 
 SAMPLE_TS = [F(0), F(1, 4), F(1, 2), F(2, 3), F(1), F(4, 3), F(7, 4), F(2)]
 
@@ -378,6 +380,33 @@ def test_upsilon_torus_semigroup_formula(knots):
     f = ku.upsilon(c)
     for t in breakpoints_and_midpoints(f):
         assert f(t) == sum(torus_upsilon(p, q, t) for p, q in knots), t
+
+
+def test_semigroup_envelope_is_the_pointwise_formula():
+    # torus_envelope, the upper envelope built whole, against torus_upsilon,
+    # the maximum of the same lines at each t, at sizes where that is
+    # cheap: both are convex, so agreeing at every breakpoint and midpoint
+    # of the envelope makes them equal
+    for p in range(2, 9):
+        for q in [q for q in range(p + 1, 24) if gcd(p, q) == 1]:
+            for sq in (q, -q):
+                f = torus_envelope(p, sq)
+                for t in breakpoints_and_midpoints(f):
+                    assert f(t) == torus_upsilon(p, sq, t), (p, sq, t)
+
+
+@pytest.mark.parametrize("knots", [
+    [(61, 97)], [(61, -97)], [(151, 211)], [(2, 40001)],
+    [(13, 29), (11, 23)], [(13, 29), (11, -23)],
+], ids=lambda ks: "#".join("T(%d,%d)" % k for k in ks))
+def test_upsilon_is_the_semigroup_envelope_at_scale(knots):
+    # the sweep against the closed form at the sizes where carried
+    # segments read the cocycle's hull hundreds of times: upsilon and its
+    # slopes are the envelope's, or the sum of the factors' on a product
+    c = reduce(ku.tensor, [ku.torus_knot_complex(*pq) for pq in knots])
+    f = ku.upsilon(c)
+    g = reduce(PLFunction.__add__, [torus_envelope(*pq) for pq in knots])
+    assert f == g and f.slopes == g.slopes
 
 
 def test_nu_at_agrees_with_upsilon_at_benchmark_scale():
@@ -930,13 +959,15 @@ def test_flip_rule_reaches_all_but_figure_eight_products(monkeypatch):
 def test_sweep_proves_each_cocycle_once(monkeypatch):
     # a machine-independent guard on the proofs' cost: on T(13,29) phi is
     # the whole slice on all 15 segments, so the cocycle half of the proof,
-    # the one reader of the echelon's rows, runs once.  The echelon's row
-    # operations over the torus-ladder pool, sweeps and slices, are pinned
-    # at their figures since the flip is proved once per sweep (3,483
-    # reduces when each mirrored segment was proved, 6,051 when every
-    # segment below t = 1 was scanned); each carried candidate costs one
-    # reduce to screen and one in its proof, and the flip's proof one for
-    # the class, its boundaries all matching their mates.
+    # the one reader of the echelon's rows, runs once.  The echelon's calls
+    # over the torus-ladder pool, sweeps and slices, are pinned at their
+    # figures since the flip is proved once per sweep (3,483 reduces when
+    # each mirrored segment was proved, 6,051 when every segment below t = 1
+    # was scanned): each carried candidate costs one reduce to screen and
+    # one in its proof, and the flip's proof one for the class, its
+    # boundaries all matching their mates.  The rows those reduces add are
+    # pinned too: a carried candidate's proof reduces the 2-bit vector
+    # p + q, not r + z, so the pool adds 1,548 rows, not 1,944.
     class Rows(dict):
         def values(self):
             reads.append(len(self))
@@ -948,16 +979,28 @@ def test_sweep_proves_each_cocycle_once(monkeypatch):
     ku.upsilon(c)
     cocycles = {frozenset(phi) for _, _, phi in c._sweep.witnesses}
     assert len(c._sweep.witnesses) == 15 and len(reads) == len(cocycles) == 1
-    calls = {"add": 0, "reduce": 0}
-    for name in calls:
-        def counted(self, v, name=name, real=getattr(BitEchelon, name)):
-            calls[name] += 1
-            return real(self, v)
+    calls = {"add": 0, "reduce": 0, "rows": 0}
+    real_add = BitEchelon.add
 
-        monkeypatch.setattr(BitEchelon, name, counted)
+    def add(self, v):
+        calls["add"] += 1
+        return real_add(self, v)
+
+    def reduce(self, v):  # BitEchelon.reduce, counting the rows it adds
+        calls["reduce"] += 1
+        while v:
+            row = self.pivots.get(v.bit_length() - 1)
+            if row is None:
+                break
+            v ^= row
+            calls["rows"] += 1
+        return v
+
+    monkeypatch.setattr(BitEchelon, "add", add)
+    monkeypatch.setattr(BitEchelon, "reduce", reduce)
     for p, q in torus_ladder():
         ku.upsilon(ku.torus_knot_complex(p, q))
-    assert calls == {"add": 2627, "reduce": 3313}
+    assert calls == {"add": 2627, "reduce": 3313, "rows": 1548}
 
 
 class _AllBoundaries:
@@ -968,9 +1011,10 @@ class _AllBoundaries:
 
 def _sweep_log(monkeypatch, corrupt=None):
     """The sweep's scans, the carried candidates it is offered (after
-    corrupt, if given), the ones _carried turned down because top + q is
-    no boundary, and each proof's witness and verdict, recorded from now
-    on."""
+    corrupt(s, *candidate), if given), the ones _carried turned down because
+    top + q is no boundary, and each proof's witness, verdict and last (the
+    witness and hull a carried candidate is proved from, else None),
+    recorded from now on."""
     engine = knotupsilon.engine
     real_carried, real_proves = engine._carried, engine._proves_segment
     log = {"scans": _counted(monkeypatch, "_filtered_scan"),
@@ -979,16 +1023,16 @@ def _sweep_log(monkeypatch, corrupt=None):
     def carried(s, *args):
         held = real_carried(s, *args)
         if held and corrupt:
-            held = corrupt(*held)
+            held = corrupt(s, *held)
         if held:
             log["offered"].append(held)
         elif real_carried(_AllBoundaries, *args):
             log["turned_down"].append(args)
         return held
 
-    def proves(s, top, r, phi, *ends):
-        ok = real_proves(s, top, r, phi, *ends)
-        log["proofs"].append(((top, r, phi), ok))
+    def proves(s, top, r, phi, w0, w1, proved, masks, last=None):
+        ok = real_proves(s, top, r, phi, w0, w1, proved, masks, last)
+        log["proofs"].append(((top, r, phi), ok, last))
         return ok
 
     monkeypatch.setattr(engine, "_carried", carried)
@@ -998,7 +1042,7 @@ def _sweep_log(monkeypatch, corrupt=None):
 
 def _refused(log):
     """The carried candidates whose proof failed."""
-    return [w for w, ok in log["proofs"]
+    return [w for w, ok, _ in log["proofs"]
             if not ok and any(w[1] is h[1] for h in log["offered"])]
 
 
@@ -1014,48 +1058,123 @@ def test_sweep_carries_each_witness_across_its_tie(monkeypatch):
     # chains of torus knots and figure-eight factors refuse the reversal
     # at t = 1 and sweep on past it: 6 scans and 3 turned down more than
     # with their flip symmetry.  The kept witnesses are the proved ones,
-    # below the flip point where the flip holds, then their mirrors.
+    # below the flip point where the flip holds, then their mirrors.  A
+    # scan's witness is proved from scratch and a carried one by induction,
+    # from the witness kept before it and the hull of its phi, the same
+    # list: 189 of the pool's 266 proofs and 4 of sum-tower's 48.
     log = _sweep_log(monkeypatch)
 
     def sweep(c):
         log["proofs"].clear()
         ku.upsilon(c)
-        kept = [w for w, ok in log["proofs"] if ok]
+        kept = [(w, last) for w, ok, last in log["proofs"] if ok]
         h = len(kept)
-        assert c._sweep.witnesses[:h] == kept, c.label
+        assert c._sweep.witnesses[:h] == [w for w, _ in kept], c.label
         assert (c._sweep.witnesses[h:], c._sweep.grid[h + 1:]) == _mirrors(
             c, h), c.label
+        s = require_admissible(c)
+        ds = [j - i for i, j in zip(s.i, s.j)]
+        for (before, _), (w, last) in zip(kept, kept[1:]):
+            if last is not None:
+                assert last[:3] == before and last[2] is before[2] is w[2]
+                assert last[3] == knotupsilon.engine._hull(s.i, ds, w[2])
+        return sum(last is not None for _, last in kept), h
 
+    counts = [0, 0]
     for p, q in torus_ladder():
         log["scans"].clear()
-        sweep(ku.torus_knot_complex(p, q))
+        counts = [a + b for a, b in zip(counts, sweep(
+            ku.torus_knot_complex(p, q)))]
         assert len(log["scans"]) == 1 and not _refused(log), (p, q)
-    assert not log["turned_down"]
+    assert not log["turned_down"] and counts == [189, 266]
     log["scans"].clear()
     log["offered"].clear()
-    refused = 0
+    refused, counts = 0, [0, 0]
     for c in sum_tower_chains():
-        sweep(c)
+        counts = [a + b for a, b in zip(counts, sweep(c))]
         refused += len(_refused(log))
-    assert len(log["scans"]) == 44 and refused == 0
+    assert len(log["scans"]) == 44 and refused == 0 and counts == [4, 48]
     assert len(log["offered"]) == 4 and len(log["turned_down"]) == 11
 
 
-def _drop_realizer_from_cycle(q, r, phi):
+def test_sweep_weighs_twice_and_builds_one_hull_per_knot(monkeypatch):
+    # a machine-independent guard on the carried segment's cost, measured
+    # once: each torus-ladder knot is one scan at t = 0, carried after
+    # that, so its sweep builds two weight lists, at t = 0 and at the
+    # scanned segment's end, and reads a few weights per carried segment;
+    # each of the 66 knots with a carried segment builds one hull, for the
+    # one phi of its sweep, and the 11 T(2, q) build none
+    engine, whole, hulls = knotupsilon.engine, [], _counted(
+        monkeypatch, "_hull")
+    real, first = engine._weights, {}
+
+    def weights(s, a, b, xs):  # a whole list passes the ids of t = 0
+        if first.setdefault(id(s), xs) is xs:
+            whole.append((a, b))
+        return real(s, a, b, xs)
+
+    monkeypatch.setattr(engine, "_weights", weights)
+    counts, kept = [0, 0, 0], []
+    for p, q in torus_ladder():
+        c = ku.torus_knot_complex(p, q)
+        kept.append(c)  # keeps id(s) unique
+        whole.clear()
+        hulls.clear()
+        ku.upsilon(c)
+        carried = _flip_point(c) - 1
+        assert len(whole) == 2 and whole[0] == (0, 1), (p, q)
+        assert len(hulls) == (carried > 0), (p, q)
+        counts = [a + b for a, b in zip(counts, (len(whole), len(hulls),
+                                                 carried))]
+    assert counts == [154, 66, 189]
+
+
+def _drop_realizer_from_cycle(s, q, r, phi):
     return q, [x for x in r if x != q], phi
 
 
-def _move_realizer(q, r, phi):
+def _move_realizer(s, q, r, phi):
     others = [x for x in r if x != q] or [x for x in phi if x != q]
     return min(others), r, phi
 
 
-def _drop_realizer_from_cocycle(q, r, phi):
+def _drop_realizer_from_cocycle(s, q, r, phi):
     return q, r, [x for x in phi if x != q]
 
 
+def _copy_cocycle(s, q, r, phi):
+    # an equal phi, but not the list the last segment proved
+    return q, r, list(phi)
+
+
+def _realizer_off_the_hull(s, q, r, phi):
+    # the realizer moved to a point of phi that is no vertex of its lower
+    # hull, r swapped to match: the nearest such point past q in j - i,
+    # which ties with the last realizer at t0 where it lies on the hull
+    # edge between the two
+    ds = [j - i for i, j in zip(s.i, s.j)]
+    vertices = {x for _, _, x in lower_hull([(ds[x], s.i[x], x)
+                                             for x in phi])}
+    off = [x for x in phi if x not in vertices]
+    x = min([x for x in off if ds[x] > ds[q]] or off,
+            key=lambda x: (ds[x], x))
+    return x, [y for y in r if y != q] + [x], phi
+
+
+def _realizer_to_another_vertex(s, q, r, phi):
+    # the realizer moved to the hull vertex of phi next to q, of smaller
+    # j - i where there is one, r swapped to match: it passes the hull
+    # test and weighs more than the last realizer at t0
+    ds = [j - i for i, j in zip(s.i, s.j)]
+    vertices = [x for _, _, x in lower_hull([(ds[x], s.i[x], x)
+                                             for x in phi]) if x not in r]
+    x = min(vertices, key=lambda x: (ds[x] > ds[q], abs(ds[x] - ds[q])))
+    return x, [y for y in r if y != q] + [x], phi
+
+
 @pytest.mark.parametrize("corrupt", [
-    _drop_realizer_from_cycle, _move_realizer, _drop_realizer_from_cocycle])
+    _drop_realizer_from_cycle, _move_realizer, _drop_realizer_from_cocycle,
+    _copy_cocycle, _realizer_off_the_hull, _realizer_to_another_vertex])
 def test_a_corrupted_candidate_is_refused_and_scanned(monkeypatch, corrupt):
     # every carried candidate corrupted: the proof refuses each one, a scan
     # takes its place, and upsilon and its witnesses are as without the
@@ -1077,6 +1196,82 @@ def test_a_corrupted_candidate_is_refused_and_scanned(monkeypatch, corrupt):
         assert len(log["scans"]) == 1 + offered
         for ends, p, cycle, cocycle in swept_segments(c):
             assert check_segment_certificate(c, ends, p, cycle, cocycle)
+
+
+def _hull_chain(hull):
+    """_hull's vertices in order of j - i: the first maps to itself and
+    each other vertex to the one before it."""
+    after = {low: x for x, low in hull.items() if low != x}
+    chain = [x for x, low in hull.items() if low == x]
+    assert len(chain) == 1
+    while chain[-1] in after:
+        chain.append(after[chain[-1]])
+    assert len(chain) == len(hull)
+    return chain
+
+
+def _hull_cases(rng):
+    """(si, ds, phi) point sets for _hull, phi in a random order: random
+    sets, collinear runs, repeated coordinates, a single point, every point
+    at one j - i, and the cocycles of a torus knot and a sum-tower chain."""
+    def case(coords):
+        si, ds = [i for i, _ in coords], [d for _, d in coords]
+        return si, ds, rng.sample(range(len(coords)), len(coords))
+
+    for _ in range(150):
+        n = rng.randrange(1, 26)
+        yield case([(rng.randrange(6), rng.randrange(-5, 6))
+                    for _ in range(n)])
+    for _ in range(40):
+        line = [(12 - 2 * d, d) for d in range(-3, 7)]  # one line
+        bent = [(d * d, d) for d in range(-4, 5)]
+        runs = [(max(6 - d, 2, d - 2), d) for d in range(-2, 12)]
+        extra = [(rng.randrange(20), rng.randrange(-4, 12))
+                 for _ in range(rng.randrange(4))]
+        for coords in (line, bent, runs):
+            twins = rng.sample(coords, rng.randrange(1, 4))  # repeats
+            yield case(coords + twins + extra)
+    yield case([(3, -1)])
+    yield case([(rng.randrange(5), 2) for _ in range(7)])
+    for c in (ku.torus_knot_complex(13, 29), list(sum_tower_chains())[4]):
+        ku.upsilon(c)
+        s = require_admissible(c)
+        ds = [j - i for i, j in zip(s.i, s.j)]
+        for phi in {id(phi): phi for _, _, phi in c._sweep.witnesses}.values():
+            yield s.i, ds, list(phi)
+
+
+def test_hull_matches_a_brute_force_oracle():
+    # the end check at t1 of a carried segment, and its phi's tie, trust
+    # _hull: its vertices are lower_hull's, each strictly convex and at its
+    # coordinate's least position, every point lies on or above the chain,
+    # and at each t of a grid in [0, 2) the least weight over the points is
+    # the least over the vertices
+    grid = sorted({F(a, b) for b in range(1, 8) for a in range(2 * b)})
+    for si, ds, phi in _hull_cases(random.Random(36)):
+        chain = _hull_chain(knotupsilon.engine._hull(si, ds, phi))
+        points = [(ds[x], si[x], x) for x in phi]
+        assert [(ds[x], si[x], x) for x in chain] == lower_hull(points)
+        for x, y, z in zip(chain, chain[1:], chain[2:]):
+            assert ((ds[y] - ds[x]) * (si[z] - si[x])
+                    > (si[y] - si[x]) * (ds[z] - ds[x]))
+        for x in chain:
+            assert x == min(y for y in phi
+                            if (ds[y], si[y]) == (ds[x], si[x]))
+        assert (ds[chain[0]], ds[chain[-1]]) == (min(points)[0], max(points)[0])
+        for d, i, _ in points:  # u, v: the chain's edge over d
+            k = max(k for k, x in enumerate(chain) if ds[x] <= d)
+            u, v = chain[k], chain[min(k + 1, len(chain) - 1)]
+            if ds[u] == d:
+                assert i >= si[u]
+            else:
+                assert ((i - si[u]) * (ds[v] - ds[u])
+                        >= (si[v] - si[u]) * (d - ds[u]))
+        for t in grid:
+            a, b = t.numerator, t.denominator
+            def weight(x):
+                return 2 * b * si[x] + a * ds[x]
+            assert min(map(weight, phi)) == min(map(weight, chain))
 
 
 def test_a_corrupted_scan_still_raises_with_the_carry_on(monkeypatch):

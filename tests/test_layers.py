@@ -12,10 +12,11 @@ sweep.  complexes.py builds a _Matrix at one call site, the walk that
 indexes and screens the entries.  certificates.py is parsed too: the one
 private attribute it reads is PLFunction._first_difference, so every
 certificate finds where a slope is attained through the public
-slope_intervals alone.  The sweep weighs each point once per grid
+slope_intervals alone.  The sweep weighs each point at most once per grid
 point: the slice weights (2b - a) i + a j, sums of two products, are
-built by one comprehension in upsilon and one in nu_at, _proves_segment
-multiplies nothing and reads the weight lists it is given, and
+built by the one comprehension in _weights, which upsilon and nu_at
+call; _proves_segment multiplies nothing and reads the weights it is
+given, _carried, _hull and _proves_flip weigh nothing, and
 _filtered_scan reads one mask back with bits, the reduced cycle's.  The
 flip past t = 1 has one route: neither complexes.py nor knots.py names
 anything flip, the slice record has no field for one, and the engine
@@ -28,15 +29,16 @@ while the loop that proves segments reads no flip[...], so no mirrored
 list reaches _proves_segment; this check fails on an engine that proves
 each mirrored segment in that loop.  upsilon fills one candidate slot: a
 carried or scanned witness is proved at one call of _proves_segment and
-ends at the one assignment of t1, the tie search's; the one call of
+ends at the one assignment of t1, the tie search's, and a cocycle's hull
+is built at one site, in upsilon, for a carried candidate; the one call of
 _filtered_scan sorts the sweep's ids, not a range of its own, so every
 support shares those ints.
 The tie search is the one walk at a tie: upsilon builds its ties at one
-site, and _carried reads the crossing points that search named, so it
-is handed no weight list and walks no phi.  The slice record is built or
-refused: require_admissible raises each refusal and tests no type, and
-complexes.py puts into a _slice slot only a _Slice(...) call or the None
-of _adopt.  The checks cache nothing on a complex: complexes.py assigns
+site, and _carried reads the crossing points that search named, so
+neither it nor _hull is handed any weights upsilon reads, and _carried
+walks no phi.  The slice record is built or refused: require_admissible
+raises each refusal and tests no type, and complexes.py puts into a
+_slice slot only a _Slice(...) call or the None of _adopt.  The checks cache nothing on a complex: complexes.py assigns
 on one only its data (_names, _alex, _maslov, _entries, _dup, ambient_d,
 label) and the engine's two records (_slice, _sweep), and validate
 reaches the checks through require_admissible alone, calling neither
@@ -118,12 +120,16 @@ def test_sweep_weighs_each_point_once_per_grid_point():
 
     functions = {node.name: node for node in TREE.body
                  if isinstance(node, ast.FunctionDef)}
+    found = weights(functions["_weights"])
+    comprehensions = [n for n in ast.walk(functions["_weights"])
+                      if isinstance(n, ast.ListComp)
+                      and set(found) & set(ast.walk(n))]
+    assert len(found) == len(comprehensions) == 1
     for name in ("upsilon", "nu_at"):
-        found = weights(functions[name])
-        comprehensions = [n for n in ast.walk(functions[name])
-                          if isinstance(n, ast.ListComp)
-                          and set(found) & set(ast.walk(n))]
-        assert len(found) == len(comprehensions) == 1, name
+        assert _called(functions[name], "_weights") and not weights(
+            functions[name]), name
+    for name in ("_proves_segment", "_carried", "_hull", "_proves_flip"):
+        assert not weights(functions[name]), name
     assert not products(functions["_proves_segment"])
     scan = functions["_filtered_scan"]
     assert len([n for n in ast.walk(scan) if isinstance(n, ast.Call)
@@ -184,6 +190,8 @@ def test_upsilon_fills_one_candidate_slot():
     sweep = _engine_function("upsilon")
     assert len(_called(sweep, "_proves_segment")) == 1
     assert len(_called(sweep, "_filtered_scan")) == 1
+    assert len(_called(sweep, "_carried")) == 1
+    assert len(_called(sweep, "_hull")) == len(_called(TREE, "_hull")) == 1
     stores = [n for n in ast.walk(sweep) if isinstance(n, ast.Name)
               and n.id == "t1" and isinstance(n.ctx, ast.Store)]
     tie = [n.value for n in ast.walk(sweep) if isinstance(n, ast.Assign)
@@ -223,15 +231,16 @@ def test_scan_sorts_the_sweeps_ids():
 
 def test_carried_reads_the_tie_search():
     sweep, carried = _engine_function("upsilon"), _engine_function("_carried")
-    weight_lists = {t.id for n in ast.walk(sweep) if isinstance(n, ast.Assign)
-                    and isinstance(n.value, ast.Call)
-                    and getattr(n.value.func, "id", None) == "weights"
-                    for t in n.targets if isinstance(t, ast.Name)}
+    weighed = {t.id for n in ast.walk(sweep) if isinstance(n, ast.Assign)
+               and isinstance(n.value, ast.Call)
+               and getattr(n.value.func, "id", None) == "_weights"
+               for target in n.targets for t in ast.walk(target)
+               if isinstance(t, ast.Name)}
     passed = {n.id for call in ast.walk(sweep) if isinstance(call, ast.Call)
-              and getattr(call.func, "id", None) == "_carried"
+              and getattr(call.func, "id", None) in ("_carried", "_hull")
               for n in ast.walk(call) if isinstance(n, ast.Name)}
-    assert weight_lists == {"w", "w1"} and not passed & weight_lists
-    assert not {a.arg for a in carried.args.args} & weight_lists
+    assert weighed == {"w", "w0", "w1", "wp", "wq"} and not passed & weighed
+    assert not {a.arg for a in carried.args.args} & weighed
     loops = [n for n in ast.walk(carried)
              if isinstance(n, (ast.For, ast.comprehension))]
     assert not [n for n in loops if isinstance(n.iter, ast.Name)
