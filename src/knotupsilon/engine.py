@@ -130,7 +130,7 @@ def nu_at(c: BifilteredComplex, t) -> NuCertificate:
         cocycle=points(sorted(phi)))
 
 
-def _proves_segment(s, top, r, phi, w0, w1, proved, masks, last=None):
+def _proves_segment(s, top, r, phi, w0, w1, proved, last=None):
     """Whether the supports r and phi prove that nu follows the line of the
     point at top between the ends t0 and t1; all are positions in s.
 
@@ -142,13 +142,13 @@ def _proves_segment(s, top, r, phi, w0, w1, proved, masks, last=None):
     passed their half already: it reads phi alone.
 
     A carried one is proved by induction from last = (p, r', phi', hull),
-    the witness proved up to t0 and phi''s _hull.  phi is phi', and r is r'
-    with p swapped for top, not in r', and p + top a boundary: so r is in
-    the class.  top weighs what p weighs at t0 (w0 holds both), so both
-    checks there hold.  At t1 (w1 holds top's, its hull neighbour's, then
-    r's weights) r tops out at top, and phi bottoms out there if top, a
-    hull vertex, weighs no more than that neighbour of smaller j - i:
-    points of larger j - i only gain on top past t0."""
+    the witness proved up to t0 and phi''s _hull, one per carried run.  phi
+    is phi', and r is r' with p swapped for top, not in r', and p + top a
+    boundary: so r is in the class.  top weighs what p weighs at t0 (w0
+    holds both), so both checks there hold.  At t1 (w1 holds top's, its
+    hull neighbour's, then r's weights) r tops out at top, and phi bottoms
+    out there if top, a hull vertex, weighs no more than that neighbour of
+    smaller j - i: points of larger j - i only gain on top past t0."""
     if last:
         p, rp, phip, hull = last
         (wp, wq), (wt, wn, *wr) = w0, w1
@@ -159,9 +159,7 @@ def _proves_segment(s, top, r, phi, w0, w1, proved, masks, last=None):
     e = s.echelon
     if e.reduce(sum([1 << x for x in r]) ^ s.cycle):
         return False
-    if masks.get(id(phi), (None,))[0] is not phi:  # id(phi): (phi, mask)
-        masks[id(phi)] = phi, sum([1 << x for x in phi])
-    pm = masks[id(phi)][1]
+    pm = sum([1 << x for x in phi])
     if pm not in proved:
         if not ((pm & s.cycle).bit_count() & 1 and not any(
                 [(pm & v).bit_count() & 1 for v in e.pivots.values()])):
@@ -243,8 +241,8 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     overtake p or points of phi drop below it (or t1 = 2); the tie search
     keeps them as cross.  Any witness ends there; _carried's, read off
     cross, or else a scan's is the next, proved before it is kept; a
-    carried one reads phi's _hull, built at its first carry, not phi, and
-    realizers must weigh the same where they meet.
+    carried one reads phi's _hull, not phi, built once per run of carries,
+    and realizers must weigh the same where they meet.
     At the first start a/b >= 1 a flip _proves_flip holds turns each
     segment [t0, t1] below into [2 - t1, 2 - t0], cut at a/b, and ends the
     sweep; a refused one costs scans, never answers.
@@ -257,11 +255,10 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     ds = [j - i for i, j in zip(si, sj)]
     span = max(ds) - min(ds) + 1  # w * span + d orders as (w, d) does
     ids = list(range(len(si)))  # kept supports share these ints
-    ends, witnesses, values, proved, masks = [(0, 1)], [], [], set(), {}
+    ends, witnesses, values, proved = [(0, 1)], [], [], set()
     flip = carry = None  # carry: cross, the last tie search's
-    hulls = {}  # id(phi): phi's _hull, for the kept phi lists
+    w = hull = None  # the weights at a/b, None past a carry; the run's _hull
     a, b = 0, 1
-    w = _weights(s, a, b, ids)  # the weight list at a/b, None past a carry
     while a < 2 * b:
         if flip is None and a >= b:  # once
             flip = _flip(ids)
@@ -270,11 +267,10 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         held = carry and _carried(s, *witnesses[-1], carry, ds)
         if held:  # proved from the last witness and its phi's hull
             top, rs, ps = held
-            phi = witnesses[-1][2]
-            hull = hulls[id(phi)] = hulls.get(id(phi)) or _hull(si, ds, phi)
+            hull = hull or _hull(si, ds, ps)  # a carry keeps the last phi
             last, low = (*witnesses[-1], hull), [hull.get(top, top)]
         else:
-            last, w = None, w or _weights(s, a, b, ids)
+            last, hull, w = None, None, w or _weights(s, a, b, ids)
             top, rs, ps = _filtered_scan(
                 z, s.boundaries, [x * span + d for x, d in zip(w, ds)], ids)
             low = ps
@@ -297,7 +293,7 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
             w1 = _weights(s, *t1, [top] + low + rs)
         else:
             w0, w1 = w, _weights(s, *t1, ids)
-        if not _proves_segment(s, top, rs, ps, w0, w1, proved, masks, last):
+        if not _proves_segment(s, top, rs, ps, w0, w1, proved, last):
             if held:  # a refused carry gives way to a scan
                 carry = None
                 continue

@@ -1030,8 +1030,8 @@ def _sweep_log(monkeypatch, corrupt=None):
             log["turned_down"].append(args)
         return held
 
-    def proves(s, top, r, phi, w0, w1, proved, masks, last=None):
-        ok = real_proves(s, top, r, phi, w0, w1, proved, masks, last)
+    def proves(s, top, r, phi, w0, w1, proved, last=None):
+        ok = real_proves(s, top, r, phi, w0, w1, proved, last)
         log["proofs"].append(((top, r, phi), ok, last))
         return ok
 

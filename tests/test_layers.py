@@ -32,7 +32,10 @@ carried or scanned witness is proved at one call of _proves_segment and
 ends at the one assignment of t1, the tie search's, and a cocycle's hull
 is built at one site, in upsilon, for a carried candidate; the one call of
 _filtered_scan sorts the sweep's ids, not a range of its own, so every
-support shares those ints.
+support shares those ints.  The sweep keeps no memo keyed by a list's
+identity, which holds only while that list lives: neither _proves_segment
+nor upsilon's while loop reads id, and a carried run's hull is one local
+that a scan clears; the mirror past the loop may dedupe its lists by id.
 The tie search is the one walk at a tie: upsilon builds its ties at one
 site, and _carried reads the crossing points that search named, so
 neither it nor _hull is handed any weights upsilon reads, and _carried
@@ -201,6 +204,17 @@ def test_upsilon_fills_one_candidate_slot():
         "n1", "m1"]
 
 
+def test_sweep_keys_nothing_by_identity():
+    def reads_id(node):
+        return [n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Name) and n.id == "id"]
+
+    loops = [n for n in ast.walk(_engine_function("upsilon"))
+             if isinstance(n, ast.While)]
+    assert len(loops) == 1 and not reads_id(loops[0])
+    assert not reads_id(_engine_function("_proves_segment"))
+
+
 def test_upsilon_proves_the_flip_once_and_mirrors_at_one_site():
     sweep = _engine_function("upsilon")
     assert len(_called(sweep, "_flip")) == 1
@@ -231,11 +245,15 @@ def test_scan_sorts_the_sweeps_ids():
 
 def test_carried_reads_the_tie_search():
     sweep, carried = _engine_function("upsilon"), _engine_function("_carried")
-    weighed = {t.id for n in ast.walk(sweep) if isinstance(n, ast.Assign)
-               and isinstance(n.value, ast.Call)
-               and getattr(n.value.func, "id", None) == "_weights"
-               for target in n.targets for t in ast.walk(target)
-               if isinstance(t, ast.Name)}
+    pairs = [(target, n.value) for n in ast.walk(sweep)
+             if isinstance(n, ast.Assign) for target in n.targets]
+    weighed = set()
+    for target, value in pairs:  # the loop walks the pairs it appends too
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            pairs += zip(target.elts, value.elts)
+        elif _called(value, "_weights"):  # bare, or as in w or _weights(...)
+            weighed |= {t.id for t in ast.walk(target)
+                        if isinstance(t, ast.Name)}
     passed = {n.id for call in ast.walk(sweep) if isinstance(call, ast.Call)
               and getattr(call.func, "id", None) in ("_carried", "_hull")
               for n in ast.walk(call) if isinstance(n, ast.Name)}
