@@ -27,16 +27,16 @@ are falling cocycle points, or else a scan's.  Each segment is proved
 before it is kept: a scan's from its certificate, whose cocycle half runs
 once per distinct cocycle of a sweep, a carried one by induction from the
 one before, with the cocycle's lower hull (_hull) for a walk over it.
-Past t = 1 the slice's reversal (_flip), proved once to mirror each point
-and to keep the boundaries and the class, maps each witness at t to one at
-2 - t: the mirrors of those below end the sweep.  The sweep, kept on the
-complex for tau and jump_report, holds the segment ends and each segment's
-realizer, cycle and cocycle once, as slice positions.  It keeps t = a/b
-unreduced, as every use is scale-invariant, and weighs the whole slice
-(_weights) only where a scan starts and where its segment ends; a carried
-segment weighs the few points its checks read.  On a segment upsilon is
--2 times its realizer's weight, of slope i - j; tau is minus the first
-slope, since upsilon'(0) = -tau.
+The slice's reversal (_flip), proved first to mirror each point and to
+keep the boundaries and the class, maps each witness at t to one at 2 - t:
+where it holds the sweep stops at t = 1 and mirrors its segments.  The
+sweep, kept on the complex for tau and jump_report, holds the segment ends
+and each segment's realizer, cycle and cocycle once, as slice positions.
+It keeps t = a/b unreduced, as every use is scale-invariant, and weighs
+the whole slice (_weights) only where a scan starts and where its segment
+ends; a carried segment weighs the few points its checks read.  On a
+segment upsilon is -2 times its realizer's weight, of slope i - j; tau is
+minus the first slope, since upsilon'(0) = -tau.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def _hull(si, ds, phi):
 
 
 def _flip(ids):
-    """ids reversed: the one flip upsilon tries, x to n - 1 - x."""
+    """ids reversed, x to n - 1 - x: the flip upsilon tries, once, first."""
     return ids[::-1]
 
 
@@ -238,14 +238,14 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     the class topping out at p and a cocycle phi bottoming out at p.  For
     t' >= t the class keeps min_phi w_t' <= nu(t') <= max_r w_t', so nu
     follows p's line up to the first tie parameter t1 where points of r
-    overtake p or points of phi drop below it (or t1 = 2); the tie search
+    overtake p or points of phi drop below it (or t1 = end); the tie search
     keeps them as cross.  Any witness ends there; _carried's, read off
     cross, or else a scan's is the next, proved before it is kept; a
     carried one reads phi's _hull, not phi, built once per run of carries,
-    and realizers must weigh the same where they meet.
-    At the first start a/b >= 1 a flip _proves_flip holds turns each
-    segment [t0, t1] below into [2 - t1, 2 - t0], cut at a/b, and ends the
-    sweep; a refused one costs scans, never answers.
+    and realizers must weigh the same where they meet.  _proves_flip first
+    decides the flip: if it holds, the sweep ends at end = 1 and mirrors
+    each segment [t0, t1] to [2 - t1, 2 - t0], and at 1 a point weighs what
+    its mirror does; if not, it runs to 2, costing scans, never answers.
     """
     # the sweep is kept only after require_admissible passed
     if c._sweep is not None:
@@ -255,15 +255,13 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
     ds = [j - i for i, j in zip(si, sj)]
     span = max(ds) - min(ds) + 1  # w * span + d orders as (w, d) does
     ids = list(range(len(si)))  # kept supports share these ints
+    flip = _flip(ids)
+    end = 1 if _proves_flip(s, flip, z) else 2  # the sweep stops at t = end
     ends, witnesses, values, proved = [(0, 1)], [], [], set()
-    flip = carry = None  # carry: cross, the last tie search's
+    carry = None  # cross, the last tie search's
     w = hull = None  # the weights at a/b, None past a carry; the run's _hull
     a, b = 0, 1
-    while a < 2 * b:
-        if flip is None and a >= b:  # once
-            flip = _flip(ids)
-            if _proves_flip(s, flip, z):
-                break
+    while a < end * b:
         held = carry and _carried(s, *witnesses[-1], carry, ds)
         if held:  # proved from the last witness and its phi's hull
             top, rs, ps = held
@@ -275,12 +273,12 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
                 z, s.boundaries, [x * span + d for x, d in zip(w, ds)], ids)
             low = ps
         # q's line meets p's at 2 (i_p - i_q) / (d_q - d_p), with d = j - i;
-        # t1 = n1 / m1 is the first such n / m, m > 0, in (t, 2); of a
+        # t1 = n1 / m1 is the first such n / m, m > 0, in (t, end); of a
         # carried phi only top's hull neighbour can fall to it first
         i0, d0 = si[top], ds[top]
         ties = ([(2 * (i0 - si[x]), ds[x] - d0, x) for x in rs if ds[x] > d0]
                 + [(2 * (si[x] - i0), d0 - ds[x], x) for x in low if ds[x] < d0])
-        n1, m1, cross = 2, 1, []
+        n1, m1, cross = end, 1, []
         for n, m, x in ties:
             if a * m < n * b:
                 if n * m1 < n1 * m:
@@ -306,17 +304,13 @@ def upsilon(c: BifilteredComplex) -> PLFunction:
         values.append(Fraction(-w1[0 if held else top], t1[1]))
         (a, b), w, carry = t1, None if held else w1, cross
     values.insert(0, Fraction(-2 * si[witnesses[0][0]]))  # upsilon at ends
-    if a < 2 * b:  # the flip holds: the first h segments mirror past a/b
-        h = sum([n * b < (2 * b - a) * m for n, m in ends[:-1]])
-        wp, wq = _weights(s, a, b, (flip[witnesses[h - 1][0]], witnesses[-1][0]))
-        if wp != wq:
-            raise AssertionError("nu jumps at %s" % Fraction(a, b))
-        lists = {id(xs): xs for _, r, phi in witnesses[:h] for xs in (r, phi)}
+    if end == 1:  # each segment's mirror, last first: Y(2 - t) = Y(t)
+        lists = {id(xs): xs for _, r, phi in witnesses for xs in (r, phi)}
         flipped = {k: [flip[x] for x in xs] for k, xs in lists.items()}
-        ends += [(2 * m - n, m) for n, m in ends[h - 1::-1]]
+        ends += [(2 * m - n, m) for n, m in ends[-2::-1]]
         witnesses += [(flip[p], flipped[id(r)], flipped[id(phi)])
-                      for p, r, phi in witnesses[h - 1::-1]]
-        values += values[h - 1::-1]  # upsilon(2 - t) = upsilon(t)
+                      for p, r, phi in witnesses[::-1]]
+        values += values[-2::-1]
     grid = [Fraction(a, b) for a, b in ends]
     f = PLFunction._canonical(grid, values,
                               [si[p] - sj[p] for p, _, _ in witnesses])

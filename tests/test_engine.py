@@ -312,9 +312,11 @@ def test_witnesses_travel_through_tensor_and_dual():
     # be finer or coarser than the sweep's, and either finer than the
     # function, so functions are compared, not grids.  Past t = 1 the sweep
     # keeps the exact mirrors of its segments below, so its grid there is
-    # 2 minus the grid below
+    # 2 minus the grid below, and a grid holds t = 1 wherever the flip
+    # holds: the merged grid of T(3,7) and T(3,-7) gains it (3 segments
+    # when a segment across t = 1 was cut at the flip point instead)
     assert grids[(3, 7), (3, -5), (2, 3)] == (6, 6, 3)
-    assert grids[(3, 7), (3, -7)] == (3, 6, 1)
+    assert grids[(3, 7), (3, -7)] == (4, 6, 1)
     assert proved == 45
 
 
@@ -407,6 +409,20 @@ def test_upsilon_is_the_semigroup_envelope_at_scale(knots):
     f = ku.upsilon(c)
     g = reduce(PLFunction.__add__, [torus_envelope(*pq) for pq in knots])
     assert f == g and f.slopes == g.slopes
+
+
+@pytest.mark.parametrize("q", [97, -97])
+def test_witnesses_reprove_at_benchmark_scale(q):
+    # every kept witness of T(61, q), re-proved off the differential list
+    # with no engine call: the 65 segments the sweep proves below t = 1 and
+    # their 65 mirrors above it, the exact flips of those below
+    c = ku.torus_knot_complex(61, q)
+    segments = list(swept_segments(c))
+    h = c._sweep.grid.index(1)
+    assert len(segments) == 2 * h == 130
+    assert (c._sweep.witnesses[h:], c._sweep.grid[h + 1:]) == _mirrors(c, h)
+    for ends, p, cycle, cocycle in segments:
+        assert check_segment_certificate(c, ends, p, cycle, cocycle), ends
 
 
 def test_nu_at_agrees_with_upsilon_at_benchmark_scale():
@@ -576,16 +592,16 @@ def _flip_of(c):
 
 
 def _mirrors(c, h):
-    """What c's sweep keeps past its flip point, the grid point h, if the
-    flip holds there: the (witnesses, grid points) mirroring the segments
-    below, last first.  Segment k, [t_k, t_k+1], turns into [2 - t_k+1,
-    2 - t_k] cut at t_h, with the flip of its witness, and is dropped if
-    2 - t_k is not past t_h."""
+    """What c's sweep keeps past the grid point h: if h is t = 1, where the
+    sweep stops when its flip holds, the (witnesses, grid points) mirroring
+    all the segments below, last first, else none.  Segment k, [t_k,
+    t_k+1], turns into [2 - t_k+1, 2 - t_k], with the flip of its
+    witness."""
     grid, witnesses, flip = c._sweep.grid, c._sweep.witnesses, _flip_of(c)
-    kept = [k for k in range(h) if 2 - grid[k] > grid[h]][::-1]
+    below = range(h)[::-1] if grid[h] == 1 else []
     return ([(flip[p], [flip[x] for x in r], [flip[x] for x in phi])
-             for p, r, phi in map(witnesses.__getitem__, kept)],
-            [2 - grid[k] for k in kept])
+             for p, r, phi in map(witnesses.__getitem__, below)],
+            [2 - grid[k] for k in below])
 
 
 def _on_slice(c, pi):
@@ -696,7 +712,9 @@ def _realizer_runs(c):
 
 def test_half_sweep_equals_full_sweep(monkeypatch):
     # each case against an unswept copy of itself swept in full, its flip
-    # refused: the same function, slopes and realizers (i, j)
+    # refused: the same function, slopes and realizers (i, j).  The half
+    # sweep stops at t = 1, so its grid holds 1 where the full sweep's
+    # need not; without that point the grids differ once
     split = 0
     for c, _ in _flip_cases():
         with monkeypatch.context() as m:
@@ -707,7 +725,8 @@ def test_half_sweep_equals_full_sweep(monkeypatch):
         f = ku.upsilon(c)
         assert f == g and f.slopes == g.slopes and f == f.reflected()
         assert _realizer_runs(c) == runs
-        split += c._sweep.grid != full._sweep.grid
+        grid = [t for t in c._sweep.grid if t != 1 or 1 in full._sweep.grid]
+        split += grid != full._sweep.grid
     assert split == 1  # -(T(3,5)#T(2,-3)): the full sweep splits at 6/5
 
 
@@ -819,8 +838,8 @@ def test_proves_flip_refuses_each_wrong_flip():
 
 def test_wrong_flip_costs_scans_not_answers(monkeypatch):
     # each wrong flip of _wrong_flips, given to the sweep in place of the
-    # rule's, is refused once by _proves_flip, and the sweep goes on past
-    # t = 1 as below it: the right flip's upsilon, with more scans, and
+    # rule's, is refused once by _proves_flip, and the sweep runs to t = 2
+    # as below 1: the right flip's upsilon, with more scans, and
     # witnesses that re-prove.  The carried candidate is off, so that scans
     # count the segments past 1; with it on, T(5,7) takes one scan either
     # way.
@@ -880,10 +899,10 @@ def test_flip_halves_the_scans(monkeypatch):
 
     t = ku.torus_knot_complex
     c = t(13, 29)
-    assert cost(c) <= 8 and len(c._sweep.grid) - 1 == 15
+    assert cost(c) <= 8 and len(c._sweep.grid) - 1 == 16
     sixfold = reduce(ku.tensor, [t(2, 3)] * 6)
     assert cost(sixfold) == 1 and _flip_of(sixfold)
-    # upsilon is 0: one segment, so t never reaches 1 with work left
+    # upsilon is 0: one segment, to t = 2, as the flip moves the class
     fig8s = reduce(ku.tensor, [ku.figure_eight_complex()] * 4)
     assert cost(fig8s) == 1 and _flip_of(fig8s)
     # no flip through direct_sum: the full sweep's three scans
@@ -908,14 +927,15 @@ def _sweep_events(monkeypatch):
 
 
 def test_flip_rule_reaches_all_but_figure_eight_products(monkeypatch):
-    # the rule's reach over the flip cases: it gives every case without a
-    # figure-eight factor a flip, _proves_flip holds it wherever the sweep
-    # reaches t = 1 with work left, and the sweep then proves and scans
-    # nothing more; a JSON round trip, in builder order, takes its
-    # builder's scans.  The rule's flip is asked for once per sweep, and
-    # refused on 44 figure-eight products and held on none.  On the three
-    # sum-tower chains of torus knots and figure-eight factors it is
-    # refused right after the rule gives it, and the sweep scans there.
+    # the rule's reach over the flip cases: the sweep asks for the rule's
+    # flip and its proof once, before anything else, the unknot's single
+    # segment too; it gives every case without a figure-eight factor a
+    # flip and _proves_flip holds it, so the sweep stops at t = 1; a JSON
+    # round trip, in builder order, takes its builder's scans.  The flip is
+    # refused on every case with a figure-eight factor, 64 of them (44 when
+    # it was asked for only at t = 1 with work left), and held on none.  On
+    # the three sum-tower chains of torus knots and figure-eight factors
+    # it is refused, and the sweep's first scan follows.
     events = _sweep_events(monkeypatch)
 
     def sweep(c):
@@ -931,34 +951,35 @@ def test_flip_rule_reaches_all_but_figure_eight_products(monkeypatch):
         c = c.relabeled(c.label)  # unswept: the corpus is shared
         log = sweep(c)
         names = [name for name, _ in log]
-        verdicts = [ok for name, ok in log if name == "_proves_flip"]
-        assert names.count("_flip") <= 1 and len(verdicts) <= 1, c.label
+        assert names[:2] == ["_flip", "_proves_flip"], c.label
+        assert names.count("_flip") == names.count("_proves_flip") == 1
+        held = log[1][1]
         if "figure8" not in c.label:
-            assert _flip_of(c) is not None, c.label
-            assert verdicts in ([], [True]), c.label
+            assert _flip_of(c) is not None and held, c.label
         else:
-            assert verdicts != [True], c.label
-            refused += verdicts == [False]
-        if verdicts == [True]:
-            assert names[-1] == "_proves_flip", c.label
+            assert not held, c.label
+            refused += 1
+        if c.label == "unknot":
+            assert names == ["_flip", "_proves_flip", "_filtered_scan",
+                             "_proves_segment"]
+            assert c._sweep.grid == [0, 1, 2]
         twin = ku.complex_from_json(ku.complex_to_json(c))
         assert scans(sweep(twin)) == scans(log), c.label
-    assert refused == 44
+    assert refused == 64
     chains = [[(3, 4), (2, -3), F8, F8], [(3, 5), (2, -5), F8],
               [(4, 5), (2, -3), F8]]
     for tokens in chains:
         c = reduce(ku.tensor, map(summand, tokens))
         log = sweep(c)
-        k = [name for name, _ in log].index("_flip")
         assert _flip_of(c) is not None, tokens
-        assert log[k + 1] == ("_proves_flip", False), tokens
-        assert log[k + 2][0] == "_filtered_scan"
+        assert log[1] == ("_proves_flip", False), tokens
+        assert log[2][0] == "_filtered_scan"
         assert all(ok for name, ok in log if name == "_proves_segment")
 
 
 def test_sweep_proves_each_cocycle_once(monkeypatch):
     # a machine-independent guard on the proofs' cost: on T(13,29) phi is
-    # the whole slice on all 15 segments, so the cocycle half of the proof,
+    # the whole slice on all 16 segments, so the cocycle half of the proof,
     # the one reader of the echelon's rows, runs once.  The echelon's calls
     # over the torus-ladder pool, sweeps and slices, are pinned at their
     # figures since the flip is proved once per sweep (3,483 reduces when
@@ -978,7 +999,7 @@ def test_sweep_proves_each_cocycle_once(monkeypatch):
     monkeypatch.setattr(s.echelon, "pivots", Rows(s.echelon.pivots))
     ku.upsilon(c)
     cocycles = {frozenset(phi) for _, _, phi in c._sweep.witnesses}
-    assert len(c._sweep.witnesses) == 15 and len(reads) == len(cocycles) == 1
+    assert len(c._sweep.witnesses) == 16 and len(reads) == len(cocycles) == 1
     calls = {"add": 0, "reduce": 0, "rows": 0}
     real_add = BitEchelon.add
 
@@ -1056,9 +1077,9 @@ def test_sweep_carries_each_witness_across_its_tie(monkeypatch):
     # not 48.  11 more are turned down before their proof, since top + q
     # is no boundary there, and a scan takes the place of each.  Three
     # chains of torus knots and figure-eight factors refuse the reversal
-    # at t = 1 and sweep on past it: 6 scans and 3 turned down more than
-    # with their flip symmetry.  The kept witnesses are the proved ones,
-    # below the flip point where the flip holds, then their mirrors.  A
+    # and sweep to t = 2: 6 scans and 3 turned down more than with their
+    # flip symmetry.  The kept witnesses are the proved ones, below t = 1
+    # where the flip holds, then their mirrors.  A
     # scan's witness is proved from scratch and a carried one by induction,
     # from the witness kept before it and the hull of its phi, the same
     # list: 189 of the pool's 266 proofs and 4 of sum-tower's 48.
@@ -1470,7 +1491,7 @@ def test_upsilon_self_check_reads_both_ends(monkeypatch):
 
 
 def test_upsilon_one_scan_per_segment(monkeypatch):
-    # a machine-independent guard on the sweep's cost: T(13,29) has 15
+    # a machine-independent guard on the sweep's cost: T(13,29) has 16
     # certified segments, none costs more than one scan, and nu_at is not
     # used
     def refuse(c, t):
@@ -1489,7 +1510,7 @@ def test_upsilon_one_scan_per_segment(monkeypatch):
     c = ku.torus_knot_complex(13, 29)
     ku.upsilon(c)
     grid = c._sweep.grid
-    assert scans <= len(grid) - 1 <= 15
+    assert scans <= len(grid) - 1 <= 16
 
 
 def test_scan_on_int_keys_matches_reference_scan(monkeypatch):
@@ -1603,13 +1624,12 @@ def _flip_point(c):
 
 
 def test_mirrored_segments_are_exact_mirrors():
-    # past the flip point, the first grid point at or past t = 1, the sweep
-    # keeps the exact mirror of each segment below: [t0, t1] turns into
-    # [2 - t1, 2 - t0], cut at the flip point, with the flip of its
-    # witness.  On T(3,7)#T(3,-7) the flip point is 1 and the grid above it
-    # is 2 minus the grid below; on T(3,4) the carried segment [2/3, 4/3]
-    # straddles 1, and its mirror, which would end at the flip point 4/3,
-    # is dropped.  Every kept witness re-proves.
+    # where the flip holds the sweep stops at t = 1 and keeps the exact
+    # mirror of every segment below: [t0, t1] turns into [2 - t1, 2 - t0],
+    # with the flip of its witness, so the grid above 1 is 2 minus the
+    # grid below.  T(3,7)#T(3,-7) has a breakpoint at 1; on T(3,4) the
+    # carried segment ends at 1, where a sweep past 1 ran it to 4/3, and
+    # its mirror starts there.  Every kept witness re-proves.
     grids = {}
     for knots in [((3, 7), (3, -7)), ((3, 4),)]:
         c = reduce(ku.tensor, [ku.torus_knot_complex(*pq) for pq in knots])
@@ -1622,7 +1642,7 @@ def test_mirrored_segments_are_exact_mirrors():
             assert check_segment_certificate(c, ends, p, cycle, cocycle)
     assert grids == {((3, 7), (3, -7)): [0, F(2, 3), F(6, 7), 1, F(8, 7),
                                          F(4, 3), 2],
-                     ((3, 4),): [0, F(2, 3), F(4, 3), 2]}
+                     ((3, 4),): [0, F(2, 3), 1, F(4, 3), 2]}
 
 
 def test_sweep_counts_over_the_five_pools(monkeypatch):
@@ -1630,12 +1650,16 @@ def test_sweep_counts_over_the_five_pools(monkeypatch):
     # flip proved once, measured once: (scans, kept segments, mirrored
     # segments) over the torus-ladder pool, its mirrors, the sum-tower
     # chains, the flip cases and their JSON round trips.  Where
-    # _proves_flip holds, every witness past the flip point is the flip of
-    # its mirror below and the grid there is 2 minus the grid below, and
+    # _proves_flip holds, every witness past t = 1 is the flip of its
+    # mirror below and the grid there is 2 minus the grid below, and
     # every kept witness of every pool but the JSON twins re-proves.  The
     # sum-tower chains took 66 segments when a mirrored witness ran to its
     # first tie: T(3,7)#T(3,-7) and T(3,7)#T(3,-5)#T(2,3) each keep one
-    # more now, the exact mirrors of their segments below 1.
+    # more now, the exact mirrors of their segments below 1.  Since the
+    # sweep stops at t = 1, a segment that ran across 1 ends there and its
+    # mirror starts there: 19 torus-ladder knots and 68 flip cases each
+    # keep one mirror more than when the sweep went past 1 and cut that
+    # mirror away (513 and 3,900 segments, 247 and 1,862 mirrors).
     cases = [c.relabeled(c.label) for c, _ in _flip_cases()]  # unswept
     pools = {
         "torus-ladder": [ku.torus_knot_complex(p, q)
@@ -1668,10 +1692,10 @@ def test_sweep_counts_over_the_five_pools(monkeypatch):
                                                      cocycle), c.label
         counts[name] = (len(scans), sum(len(c._sweep.witnesses) for c in pool),
                         mirrored)
-    assert counts == {"torus-ladder": (77, 513, 247),
-                      "mirrors": (266, 513, 247), "sum-tower": (44, 68, 20),
-                      "flip cases": (1249, 3900, 1862),
-                      "JSON": (1249, 3900, 1862)}
+    assert counts == {"torus-ladder": (77, 532, 266),
+                      "mirrors": (266, 532, 266), "sum-tower": (44, 68, 20),
+                      "flip cases": (1249, 3968, 1930),
+                      "JSON": (1249, 3968, 1930)}
 
 
 def test_upsilon_runs_no_validating_constructor(monkeypatch):

@@ -27,15 +27,22 @@ The flip is proved once per sweep: upsilon calls _flip and _proves_flip at
 one site each and adds the witnesses built from flip[...] at one site,
 while the loop that proves segments reads no flip[...], so no mirrored
 list reaches _proves_segment; this check fails on an engine that proves
-each mirrored segment in that loop.  upsilon fills one candidate slot: a
-carried or scanned witness is proved at one call of _proves_segment and
-ends at the one assignment of t1, the tie search's, and a cocycle's hull
-is built at one site, in upsilon, for a carried candidate; the one call of
-_filtered_scan sorts the sweep's ids, not a range of its own, so every
-support shares those ints.  The sweep keeps no memo keyed by a list's
-identity, which holds only while that list lives: neither _proves_segment
-nor upsilon's while loop reads id, and a carried run's hull is one local
-that a scan clears; the mirror past the loop may dedupe its lists by id.
+each mirrored segment in that loop.  The flip is decided before the sweep
+and ends it: upsilon calls _flip and _proves_flip before its while loop,
+the loop's bound and the tie search's first n1 read the same name, so a
+held flip stops every segment at t = 1, and nothing after the loop calls
+_weights, since the halves meet at 1 by the flip's proof and need no
+second continuity check there; this check fails on an engine that decides
+the flip at the first segment start past 1 and cuts the mirror there.
+upsilon fills one candidate slot: a carried or scanned witness is proved
+at one call of _proves_segment and ends at the one assignment of t1, the
+tie search's, and a cocycle's hull is built at one site, in upsilon, for
+a carried candidate; the one call of _filtered_scan sorts the sweep's
+ids, not a range of its own, so every support shares those ints.  The
+sweep keeps no memo keyed by a list's identity, which holds only while
+that list lives: neither _proves_segment nor upsilon's while loop reads
+id, and a carried run's hull is one local that a scan clears; the mirror
+past the loop may dedupe its lists by id.
 The tie search is the one walk at a tie: upsilon builds its ties at one
 site, and _carried reads the crossing points that search named, so
 neither it nor _hull is handed any weights upsilon reads, and _carried
@@ -239,6 +246,27 @@ def test_upsilon_proves_the_flip_once_and_mirrors_at_one_site():
     assert len(proving) == 1 and not flipped(proving[0])
 
 
+def test_flip_is_decided_before_the_sweep_and_ends_it():
+    sweep = _engine_function("upsilon")
+    loops = [n for n in ast.walk(sweep) if isinstance(n, ast.While)]
+    assert len(loops) == 1
+    loop = loops[0]
+    for name in ("_flip", "_proves_flip"):
+        assert [site < loop.lineno for site in _called(sweep, name)] == [True]
+    starts = [(n.lineno, value) for n in ast.walk(loop)
+              if isinstance(n, ast.Assign) and isinstance(n.value, ast.Tuple)
+              for target in n.targets if isinstance(target, ast.Tuple)
+              for t, value in zip(target.elts, n.value.elts)
+              if getattr(t, "id", None) == "n1"]
+    # the tie search's first n1, before its walk
+    first = min(starts, key=lambda start: start[0])[1]
+    bound = {n.id for n in ast.walk(loop.test) if isinstance(n, ast.Name)}
+    assert isinstance(first, ast.Name) and first.id in bound
+    after = [n for n in sweep.body if n.lineno > loop.end_lineno]
+    assert after and not [site for n in after
+                          for site in _called(n, "_weights")]
+
+
 def test_scan_sorts_the_sweeps_ids():
     assert not _called(_engine_function("_filtered_scan"), "range")
 
@@ -257,7 +285,7 @@ def test_carried_reads_the_tie_search():
     passed = {n.id for call in ast.walk(sweep) if isinstance(call, ast.Call)
               and getattr(call.func, "id", None) in ("_carried", "_hull")
               for n in ast.walk(call) if isinstance(n, ast.Name)}
-    assert weighed == {"w", "w0", "w1", "wp", "wq"} and not passed & weighed
+    assert weighed == {"w", "w0", "w1"} and not passed & weighed
     assert not {a.arg for a in carried.args.args} & weighed
     loops = [n for n in ast.walk(carried)
              if isinstance(n, (ast.For, ast.comprehension))]
